@@ -122,17 +122,17 @@ Result<DeweyId> DeweyCodec::Decode(const uint8_t* data, size_t size) const {
   return DeweyId(std::move(comps));
 }
 
-void DeltaBlockEncoder::Append(const DeweyId& id) {
+void DeltaBlockEncoder::Append(DeweyView id) {
   assert(!id.empty());
-  assert(count_ == 0 || prev_.Compare(id) <= 0);
+  assert(count_ == 0 || prev_.view().Compare(id) <= 0);
   const size_t shared =
-      (count_ == 0 || !delta_) ? 0 : prev_.CommonPrefixLength(id);
+      (count_ == 0 || !delta_) ? 0 : prev_.view().CommonPrefixLength(id);
   PutVarint32(&buf_, static_cast<uint32_t>(shared));
   PutVarint32(&buf_, static_cast<uint32_t>(id.depth() - shared));
   for (size_t i = shared; i < id.depth(); ++i) {
     PutVarint32(&buf_, id.component(i));
   }
-  prev_ = id;
+  prev_.AssignFrom(id);
   ++count_;
 }
 

@@ -96,7 +96,8 @@ class DeltaBlockEncoder {
   explicit DeltaBlockEncoder(bool delta = true) : delta_(delta) {}
 
   /// Appends `id` (must be >= the previously appended id in Dewey order).
-  void Append(const DeweyId& id);
+  void Append(DeweyView id);
+  void Append(const DeweyId& id) { Append(id.view()); }
 
   size_t count() const { return count_; }
   size_t SizeBytes() const { return buf_.size(); }
@@ -111,7 +112,12 @@ class DeltaBlockEncoder {
   size_t count_ = 0;
 };
 
-/// \brief Forward-only decoder for DeltaBlockEncoder output.
+/// \brief Forward-only, entry-at-a-time decoder for DeltaBlockEncoder
+/// output.
+///
+/// No read or write path uses it: every block is decoded by the batch
+/// kernels (decode_kernels.h). It stays as the independent reference
+/// decode_kernel_test compares those kernels against.
 class DeltaBlockDecoder {
  public:
   DeltaBlockDecoder(const uint8_t* data, size_t size)

@@ -1,6 +1,7 @@
 #include "storage/bptree_mut.h"
 
 #include <cassert>
+#include <iterator>
 
 #include "storage/bptree.h"  // CompareBytes
 
@@ -10,37 +11,28 @@ namespace nf = node_format;
 
 namespace {
 
-/// First index in `entries` with key >= `key`.
-size_t LowerBound(
-    const std::vector<std::pair<std::string, std::string>>& entries,
-    std::string_view key) {
-  size_t lo = 0, hi = entries.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (CompareBytes(entries[mid].first, key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-/// Split position for an oversized entry vector: the smallest cut with
-/// at least half the payload bytes on the left, clamped so both sides
-/// stay non-empty.
-size_t SplitPoint(
+/// Start index of each part an oversized entry run is cut into: the
+/// fewest parts that fit a page, each cut once it holds an even share of
+/// the bytes (for two parts: the smallest cut with at least half the
+/// bytes on the left). A part is closed early when the next entry would
+/// overflow the page. Every part is non-empty.
+std::vector<size_t> SplitStarts(
     const std::vector<std::pair<std::string, std::string>>& entries) {
   size_t total = 0;
   for (const auto& [k, v] : entries) total += nf::EntrySize(k, v);
+  const size_t parts = (total + nf::kNodeCapacity - 1) / nf::kNodeCapacity;
+  const size_t target = (total + parts - 1) / parts;
+  std::vector<size_t> starts = {0};
   size_t acc = 0;
   for (size_t i = 0; i < entries.size(); ++i) {
-    acc += nf::EntrySize(entries[i].first, entries[i].second);
-    if (acc * 2 >= total) {
-      return std::min(std::max<size_t>(i + 1, 1), entries.size() - 1);
+    const size_t size = nf::EntrySize(entries[i].first, entries[i].second);
+    if (acc > 0 && (acc >= target || acc + size > nf::kNodeCapacity)) {
+      starts.push_back(i);
+      acc = 0;
     }
+    acc += size;
   }
-  return entries.size() - 1;
+  return starts;
 }
 
 }  // namespace
@@ -102,8 +94,9 @@ Status BPlusTreeMut::Flush() {
   return pool_->FlushAll();
 }
 
-Result<PageId> BPlusTreeMut::DescendToLeaf(std::string_view key,
-                                           std::vector<PathStep>* path) const {
+Result<PageId> BPlusTreeMut::DescendToLeaf(
+    std::string_view key, std::vector<PathStep>* path,
+    std::optional<std::string>* upper) const {
   PageId cur = root_;
   for (uint32_t level = height_; level > 1; --level) {
     XKS_ASSIGN_OR_RETURN(PageRef ref, pool_->Fetch(cur));
@@ -113,6 +106,9 @@ Result<PageId> BPlusTreeMut::DescendToLeaf(std::string_view key,
     }
     const size_t idx = node.UpperBound(key);
     if (path != nullptr) path->push_back(PathStep{cur, idx});
+    // A deeper separator lies inside its parent's range, so the last one
+    // seen on the way down is the tightest bound.
+    if (upper != nullptr && idx < node.count()) upper->emplace(node.Key(idx));
     cur = node.Child(idx);
   }
   return cur;
@@ -125,73 +121,127 @@ Status BPlusTreeMut::WriteNode(PageId page_id,
   return Status::OK();
 }
 
-Status BPlusTreeMut::Put(std::string_view key, std::string_view value) {
-  if (nf::EntrySize(key, value) > nf::kNodeCapacity) {
-    return Status::InvalidArgument("entry too large for a page");
+Status BPlusTreeMut::Apply(const std::vector<Edit>& edits) {
+  for (size_t i = 0; i < edits.size(); ++i) {
+    const Edit& edit = edits[i];
+    if (i > 0 && CompareBytes(edits[i - 1].key, edit.key) >= 0) {
+      return Status::InvalidArgument("edits must be sorted by unique key");
+    }
+    if (edit.erase) {
+      XKS_ASSIGN_OR_RETURN(const bool present, Contains(edit.key));
+      if (!present) return Status::NotFound("key not present");
+    } else if (nf::EntrySize(edit.key, edit.value) > nf::kNodeCapacity) {
+      return Status::InvalidArgument("entry too large for a page");
+    }
   }
 
-  if (root_ == kInvalidPage) {
-    XKS_ASSIGN_OR_RETURN(MutPageRef page, pool_->NewPage());
+  size_t next = 0;
+  while (next < edits.size()) {
+    std::vector<PathStep> path;
+    std::optional<std::string> upper;
+    PageId leaf_id;
     nf::ParsedNode leaf;
-    leaf.leaf = true;
-    leaf.entries.emplace_back(std::string(key), std::string(value));
-    leaf.WriteTo(&page.page());
-    root_ = page.id();
-    first_leaf_ = page.id();
-    height_ = 1;
-    entry_count_ = 1;
-    return Status::OK();
-  }
+    if (root_ == kInvalidPage) {
+      // Empty tree: the edits start a root leaf (all are puts: every
+      // delete was found above).
+      XKS_ASSIGN_OR_RETURN(MutPageRef page, pool_->NewPage());
+      leaf_id = page.id();
+      root_ = leaf_id;
+      first_leaf_ = leaf_id;
+      height_ = 1;
+    } else {
+      XKS_ASSIGN_OR_RETURN(leaf_id,
+                           DescendToLeaf(edits[next].key, &path, &upper));
+      XKS_ASSIGN_OR_RETURN(PageRef ref, pool_->Fetch(leaf_id));
+      XKS_ASSIGN_OR_RETURN(leaf, nf::ParsedNode::ReadFrom(ref.page()));
+    }
 
-  std::vector<PathStep> path;
-  XKS_ASSIGN_OR_RETURN(const PageId leaf_id, DescendToLeaf(key, &path));
-  nf::ParsedNode leaf;
-  {
-    XKS_ASSIGN_OR_RETURN(PageRef ref, pool_->Fetch(leaf_id));
-    XKS_ASSIGN_OR_RETURN(leaf, nf::ParsedNode::ReadFrom(ref.page()));
+    // Merge the run of edits below the leaf's upper bound.
+    std::vector<std::pair<std::string, std::string>> old =
+        std::move(leaf.entries);
+    leaf.entries.clear();
+    leaf.entries.reserve(old.size() + 1);
+    size_t j = 0;
+    for (; next < edits.size() &&
+           (!upper || CompareBytes(edits[next].key, *upper) < 0);
+         ++next) {
+      const Edit& edit = edits[next];
+      while (j < old.size() && CompareBytes(old[j].first, edit.key) < 0) {
+        leaf.entries.push_back(std::move(old[j++]));
+      }
+      const bool hit = j < old.size() && old[j].first == edit.key;
+      if (hit) ++j;
+      if (edit.erase) {
+        if (!hit) return Status::NotFound("key not present");
+        --entry_count_;
+      } else {
+        leaf.entries.emplace_back(edit.key, edit.value);
+        if (!hit) ++entry_count_;
+      }
+    }
+    while (j < old.size()) leaf.entries.push_back(std::move(old[j++]));
+
+    if (leaf.entries.empty()) {
+      XKS_RETURN_NOT_OK(UnlinkLeaf(leaf_id, leaf, std::move(path)));
+    } else if (leaf.SerializedSize() <= kPageSize) {
+      XKS_RETURN_NOT_OK(WriteNode(leaf_id, leaf));
+    } else {
+      XKS_RETURN_NOT_OK(SplitLeaf(leaf_id, std::move(leaf), std::move(path)));
+    }
   }
-  const size_t pos = LowerBound(leaf.entries, key);
-  if (pos < leaf.entries.size() &&
-      CompareBytes(leaf.entries[pos].first, key) == 0) {
-    leaf.entries[pos].second.assign(value);  // upsert
-  } else {
-    leaf.entries.insert(leaf.entries.begin() + static_cast<long>(pos),
-                        {std::string(key), std::string(value)});
-    ++entry_count_;
-  }
-  if (leaf.SerializedSize() <= kPageSize) {
-    return WriteNode(leaf_id, leaf);
-  }
-  return SplitLeaf(leaf_id, std::move(leaf), std::move(path));
+  return Status::OK();
+}
+
+Status BPlusTreeMut::Put(std::string_view key, std::string_view value) {
+  return Apply({Edit{std::string(key), std::string(value), false}});
+}
+
+Status BPlusTreeMut::Delete(std::string_view key) {
+  return Apply({Edit{std::string(key), std::string(), true}});
 }
 
 Status BPlusTreeMut::SplitLeaf(PageId page_id, nf::ParsedNode node,
                                std::vector<PathStep> path) {
-  const size_t mid = SplitPoint(node.entries);
-
-  XKS_ASSIGN_OR_RETURN(MutPageRef right_page, pool_->NewPage());
-  const PageId right_id = right_page.id();
-
-  nf::ParsedNode right;
-  right.leaf = true;
-  right.entries.assign(node.entries.begin() + static_cast<long>(mid),
-                       node.entries.end());
-  right.link_a = node.link_a;  // old next leaf
-  right.link_b = page_id;
-  node.entries.resize(mid);
-  const PageId old_next = right.link_a;
-  node.link_a = right_id;
-
-  const std::string separator = right.entries.front().first;
-  right.WriteTo(&right_page.page());
-  right_page.Release();
-  XKS_RETURN_NOT_OK(WriteNode(page_id, node));
-
-  if (old_next != kInvalidPage) {
-    XKS_ASSIGN_OR_RETURN(MutPageRef next_ref, pool_->FetchMut(old_next));
-    next_ref.page().WriteU32(nf::kNodeLinkB, right_id);
+  const std::vector<size_t> starts = SplitStarts(node.entries);
+  std::vector<PageId> ids = {page_id};
+  for (size_t p = 1; p < starts.size(); ++p) {
+    XKS_ASSIGN_OR_RETURN(MutPageRef page, pool_->NewPage());
+    ids.push_back(page.id());
   }
-  return InsertIntoParent(std::move(path), separator, right_id);
+  // Write the parts as one run of the sibling chain.
+  std::vector<std::string> separators;
+  for (size_t p = 0; p < starts.size(); ++p) {
+    nf::ParsedNode part;
+    part.leaf = true;
+    const size_t end =
+        p + 1 < starts.size() ? starts[p + 1] : node.entries.size();
+    part.entries.assign(
+        std::make_move_iterator(node.entries.begin() +
+                                static_cast<long>(starts[p])),
+        std::make_move_iterator(node.entries.begin() +
+                                static_cast<long>(end)));
+    part.link_b = p == 0 ? node.link_b : ids[p - 1];
+    part.link_a = p + 1 < ids.size() ? ids[p + 1] : node.link_a;
+    if (p > 0) separators.push_back(part.entries.front().first);
+    XKS_RETURN_NOT_OK(WriteNode(ids[p], part));
+  }
+  if (node.link_a != kInvalidPage) {
+    XKS_ASSIGN_OR_RETURN(MutPageRef next_ref, pool_->FetchMut(node.link_a));
+    next_ref.page().WriteU32(nf::kNodeLinkB, ids.back());
+  }
+  // Each separator goes into the parent right after its left neighbour.
+  // An insert may split the parents, so every separator after the first
+  // re-descends for a fresh path; it routes to that left neighbour.
+  for (size_t p = 1; p < ids.size(); ++p) {
+    if (p > 1) {
+      path.clear();
+      XKS_RETURN_NOT_OK(DescendToLeaf(separators[p - 1], &path).status());
+    }
+    XKS_RETURN_NOT_OK(
+        InsertIntoParent(std::move(path), std::move(separators[p - 1]),
+                         ids[p]));
+  }
+  return Status::OK();
 }
 
 Status BPlusTreeMut::InsertIntoParent(std::vector<PathStep> path,
@@ -233,7 +283,7 @@ Status BPlusTreeMut::InsertIntoParent(std::vector<PathStep> path,
 Status BPlusTreeMut::SplitInternal(PageId page_id, nf::ParsedNode node,
                                    std::vector<PathStep> path) {
   assert(node.entries.size() >= 2);
-  const size_t mid = SplitPoint(node.entries);
+  const size_t mid = SplitStarts(node.entries)[1];
 
   // The median separator moves up; the right node's leftmost child is
   // the median's child.
@@ -253,40 +303,18 @@ Status BPlusTreeMut::SplitInternal(PageId page_id, nf::ParsedNode node,
   return InsertIntoParent(std::move(path), std::move(up_key), right_id);
 }
 
-Status BPlusTreeMut::Delete(std::string_view key) {
-  if (root_ == kInvalidPage) {
-    return Status::NotFound("key not present");
+Status BPlusTreeMut::UnlinkLeaf(PageId page_id, const nf::ParsedNode& node,
+                                std::vector<PathStep> path) {
+  // The page itself is not recycled; see the class comment.
+  if (node.link_b != kInvalidPage) {
+    XKS_ASSIGN_OR_RETURN(MutPageRef prev, pool_->FetchMut(node.link_b));
+    prev.page().WriteU32(nf::kNodeLinkA, node.link_a);
   }
-  std::vector<PathStep> path;
-  XKS_ASSIGN_OR_RETURN(const PageId leaf_id, DescendToLeaf(key, &path));
-  nf::ParsedNode leaf;
-  {
-    XKS_ASSIGN_OR_RETURN(PageRef ref, pool_->Fetch(leaf_id));
-    XKS_ASSIGN_OR_RETURN(leaf, nf::ParsedNode::ReadFrom(ref.page()));
+  if (node.link_a != kInvalidPage) {
+    XKS_ASSIGN_OR_RETURN(MutPageRef next, pool_->FetchMut(node.link_a));
+    next.page().WriteU32(nf::kNodeLinkB, node.link_b);
   }
-  const size_t pos = LowerBound(leaf.entries, key);
-  if (pos >= leaf.entries.size() ||
-      CompareBytes(leaf.entries[pos].first, key) != 0) {
-    return Status::NotFound("key not present");
-  }
-  leaf.entries.erase(leaf.entries.begin() + static_cast<long>(pos));
-  --entry_count_;
-
-  if (!leaf.entries.empty()) {
-    return WriteNode(leaf_id, leaf);
-  }
-
-  // The leaf emptied: unlink it from the sibling chain and the parent.
-  // (The page itself is not recycled; see the class comment.)
-  if (leaf.link_b != kInvalidPage) {
-    XKS_ASSIGN_OR_RETURN(MutPageRef prev, pool_->FetchMut(leaf.link_b));
-    prev.page().WriteU32(nf::kNodeLinkA, leaf.link_a);
-  }
-  if (leaf.link_a != kInvalidPage) {
-    XKS_ASSIGN_OR_RETURN(MutPageRef next, pool_->FetchMut(leaf.link_a));
-    next.page().WriteU32(nf::kNodeLinkB, leaf.link_b);
-  }
-  if (first_leaf_ == leaf_id) first_leaf_ = leaf.link_a;
+  if (first_leaf_ == page_id) first_leaf_ = node.link_a;
 
   if (path.empty()) {
     // The root leaf emptied: the tree is empty again.
@@ -362,7 +390,7 @@ Result<bool> BPlusTreeMut::FindFloor(std::string_view key,
         return Status::Corruption("malformed leaf entry");
       }
       found_key->assign(k);
-      found_value->assign(v);
+      if (found_value != nullptr) found_value->assign(v);
       return true;
     }
     leaf_id = node.link_b();
@@ -385,7 +413,7 @@ Result<bool> BPlusTreeMut::FindCeil(std::string_view key,
         return Status::Corruption("malformed leaf entry");
       }
       found_key->assign(k);
-      found_value->assign(v);
+      if (found_value != nullptr) found_value->assign(v);
       return true;
     }
     leaf_id = node.link_a();
@@ -407,6 +435,17 @@ Result<std::string> BPlusTreeMut::Get(std::string_view key) const {
     return std::string(v);
   }
   return Status::NotFound("key not present");
+}
+
+Result<bool> BPlusTreeMut::Contains(std::string_view key) const {
+  if (root_ == kInvalidPage) return false;
+  XKS_ASSIGN_OR_RETURN(const PageId leaf_id, DescendToLeaf(key, nullptr));
+  XKS_ASSIGN_OR_RETURN(PageRef ref, pool_->Fetch(leaf_id));
+  const nf::NodeView node(ref.page());
+  const size_t pos = node.LowerBound(key);
+  std::string_view k, v;
+  return pos < node.count() && node.Entry(pos, &k, &v) &&
+         CompareBytes(k, key) == 0;
 }
 
 }  // namespace xksearch

@@ -1,6 +1,7 @@
 #ifndef XKSEARCH_STORAGE_BPTREE_MUT_H_
 #define XKSEARCH_STORAGE_BPTREE_MUT_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,10 @@ namespace xksearch {
 /// changes without a full rebuild. Files are interchangeable: a tree
 /// bulk-loaded by the builder can be opened and mutated here, and after
 /// Flush() the read-only BPlusTree (with its cursors) can open the result.
+///
+/// Every mutation goes through Apply(): a sorted batch of upserts and
+/// deletes merged into each touched leaf once. Put and Delete are
+/// one-edit batches.
 ///
 /// Durability is explicit: mutations live in the buffer pool until
 /// Flush() writes the dirty pages and the meta page. Simplifications,
@@ -46,6 +51,22 @@ class BPlusTreeMut {
   BPlusTreeMut(BPlusTreeMut&&) = default;
   BPlusTreeMut& operator=(BPlusTreeMut&&) = default;
 
+  /// One edit of a batch: an upsert of (key, value), or a delete of key.
+  struct Edit {
+    std::string key;
+    std::string value;
+    bool erase = false;
+  };
+
+  /// Applies `edits`, sorted by key with no key twice, in one pass: each
+  /// touched leaf is read once, merged with the run of edits in its key
+  /// range and written once — split into as many leaves as the merged
+  /// entries need, or unlinked when it empties. Every delete and entry
+  /// size is checked before anything is written, so a missing key
+  /// (NotFound) or an oversized entry (InvalidArgument) leaves the tree
+  /// unchanged.
+  Status Apply(const std::vector<Edit>& edits);
+
   /// Inserts or overwrites `key`.
   Status Put(std::string_view key, std::string_view value);
 
@@ -55,11 +76,16 @@ class BPlusTreeMut {
   /// Point lookup; NotFound if absent.
   Result<std::string> Get(std::string_view key) const;
 
+  /// Point membership test, without copying the value.
+  Result<bool> Contains(std::string_view key) const;
+
   /// Greatest entry with key <= `key`. Returns false when none exists.
+  /// `found_value` may be null when only the key is wanted.
   Result<bool> FindFloor(std::string_view key, std::string* found_key,
                          std::string* found_value) const;
 
   /// Smallest entry with key >= `key`. Returns false when none exists.
+  /// `found_value` may be null when only the key is wanted.
   Result<bool> FindCeil(std::string_view key, std::string* found_key,
                         std::string* found_value) const;
 
@@ -84,11 +110,19 @@ class BPlusTreeMut {
     size_t child_idx;  // which child of this internal node we descended to
   };
 
-  Result<PageId> DescendToLeaf(std::string_view key,
-                               std::vector<PathStep>* path) const;
+  /// Routes `key` to its leaf. `upper`, when given, receives the
+  /// tightest separator above the leaf's key range (nullopt: unbounded).
+  Result<PageId> DescendToLeaf(
+      std::string_view key, std::vector<PathStep>* path,
+      std::optional<std::string>* upper = nullptr) const;
   Status WriteNode(PageId page, const node_format::ParsedNode& node);
+  /// Writes an oversized leaf as itself plus as many new right siblings
+  /// as its entries need, and links each sibling into the parents.
   Status SplitLeaf(PageId page, node_format::ParsedNode node,
                    std::vector<PathStep> path);
+  /// Unlinks an emptied leaf from the sibling chain and its parent.
+  Status UnlinkLeaf(PageId page, const node_format::ParsedNode& node,
+                    std::vector<PathStep> path);
   Status SplitInternal(PageId page, node_format::ParsedNode node,
                        std::vector<PathStep> path);
   Status InsertIntoParent(std::vector<PathStep> path, std::string separator,

@@ -2,7 +2,9 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <utility>
 
 #include "common/bitio.h"
@@ -66,9 +68,9 @@ void AppendBigEndian32(uint32_t v, std::string* out) {
 
 bool HasTermPrefix(std::string_view key, uint32_t term) {
   if (key.size() < 4) return false;
-  std::string prefix;
-  AppendBigEndian32(term, &prefix);
-  return key.substr(0, 4) == prefix;
+  const auto* b = reinterpret_cast<const uint8_t*>(key.data());
+  return ((uint32_t{b[0]} << 24) | (uint32_t{b[1]} << 16) |
+          (uint32_t{b[2]} << 8) | uint32_t{b[3]}) == term;
 }
 
 std::vector<uint8_t> EncodeIndexMeta(const LevelTable& table,
@@ -320,7 +322,7 @@ Status DiskIndex::InitTreesAndDict(const DiskIndexOptions& options) {
 }
 
 const DiskIndex::TermInfo* DiskIndex::FindTerm(std::string_view keyword) const {
-  auto it = dict_.find(std::string(keyword));
+  auto it = dict_.find(keyword);
   return it == dict_.end() ? nullptr : &it->second;
 }
 
@@ -642,8 +644,14 @@ Result<std::unique_ptr<DiskIndexUpdater>> DiskIndexUpdater::Open(
 }
 
 uint64_t DiskIndexUpdater::Frequency(std::string_view keyword) const {
-  auto it = dict_.find(std::string(keyword));
+  auto it = dict_.find(keyword);
   return it == dict_.end() ? 0 : it->second.frequency;
+}
+
+void DiskIndexUpdater::Touch(
+    std::string_view keyword,
+    const std::optional<DiskIndex::TermInfo>& loaded) {
+  if (!loaded_.contains(keyword)) loaded_.emplace(keyword, loaded);
 }
 
 Status DiskIndexUpdater::AddPosting(std::string_view keyword,
@@ -654,142 +662,212 @@ Status DiskIndexUpdater::AddPosting(std::string_view keyword,
         "Dewey id " + id.ToString() +
         " exceeds the index's level table; rebuild with a wider table");
   }
-  const std::string kw(keyword);
-  if (kw.empty()) {
+  if (keyword.empty()) {
     return Status::InvalidArgument("empty keyword");
   }
-  auto [it, inserted] =
-      dict_.try_emplace(kw, DiskIndex::TermInfo{next_term_id_, 0});
-  if (inserted) ++next_term_id_;
-  const uint32_t term = it->second.id;
-
-  std::string key;
-  DiskIndex::EncodeIlKey(*codec_, term, id, &key);
-  if (il_tree_->Get(key).ok()) {
-    return Status::OK();  // posting already present
+  auto it = dict_.find(keyword);
+  if (it == dict_.end()) {
+    // A new keyword (or one emptied earlier in this batch): its fresh
+    // term id has no posting on disk, so there is nothing to probe.
+    Touch(keyword, std::nullopt);
+    it = dict_.emplace(std::string(keyword),
+                       DiskIndex::TermInfo{next_term_id_++, 0})
+             .first;
+    pending_[it->second.id].emplace(id, true);
+  } else {
+    TermEdits& edits = pending_[it->second.id];
+    auto edit = edits.find(id);
+    if (edit != edits.end()) {
+      if (edit->second) return Status::OK();  // added earlier this batch
+      edits.erase(edit);  // re-adding cancels the pending remove
+    } else {
+      std::string key;
+      DiskIndex::EncodeIlKey(*codec_, it->second.id, id, &key);
+      XKS_ASSIGN_OR_RETURN(const bool present, il_tree_->Contains(key));
+      if (present) return Status::OK();
+      edits.emplace(id, true);
+    }
+    Touch(keyword, it->second);
   }
-  XKS_RETURN_NOT_OK(il_tree_->Put(key, ""));
   ++it->second.frequency;
   ++total_postings_;
-  return InsertIntoBlock(term, id);
+  return Status::OK();
 }
 
 Status DiskIndexUpdater::RemovePosting(std::string_view keyword,
                                        const DeweyId& id) {
   assert(!finished_);
-  auto it = dict_.find(std::string(keyword));
+  auto it = dict_.find(keyword);
   if (it == dict_.end()) {
     return Status::NotFound("keyword not in index");
   }
-  const uint32_t term = it->second.id;
-  std::string key;
-  DiskIndex::EncodeIlKey(*codec_, term, id, &key);
-  XKS_RETURN_NOT_OK(il_tree_->Delete(key));
+  // An id outside the level table was never stored (and its probe key
+  // would be lossy).
+  if (!codec_->CanEncode(id)) return Status::NotFound("key not present");
+  TermEdits& edits = pending_[it->second.id];
+  auto edit = edits.find(id);
+  if (edit != edits.end()) {
+    if (!edit->second) return Status::NotFound("key not present");
+    edits.erase(edit);  // removing cancels the pending add
+  } else {
+    std::string key;
+    DiskIndex::EncodeIlKey(*codec_, it->second.id, id, &key);
+    XKS_ASSIGN_OR_RETURN(const bool present, il_tree_->Contains(key));
+    if (!present) return Status::NotFound("key not present");
+    edits.emplace(id, false);
+  }
+  Touch(keyword, it->second);
   --it->second.frequency;
   --total_postings_;
   if (it->second.frequency == 0) dict_.erase(it);
-  return RemoveFromBlock(term, id);
+  return Status::OK();
 }
 
-Status DiskIndexUpdater::WriteBlock(const std::string& key,
-                                    const std::vector<DeweyId>& ids) {
-  DeltaBlockEncoder encoder(delta_compress_);
-  for (const DeweyId& id : ids) encoder.Append(id);
-  const std::vector<uint8_t> payload = encoder.Finish();
-  return scan_tree_->Put(
-      key, std::string_view(reinterpret_cast<const char*>(payload.data()),
-                            payload.size()));
-}
-
-Status DiskIndexUpdater::InsertIntoBlock(uint32_t term, const DeweyId& id) {
-  std::string probe;
-  DiskIndex::EncodeIlKey(*codec_, term, id, &probe);
-
-  // The hosting block is the last one whose first id <= the new id; if
-  // the id precedes every block, it joins the term's first block.
-  std::string block_key, payload;
-  XKS_ASSIGN_OR_RETURN(bool found,
-                       scan_tree_->FindFloor(probe, &block_key, &payload));
-  if (!found || !HasTermPrefix(block_key, term)) {
-    std::string prefix;
-    AppendBigEndian32(term, &prefix);
-    XKS_ASSIGN_OR_RETURN(found,
-                         scan_tree_->FindCeil(prefix, &block_key, &payload));
-    if (!found || !HasTermPrefix(block_key, term)) {
-      // First posting of this term.
-      return WriteBlock(probe, {id});
+Status DiskIndexUpdater::ApplyPending() {
+  std::vector<BPlusTreeMut::Edit> il_edits;
+  BlockEdits block_edits;
+  for (const auto& [term, edits] : pending_) {
+    for (const auto& [id, add] : edits) {
+      BPlusTreeMut::Edit& edit = il_edits.emplace_back();
+      DiskIndex::EncodeIlKey(*codec_, term, id, &edit.key);
+      edit.erase = !add;
     }
+    XKS_RETURN_NOT_OK(MergeScanBlocks(term, edits, &block_edits));
   }
-
-  std::vector<DeweyId> ids;
-  DeltaBlockDecoder decoder(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  DeweyId decoded;
-  while (decoder.Next(&decoded)) ids.push_back(decoded);
-  XKS_RETURN_NOT_OK(decoder.status());
-
-  const auto pos = std::lower_bound(ids.begin(), ids.end(), id);
-  if (pos != ids.end() && *pos == id) return Status::OK();
-  const bool new_head = pos == ids.begin();
-  ids.insert(pos, id);
-
-  if (new_head) {
-    // The block's key is its first id; re-key it.
-    XKS_RETURN_NOT_OK(scan_tree_->Delete(block_key));
-    block_key = probe;
+  pending_.clear();
+  XKS_RETURN_NOT_OK(il_tree_->Apply(il_edits));
+  std::vector<BPlusTreeMut::Edit> scan_edits;
+  scan_edits.reserve(block_edits.size());
+  for (auto& [key, payload] : block_edits) {
+    scan_edits.push_back({key, payload.value_or(""), !payload.has_value()});
   }
-
-  // Estimate the encoded size; split the block once it outgrows the
-  // budget so no block ever threatens the page-entry limit.
-  DeltaBlockEncoder probe_encoder(delta_compress_);
-  for (const DeweyId& v : ids) probe_encoder.Append(v);
-  if (probe_encoder.SizeBytes() <= options_.scan_block_bytes) {
-    return WriteBlock(block_key, ids);
-  }
-  const size_t mid = ids.size() / 2;
-  const std::vector<DeweyId> left(ids.begin(), ids.begin() + mid);
-  const std::vector<DeweyId> right(ids.begin() + mid, ids.end());
-  XKS_RETURN_NOT_OK(WriteBlock(block_key, left));
-  std::string right_key;
-  DiskIndex::EncodeIlKey(*codec_, term, right.front(), &right_key);
-  return WriteBlock(right_key, right);
+  return scan_tree_->Apply(scan_edits);
 }
 
-Status DiskIndexUpdater::RemoveFromBlock(uint32_t term, const DeweyId& id) {
-  std::string probe;
-  DiskIndex::EncodeIlKey(*codec_, term, id, &probe);
-  std::string block_key, payload;
-  XKS_ASSIGN_OR_RETURN(bool found,
-                       scan_tree_->FindFloor(probe, &block_key, &payload));
-  if (!found || !HasTermPrefix(block_key, term)) {
-    return Status::Corruption("posting missing from scan layout");
-  }
-  std::vector<DeweyId> ids;
-  DeltaBlockDecoder decoder(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  DeweyId decoded;
-  while (decoder.Next(&decoded)) ids.push_back(decoded);
-  XKS_RETURN_NOT_OK(decoder.status());
+Status DiskIndexUpdater::MergeScanBlocks(uint32_t term,
+                                         const TermEdits& edits,
+                                         BlockEdits* out) {
+  std::string term_prefix;
+  AppendBigEndian32(term, &term_prefix);
+  std::string probe, block_key, payload, next_key;
+  DecodedBlock block, merged;
+  auto edit = edits.begin();
+  while (edit != edits.end()) {
+    // The hosting block is the last one whose first id <= the edit's id;
+    // ids before every block join the term's first block.
+    DiskIndex::EncodeIlKey(*codec_, term, edit->first, &probe);
+    XKS_ASSIGN_OR_RETURN(bool found,
+                         scan_tree_->FindFloor(probe, &block_key, &payload));
+    if (!found || !HasTermPrefix(block_key, term)) {
+      XKS_ASSIGN_OR_RETURN(
+          found, scan_tree_->FindCeil(term_prefix, &block_key, &payload));
+      found = found && HasTermPrefix(block_key, term);
+    }
+    // The block's edits stop where the term's next block starts.
+    auto end = edits.end();
+    block.Clear();
+    if (found) {
+      XKS_ASSIGN_OR_RETURN(
+          const bool has_next,
+          scan_tree_->FindCeil(block_key + '\0', &next_key, nullptr));
+      if (has_next && HasTermPrefix(next_key, term)) {
+        XKS_ASSIGN_OR_RETURN(
+            const DeweyId next_first,
+            codec_->Decode(
+                reinterpret_cast<const uint8_t*>(next_key.data()) + 4,
+                next_key.size() - 4));
+        end = edits.lower_bound(next_first);
+      }
+      size_t pos = 0;
+      XKS_RETURN_NOT_OK(
+          DecodeBlock(reinterpret_cast<const uint8_t*>(payload.data()),
+                      payload.size(), &pos, ~size_t{0}, nullptr, 0, &block));
+      // Deleted now; a new block under the same key overwrites this.
+      (*out)[block_key] = std::nullopt;
+    }
 
-  const auto pos = std::lower_bound(ids.begin(), ids.end(), id);
-  if (pos == ids.end() || *pos != id) {
-    return Status::Corruption("posting missing from scan block");
+    merged.Clear();
+    size_t i = 0;
+    for (; edit != end; ++edit) {
+      const DeweyView id = edit->first.view();
+      while (i < block.count() && block.entry(i).Compare(id) < 0) {
+        merged.Append(block.entry(i++));
+      }
+      const bool hit = i < block.count() && block.entry(i).Compare(id) == 0;
+      if (hit) ++i;
+      if (edit->second) {
+        merged.Append(id);
+      } else if (!hit) {
+        return Status::Corruption("posting missing from scan layout");
+      }
+    }
+    for (; i < block.count(); ++i) merged.Append(block.entry(i));
+    EncodeScanBlocks(term, merged, out);
   }
-  const bool was_head = pos == ids.begin();
-  ids.erase(pos);
-  if (ids.empty()) {
-    return scan_tree_->Delete(block_key);
+  return Status::OK();
+}
+
+void DiskIndexUpdater::EncodeScanBlocks(uint32_t term,
+                                        const DecodedBlock& run,
+                                        BlockEdits* out) const {
+  const size_t n = run.count();
+  if (n == 0) return;
+  // One delta stream over the whole run; starts[k] is entry k's offset.
+  // A block cut at entry a re-encodes a in full and reuses the stream's
+  // bytes for the rest, whose deltas stay within the block.
+  DeltaBlockEncoder encoder(delta_compress_);
+  std::vector<size_t> starts;
+  starts.reserve(n + 1);
+  for (size_t k = 0; k < n; ++k) {
+    starts.push_back(encoder.SizeBytes());
+    encoder.Append(run.entry(k));
   }
-  if (was_head) {
-    XKS_RETURN_NOT_OK(scan_tree_->Delete(block_key));
-    DiskIndex::EncodeIlKey(*codec_, term, ids.front(), &block_key);
+  starts.push_back(encoder.SizeBytes());
+  const std::vector<uint8_t> stream = encoder.Finish();
+
+  // The fewest blocks within the budget, each cut once it holds an even
+  // share of the bytes (a lone entry above the budget gets its own).
+  const size_t budget = std::max<size_t>(1, options_.scan_block_bytes);
+  const size_t blocks = (stream.size() + budget - 1) / budget;
+  const size_t target = (stream.size() + blocks - 1) / blocks;
+  std::vector<uint8_t> head;
+  DeweyId first;
+  std::string key;
+  size_t a = 0;
+  while (a < n) {
+    encoder.Append(run.entry(a));
+    head = encoder.Finish();
+    // Bytes of the block holding entries [a, b).
+    auto size = [&](size_t b) {
+      return head.size() + starts[b] - starts[a + 1];
+    };
+    size_t b = a + 1;
+    while (b < n && size(b) < target && size(b + 1) <= budget) ++b;
+    std::string payload(head.begin(), head.end());
+    payload.append(stream.begin() + static_cast<long>(starts[a + 1]),
+                   stream.begin() + static_cast<long>(starts[b]));
+    first.AssignFrom(run.entry(a));
+    DiskIndex::EncodeIlKey(*codec_, term, first, &key);
+    (*out)[key] = std::move(payload);
+    a = b;
   }
-  return WriteBlock(block_key, ids);
+}
+
+bool DiskIndexUpdater::DictChanged() const {
+  for (const auto& [keyword, loaded] : loaded_) {
+    auto it = dict_.find(keyword);
+    const std::optional<DiskIndex::TermInfo> now =
+        it == dict_.end() ? std::nullopt
+                          : std::optional<DiskIndex::TermInfo>(it->second);
+    if (now != loaded) return true;
+  }
+  return false;
 }
 
 Status DiskIndexUpdater::Finish() {
   assert(!finished_);
   finished_ = true;
+  XKS_RETURN_NOT_OK(ApplyPending());
 
   const LevelTable& table = codec_->level_table();
   const std::vector<uint8_t> meta = EncodeIndexMeta(
@@ -799,16 +877,19 @@ Status DiskIndexUpdater::Finish() {
   XKS_RETURN_NOT_OK(il_tree_->Flush());
   XKS_RETURN_NOT_OK(scan_tree_->Flush());
 
-  // Rewrite the dictionary from scratch (it is small and the bulk
-  // builder wants sorted keys anyway).
+  // Rewrite the dictionary from scratch when it changed (it is small and
+  // the bulk builder wants sorted keys anyway).
+  const bool rewrite_dict = DictChanged();
   std::vector<std::string> terms;
-  terms.reserve(dict_.size());
-  for (const auto& [term, info] : dict_) terms.push_back(term);
-  std::sort(terms.begin(), terms.end());
+  if (rewrite_dict) {
+    terms.reserve(dict_.size());
+    for (const auto& [term, info] : dict_) terms.push_back(term);
+    std::sort(terms.begin(), terms.end());
+  }
   auto build_dict = [&](PageStore* store) -> Status {
     BPlusTreeBuilder builder(store);
     for (const std::string& term : terms) {
-      const DiskIndex::TermInfo& info = dict_.at(term);
+      const DiskIndex::TermInfo& info = dict_.find(term)->second;
       std::vector<uint8_t> value;
       PutVarint32(&value, info.id);
       PutVarint64(&value, info.frequency);
@@ -822,10 +903,13 @@ Status DiskIndexUpdater::Finish() {
     // The rebuild goes through the dict overlay (emptied first — the
     // bulk builder wants a fresh store), so like the tree flushes above
     // it is part of the staged batch, not an in-place file rewrite.
-    XKS_RETURN_NOT_OK(dict_staged_->Truncate(0));
-    XKS_RETURN_NOT_OK(build_dict(dict_staged_.get()));
+    if (rewrite_dict) {
+      XKS_RETURN_NOT_OK(dict_staged_->Truncate(0));
+      XKS_RETURN_NOT_OK(build_dict(dict_staged_.get()));
+    }
     return CommitBatch();
   }
+  if (!rewrite_dict) return Status::OK();
   XKS_ASSIGN_OR_RETURN(std::unique_ptr<FilePageStore> dict_store,
                        FilePageStore::Create(path_prefix_ + ".dict"));
   return build_dict(dict_store.get());
@@ -840,6 +924,12 @@ Status DiskIndexUpdater::CommitBatch() {
                 {kWalStoreScan, scan_staged_.get()},
                 {kWalStoreDict, dict_staged_.get()}};
   for (const auto& entry : stores) {
+    // A store the batch left alone (the dictionary, most batches) logs
+    // nothing, so the apply step neither rewrites nor syncs it.
+    if (entry.staged->staged_count() == 0 &&
+        entry.staged->page_count() == entry.staged->inner()->page_count()) {
+      continue;
+    }
     XKS_RETURN_NOT_OK(wal_->AppendTruncate(entry.id,
                                            entry.staged->page_count()));
     for (const PageId page : entry.staged->StagedPageIds()) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -92,7 +93,20 @@ class DiskIndex {
   struct TermInfo {
     uint32_t id;
     uint64_t frequency;
+    bool operator==(const TermInfo&) const = default;
   };
+
+  /// Hashes keywords as string views, so the dictionary answers a
+  /// string_view lookup without building a std::string.
+  struct KeywordHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view keyword) const {
+      return std::hash<std::string_view>{}(keyword);
+    }
+  };
+  /// The in-memory keyword dictionary: keyword -> (term id, frequency).
+  using TermDict =
+      std::unordered_map<std::string, TermInfo, KeywordHash, std::equal_to<>>;
 
   /// Builds both layouts (plus the dictionary) from an in-memory index.
   /// In file mode this writes `<prefix>.il`, `<prefix>.scan` and
@@ -246,7 +260,7 @@ class DiskIndex {
   std::optional<BPlusTree> il_tree_;
   std::optional<BPlusTree> scan_tree_;
   std::optional<DeweyCodec> codec_;
-  std::unordered_map<std::string, TermInfo> dict_;
+  TermDict dict_;
   uint64_t total_postings_ = 0;
   TokenizerOptions tokenizer_;
   size_t readahead_pages_ = 0;
@@ -255,12 +269,18 @@ class DiskIndex {
 /// \brief Incremental maintenance of a file-backed index: add or remove
 /// individual postings without rebuilding.
 ///
-/// Uses the mutable B+tree on both layouts: Indexed Lookup entries are
-/// plain key inserts/deletes, and scan-layout blocks — keyed by their
-/// first Dewey id — are located with a floor search, edited, re-keyed
-/// when their first id changes, and split when they outgrow the block
-/// budget. The dictionary (with any newly assigned term ids) is
-/// rewritten at Finish().
+/// AddPosting/RemovePosting check presence with a read-only Indexed
+/// Lookup probe and record the edit in a per-term sorted pending map (an
+/// add and a remove of one posting cancel); frequencies and
+/// total_postings() change at once. Finish() applies the whole batch in
+/// one sorted pass through the mutable B+tree on both layouts: each
+/// touched Indexed Lookup leaf is merged once (BPlusTreeMut::Apply), and
+/// each touched scan-layout block — keyed by its first Dewey id — is
+/// decoded once by the batch kernel, merged with its edits, encoded once,
+/// re-keyed when its first id changes and split into blocks of at most
+/// scan_block_bytes; the block puts and deletes go through the same
+/// Apply. The dictionary (with any newly assigned term ids) is rewritten
+/// only when some term's (id, frequency) differs from what Open loaded.
 ///
 /// Constraint inherited from the paper's Section 4 compression: a new
 /// posting's Dewey id must fit the level table computed at build time
@@ -294,14 +314,15 @@ class DiskIndexUpdater {
   DiskIndexUpdater& operator=(const DiskIndexUpdater&) = delete;
 
   /// Adds one (keyword, node) posting; idempotent (re-adding an existing
-  /// posting is a no-op). New keywords get fresh term ids.
+  /// posting is a no-op). New keywords get fresh term ids. A read error
+  /// of the presence probe is returned and changes nothing.
   Status AddPosting(std::string_view keyword, const DeweyId& id);
 
   /// Removes one posting; NotFound if it is not in the index.
   Status RemovePosting(std::string_view keyword, const DeweyId& id);
 
-  /// Flushes both trees and rewrites the dictionary. The updater must
-  /// not be used afterwards.
+  /// Applies the batch to both trees, flushes them and rewrites the
+  /// dictionary if it changed. The updater must not be used afterwards.
   Status Finish();
 
   uint64_t total_postings() const { return total_postings_; }
@@ -313,9 +334,28 @@ class DiskIndexUpdater {
  private:
   DiskIndexUpdater() = default;
 
-  Status InsertIntoBlock(uint32_t term, const DeweyId& id);
-  Status RemoveFromBlock(uint32_t term, const DeweyId& id);
-  Status WriteBlock(const std::string& key, const std::vector<DeweyId>& ids);
+  /// A term's pending edits: posting -> true to add, false to remove.
+  using TermEdits = std::map<DeweyId, bool>;
+  /// Scan-tree edits of a batch: block key -> new payload, or nullopt
+  /// to delete the block.
+  using BlockEdits = std::map<std::string, std::optional<std::string>>;
+
+  /// Records a keyword's dictionary entry as Open loaded it (nullopt:
+  /// absent), the first time the batch touches the keyword.
+  void Touch(std::string_view keyword,
+             const std::optional<DiskIndex::TermInfo>& loaded);
+  /// Applies every pending edit to both trees.
+  Status ApplyPending();
+  /// Merges one term's edits into the scan blocks that host them and
+  /// records the resulting block puts and deletes in `out`.
+  Status MergeScanBlocks(uint32_t term, const TermEdits& edits,
+                         BlockEdits* out);
+  /// Encodes a sorted run of postings as blocks of at most
+  /// scan_block_bytes, each keyed by its first id, into `out`.
+  void EncodeScanBlocks(uint32_t term, const DecodedBlock& run,
+                        BlockEdits* out) const;
+  /// True when some touched term's (id, frequency) differs from Open's.
+  bool DictChanged() const;
   /// WAL-mode Finish tail: logs every staged page as one batch, commits,
   /// then applies the batch by replaying the log into the inner stores —
   /// the same code path crash recovery takes.
@@ -338,7 +378,13 @@ class DiskIndexUpdater {
   bool delta_compress_ = true;
   bool compress_dewey_ = true;
   TokenizerOptions tokenizer_;
-  std::unordered_map<std::string, DiskIndex::TermInfo> dict_;
+  DiskIndex::TermDict dict_;
+  /// The batch's edits, by term id (ascending ids are ascending keys).
+  std::map<uint32_t, TermEdits> pending_;
+  /// Dictionary entries as Open loaded them, for every touched keyword.
+  std::unordered_map<std::string, std::optional<DiskIndex::TermInfo>,
+                     DiskIndex::KeywordHash, std::equal_to<>>
+      loaded_;
   uint32_t next_term_id_ = 0;
   uint64_t total_postings_ = 0;
   uint64_t recovered_batches_ = 0;

@@ -1,7 +1,10 @@
 #include "storage/bptree_mut.h"
 
+#include <iterator>
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -248,6 +251,162 @@ TEST_F(BPlusTreeMutTest, TinyPoolSpillsDirtyPages) {
     ASSERT_TRUE(v.ok()) << Key(i);
     EXPECT_EQ(*v, Value(i));
   }
+}
+
+// Applies one sorted batch to `tree` and mirrors it into `expected`.
+Status ApplyBatch(BPlusTreeMut* tree,
+                  const std::map<std::string, std::optional<std::string>>& batch,
+                  std::map<std::string, std::string>* expected) {
+  std::vector<BPlusTreeMut::Edit> edits;
+  for (const auto& [key, value] : batch) {
+    edits.push_back({key, value.value_or(""), !value.has_value()});
+  }
+  XKS_RETURN_NOT_OK(tree->Apply(edits));
+  for (const auto& [key, value] : batch) {
+    if (value.has_value()) {
+      (*expected)[key] = *value;
+    } else {
+      expected->erase(key);
+    }
+  }
+  return Status::OK();
+}
+
+void ExpectGets(const BPlusTreeMut& tree,
+                const std::map<std::string, std::string>& expected) {
+  EXPECT_EQ(tree.entry_count(), expected.size());
+  for (const auto& [k, v] : expected) {
+    Result<std::string> got = tree.Get(k);
+    ASSERT_TRUE(got.ok()) << k;
+    EXPECT_EQ(*got, v);
+  }
+}
+
+TEST_F(BPlusTreeMutTest, ApplySplitsOneLeafManyWays) {
+  BPlusTreeMut tree = MakeTree();
+  std::map<std::string, std::string> expected;
+  for (int i = 0; i < 2000; i += 2) {
+    XKS_ASSERT_OK(tree.Put(Key(i), Value(i)));
+    expected[Key(i)] = Value(i);
+  }
+  // 1500 keys that all sort between Key(1000) and Key(1002): one leaf's
+  // range, several pages of entries.
+  std::map<std::string, std::optional<std::string>> batch;
+  for (int j = 0; j < 1500; ++j) {
+    batch[Key(1000) + "x" + std::to_string(10000 + j)] = Value(j);
+  }
+  batch[Key(1000)] = "overwritten";
+  const PageId pages_before = store_.page_count();
+  XKS_ASSERT_OK(ApplyBatch(&tree, batch, &expected));
+  // 1500 entries of ~30 bytes need at least ten new leaves.
+  EXPECT_GE(store_.page_count() - pages_before, 10u);
+  ExpectGets(tree, expected);
+  ExpectContents(&tree, expected);
+}
+
+TEST_F(BPlusTreeMutTest, ApplyIntoEmptyTreeBuildsLevels) {
+  BPlusTreeMut tree = MakeTree();
+  std::map<std::string, std::string> expected;
+  std::map<std::string, std::optional<std::string>> batch;
+  for (int i = 0; i < 3000; ++i) batch[Key(i)] = Value(i);
+  XKS_ASSERT_OK(ApplyBatch(&tree, batch, &expected));
+  EXPECT_GT(tree.height(), 1u);
+  ExpectGets(tree, expected);
+  ExpectContents(&tree, expected);
+}
+
+TEST_F(BPlusTreeMutTest, ApplyRunEmptiesAdjacentLeaves) {
+  BPlusTreeMut tree = MakeTree();
+  std::map<std::string, std::string> expected;
+  for (int i = 0; i < 3000; ++i) {
+    XKS_ASSERT_OK(tree.Put(Key(i), Value(i)));
+    expected[Key(i)] = Value(i);
+  }
+  // Deleting a long middle run empties every leaf inside it; the leaves
+  // at its edges keep a remainder, and one of them also gains a key.
+  std::map<std::string, std::optional<std::string>> batch;
+  for (int i = 700; i < 2300; ++i) batch[Key(i)] = std::nullopt;
+  batch[Key(2300) + "new"] = "fresh";
+  XKS_ASSERT_OK(ApplyBatch(&tree, batch, &expected));
+  ExpectGets(tree, expected);
+  ExpectContents(&tree, expected);
+  // Then everything but the last key, and the first leaf's keys again.
+  batch.clear();
+  for (const auto& [k, v] : expected) batch[k] = std::nullopt;
+  batch.erase(std::prev(batch.end()));
+  for (int i = 0; i < 50; ++i) batch[Key(i)] = Value(i + 1);
+  XKS_ASSERT_OK(ApplyBatch(&tree, batch, &expected));
+  ExpectGets(tree, expected);
+  ExpectContents(&tree, expected);
+  // And the tree can be emptied completely by one batch.
+  batch.clear();
+  for (const auto& [k, v] : expected) batch[k] = std::nullopt;
+  XKS_ASSERT_OK(ApplyBatch(&tree, batch, &expected));
+  EXPECT_EQ(tree.entry_count(), 0u);
+  ExpectContents(&tree, {});
+}
+
+TEST_F(BPlusTreeMutTest, ApplyMissingDeleteIsNotFoundAndChangesNothing) {
+  BPlusTreeMut tree = MakeTree();
+  std::map<std::string, std::string> expected;
+  for (int i = 0; i < 1000; i += 2) {
+    XKS_ASSERT_OK(tree.Put(Key(i), Value(i)));
+    expected[Key(i)] = Value(i);
+  }
+  // Valid edits on both sides of the missing key, in other leaves too.
+  std::vector<BPlusTreeMut::Edit> edits = {
+      {Key(1), "one", false},
+      {Key(2), "", true},
+      {Key(501), "", true},  // odd keys were never inserted
+      {Key(998), "", true},
+      {Key(999), "last", false}};
+  EXPECT_TRUE(tree.Apply(edits).IsNotFound());
+  ExpectGets(tree, expected);
+  EXPECT_TRUE(tree.Get(Key(1)).status().IsNotFound());
+  ExpectContents(&tree, expected);
+  // Unsorted, duplicate and oversized batches are rejected up front too.
+  EXPECT_TRUE(tree.Apply({{Key(3), "", false}, {Key(1), "", false}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(tree.Apply({{Key(3), "", false}, {Key(3), "", false}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(tree.Apply({{Key(1), "", false},
+                          {Key(3), std::string(kPageSize, 'x'), false}})
+                  .IsInvalidArgument());
+  ExpectGets(tree, expected);
+}
+
+TEST_F(BPlusTreeMutTest, ApplyRandomBatchesMatchStdMap) {
+  BPlusTreeMut tree = MakeTree();
+  std::map<std::string, std::string> expected;
+  Rng rng(41);
+  for (int round = 0; round < 40; ++round) {
+    // Mixed batches: scattered edits, plus now and then a dense run
+    // that splits or empties whole leaves.
+    std::map<std::string, std::optional<std::string>> batch;
+    const int scattered = static_cast<int>(rng.Uniform(300));
+    for (int e = 0; e < scattered; ++e) {
+      const std::string key = Key(static_cast<int>(rng.Uniform(5000)));
+      if (expected.count(key) > 0 && rng.Bernoulli(0.5)) {
+        batch[key] = std::nullopt;
+      } else {
+        batch[key] = Value(round * 1000 + e);
+      }
+    }
+    if (rng.Bernoulli(0.3)) {
+      const int from = static_cast<int>(rng.Uniform(5000));
+      const bool erase = rng.Bernoulli(0.5);
+      for (int i = from; i < from + 600 && i < 5000; ++i) {
+        if (erase && expected.count(Key(i)) > 0) {
+          batch[Key(i)] = std::nullopt;
+        } else if (!erase) {
+          batch[Key(i)] = Value(i);
+        }
+      }
+    }
+    XKS_ASSERT_OK(ApplyBatch(&tree, batch, &expected));
+    ExpectGets(tree, expected);
+  }
+  ExpectContents(&tree, expected);
 }
 
 TEST(BPlusTreeMutFileTest, PersistsAcrossProcessStyleReopen) {

@@ -60,10 +60,16 @@ class CrashRecoverySweep : public ::testing::Test {
     DeweyId id;
   };
 
-  void SetUp() override {
+  void SetUp() override { Prepare(/*split_batch=*/false); }
+
+  // Builds the pre-batch index and the batch with its post-batch oracle.
+  // The split batch shrinks the scan blocks and adds dense runs, so its
+  // apply splits nodes of both trees several ways and re-keys blocks.
+  void Prepare(bool split_batch) {
     base_prefix_ = testing_util::UniqueTempPrefix("crash_base");
     work_prefix_ = testing_util::UniqueTempPrefix("crash_work");
     const int scale = SweepScale();
+    if (split_batch) options_.scan_block_bytes = 64;
 
     // Pre-batch index: a regular grid of postings, plus a deep filler
     // posting to widen the level table (CanEncode headroom for adds).
@@ -79,7 +85,7 @@ class CrashRecoverySweep : public ::testing::Test {
     }
     source_.AddPosting("zzfiller", Id("0.7.7.7"));
     Result<std::unique_ptr<DiskIndex>> built =
-        DiskIndex::Build(source_, base_prefix_);
+        DiskIndex::Build(source_, base_prefix_, options_);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
 
     // The batch: remove every other alpha posting and all delta
@@ -101,6 +107,23 @@ class CrashRecoverySweep : public ::testing::Test {
       ops_.push_back({true, "beta", Id("0." + si + ".3")});
       if (i % 2 == 0) ops_.push_back({true, "omega", Id("0." + si + ".2")});
       ops_.push_back({true, "fresh" + si, Id("0." + si + ".5")});
+    }
+    if (split_batch) {
+      // Dense runs: 1,920 beta postings inside beta's one IL leaf and
+      // first scan blocks, and 450 omega postings in a new term. A beta
+      // id before its first block and the removal of alpha's first
+      // posting (above) re-key blocks.
+      for (uint32_t i = 0; i < 30; ++i) {
+        for (uint32_t j = 8; j < 16; ++j) {
+          for (uint32_t k = 0; k < 8; ++k) {
+            ops_.push_back({true, "beta", DeweyId({0, i, j, k})});
+          }
+        }
+        for (uint32_t k = 0; k < 15; ++k) {
+          ops_.push_back({true, "omega", DeweyId({0, i, 6, k})});
+        }
+      }
+      ops_.push_back({true, "beta", Id("0.0.0.1")});
     }
 
     std::map<std::string, std::set<DeweyId>> post;
@@ -141,7 +164,7 @@ class CrashRecoverySweep : public ::testing::Test {
   // wrapped in a FaultInjectingPageStore attached to `schedule`.
   // Returns the first failure (the simulated crash) or OK.
   Status RunBatch(const std::shared_ptr<CrashSchedule>& schedule) {
-    DiskIndexOptions options;
+    DiskIndexOptions options = options_;
     options.store_decorator = [&schedule](std::unique_ptr<PageStore> store,
                                           std::string_view) {
       auto wrapped =
@@ -166,7 +189,8 @@ class CrashRecoverySweep : public ::testing::Test {
   // cross-checks a few queries against the model's brute-force SLCA.
   PostingMap ReadRecoveredState() {
     PostingMap state;
-    Result<std::unique_ptr<DiskIndex>> index = DiskIndex::Open(work_prefix_);
+    Result<std::unique_ptr<DiskIndex>> index =
+        DiskIndex::Open(work_prefix_, options_);
     EXPECT_TRUE(index.ok()) << index.status().ToString();
     if (!index.ok()) return state;
     for (const std::string& keyword : keywords_) {
@@ -224,8 +248,66 @@ class CrashRecoverySweep : public ::testing::Test {
     }
   }
 
+  // Kills the batch at every durable operation (or every fsync barrier)
+  // of a fault-free counting run and checks that each reopened index is
+  // exactly the pre- or exactly the post-batch one.
+  void SweepCrashPoints(bool sync_points) {
+    // Counting run: W durable operations (or S fsyncs) = the domain.
+    ResetWorkFiles();
+    auto counting = std::make_shared<CrashSchedule>();
+    XKS_ASSERT_OK(RunBatch(counting));
+    const uint64_t total =
+        sync_points ? counting->syncs() : counting->operations();
+    ASSERT_GT(total, 0u);
+    if (!sync_points) {
+      RecordProperty("sweep_domain_ops", static_cast<int>(total));
+      std::printf("crash sweep: %llu durable operations (scale %d)\n",
+                  static_cast<unsigned long long>(total), SweepScale());
+    }
+
+    uint64_t landed_pre = 0;
+    uint64_t landed_post = 0;
+    for (uint64_t k = 1; k <= total; ++k) {
+      SCOPED_TRACE(std::string(sync_points ? "crash at fsync "
+                                           : "crash at durable operation ") +
+                   std::to_string(k) + " of " + std::to_string(total));
+      ResetWorkFiles();
+      auto schedule = std::make_shared<CrashSchedule>();
+      if (sync_points) {
+        schedule->CrashAtSync(k);
+      } else {
+        schedule->CrashAtOperation(k);
+      }
+      const Status crashed = RunBatch(schedule);
+      ASSERT_FALSE(crashed.ok()) << "crash point " << k << " never fired";
+      if (!sync_points) {
+        ASSERT_TRUE(crashed.IsIoError()) << crashed.ToString();
+      }
+      ASSERT_TRUE(schedule->crashed());
+
+      const PostingMap state = ReadRecoveredState();
+      const Side side = Classify(state);
+      ASSERT_NE(side, Side::kHybrid)
+          << "recovered index is neither pre- nor post-batch";
+      if (side == Side::kPre) {
+        ++landed_pre;
+        CheckQueries(pre_);
+      } else {
+        ++landed_post;
+        CheckQueries(post_);
+      }
+    }
+    // Both outcomes must be reachable: kills before the commit fsync
+    // land pre-batch, kills after it land post-batch. (All-pre would
+    // mean the batch never becomes durable; all-post would mean it was
+    // never staged.)
+    EXPECT_GT(landed_pre, 0u);
+    EXPECT_GT(landed_post, 0u);
+  }
+
   std::string base_prefix_;
   std::string work_prefix_;
+  DiskIndexOptions options_;
   InvertedIndex source_;
   std::vector<Op> ops_;
   PostingMap pre_;
@@ -246,87 +328,53 @@ TEST_F(CrashRecoverySweep, FaultFreeBatchLandsOnPostState) {
 }
 
 TEST_F(CrashRecoverySweep, EveryWritePointRecoversToABatchBoundary) {
-  // Counting run: W durable operations = the sweep domain.
-  ResetWorkFiles();
-  auto counting = std::make_shared<CrashSchedule>();
-  XKS_ASSERT_OK(RunBatch(counting));
-  const uint64_t total_ops = counting->operations();
-  ASSERT_GT(total_ops, 0u);
-  RecordProperty("sweep_domain_ops", static_cast<int>(total_ops));
-  std::printf("crash sweep: %llu durable operations (scale %d)\n",
-              static_cast<unsigned long long>(total_ops), SweepScale());
-
-  uint64_t landed_pre = 0;
-  uint64_t landed_post = 0;
-  for (uint64_t k = 1; k <= total_ops; ++k) {
-    SCOPED_TRACE("crash at durable operation " + std::to_string(k) + " of " +
-                 std::to_string(total_ops));
-    ResetWorkFiles();
-    auto schedule = std::make_shared<CrashSchedule>();
-    schedule->CrashAtOperation(k);
-    const Status crashed = RunBatch(schedule);
-    ASSERT_FALSE(crashed.ok()) << "crash point " << k << " never fired";
-    ASSERT_TRUE(crashed.IsIoError()) << crashed.ToString();
-    ASSERT_TRUE(schedule->crashed());
-
-    const PostingMap state = ReadRecoveredState();
-    const Side side = Classify(state);
-    ASSERT_NE(side, Side::kHybrid)
-        << "recovered index is neither pre- nor post-batch";
-    if (side == Side::kPre) {
-      ++landed_pre;
-      CheckQueries(pre_);
-    } else {
-      ++landed_post;
-      CheckQueries(post_);
-    }
-  }
-  // Both outcomes must be reachable: early kills land pre-batch, kills
-  // after the commit fsync land post-batch. (All-pre would mean the
-  // batch never becomes durable; all-post would mean it was never
-  // staged.)
-  EXPECT_GT(landed_pre, 0u);
-  EXPECT_GT(landed_post, 0u);
+  SweepCrashPoints(/*sync_points=*/false);
 }
 
 TEST_F(CrashRecoverySweep, EverySyncPointRecoversToABatchBoundary) {
   // The same sweep over fsync barriers only: dying ON the barrier is the
   // adversarial case for barrier-ordering bugs (a commit counted durable
   // before its fsync returned would surface here as a hybrid).
+  SweepCrashPoints(/*sync_points=*/true);
+}
+
+// The batch whose apply splits leaves of both trees several ways and
+// re-keys scan blocks: every kill point of that apply path must still
+// land exactly pre- or post-batch.
+class CrashRecoverySplitSweep : public CrashRecoverySweep {
+ protected:
+  void SetUp() override { Prepare(/*split_batch=*/true); }
+};
+
+TEST_F(CrashRecoverySplitSweep, FaultFreeBatchSplitsBothTrees) {
   ResetWorkFiles();
-  auto counting = std::make_shared<CrashSchedule>();
-  XKS_ASSERT_OK(RunBatch(counting));
-  const uint64_t total_syncs = counting->syncs();
-  ASSERT_GT(total_syncs, 0u);
-
-  uint64_t landed_pre = 0;
-  uint64_t landed_post = 0;
-  for (uint64_t s = 1; s <= total_syncs; ++s) {
-    SCOPED_TRACE("crash at fsync " + std::to_string(s) + " of " +
-                 std::to_string(total_syncs));
-    ResetWorkFiles();
-    auto schedule = std::make_shared<CrashSchedule>();
-    schedule->CrashAtSync(s);
-    const Status crashed = RunBatch(schedule);
-    ASSERT_FALSE(crashed.ok()) << "sync crash point " << s << " never fired";
-    ASSERT_TRUE(schedule->crashed());
-
-    const PostingMap state = ReadRecoveredState();
-    const Side side = Classify(state);
-    ASSERT_NE(side, Side::kHybrid)
-        << "recovered index is neither pre- nor post-batch";
-    if (side == Side::kPre) {
-      ++landed_pre;
-      CheckQueries(pre_);
-    } else {
-      ++landed_post;
-      CheckQueries(post_);
-    }
+  PageId il_before = 0, scan_before = 0;
+  {
+    Result<std::unique_ptr<DiskIndex>> index =
+        DiskIndex::Open(work_prefix_, options_);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    il_before = (*index)->il_page_count();
+    scan_before = (*index)->scan_page_count();
   }
-  // The first fsync is the commit barrier (killed before completion →
-  // pre); later fsyncs order the already-committed apply (→ post).
-  EXPECT_GT(landed_pre, 0u);
-  EXPECT_GT(landed_post, 0u);
+  auto schedule = std::make_shared<CrashSchedule>();
+  XKS_ASSERT_OK(RunBatch(schedule));
+  EXPECT_EQ(Classify(ReadRecoveredState()), Side::kPost);
+  CheckQueries(post_);
+  // Pages are never recycled, so page growth counts new nodes: the
+  // dense runs need several new leaves in each tree.
+  Result<std::unique_ptr<DiskIndex>> index =
+      DiskIndex::Open(work_prefix_, options_);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_GE((*index)->il_page_count(), il_before + 3);
+  EXPECT_GE((*index)->scan_page_count(), scan_before + 3);
+}
+
+TEST_F(CrashRecoverySplitSweep, EveryWritePointRecoversToABatchBoundary) {
+  SweepCrashPoints(/*sync_points=*/false);
+}
+
+TEST_F(CrashRecoverySplitSweep, EverySyncPointRecoversToABatchBoundary) {
+  SweepCrashPoints(/*sync_points=*/true);
 }
 
 }  // namespace

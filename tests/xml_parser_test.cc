@@ -112,6 +112,11 @@ struct BadInput {
   const char* xml;
 };
 
+// Test listings print each parameter. The default printer dumps the raw
+// bytes, i.e. the two string pointers, which move with the load address and
+// so changed the listed test names from run to run.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.name; }
+
 class XmlParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(XmlParserErrorTest, RejectsMalformedInput) {

@@ -56,9 +56,12 @@ if [ "$run_slow" -eq 1 ]; then
   ./build/release/tools/xk_fuzz --cases=30 --seed=910 --batch=4 \
     --no-shards --no-chunks
   # Crash consistency: the WAL frame/recovery suites plus the exhaustive
-  # crash-point sweep (fast scale; the scale-3 run rides in -L slow).
+  # crash-point sweep (fast scale; the scale-3 run rides in -L slow), and
+  # the updater's batch-parity and the mutable tree's Apply suites that
+  # the sweep's apply path rests on.
   echo "==> [crash-recovery] WAL + crash-point sweep stage (release build)"
-  ctest --test-dir build/release -R '(Wal|StagedStore|CrashRecovery)' \
+  ctest --test-dir build/release \
+    -R '(Wal|StagedStore|CrashRecovery|DiskIndexUpdater|BPlusTreeMut)' \
     --output-on-failure
   # Decode-kernel portability: the whole fast suite again with the batch
   # decoders pinned to the scalar kernel — what a non-x86 or pre-SSE4
