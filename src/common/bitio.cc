@@ -10,37 +10,39 @@ void BitWriter::WriteBits(uint32_t value, int width) {
   if (width < 32) {
     assert((value >> width) == 0 && "value does not fit in width");
   }
-  for (int i = width - 1; i >= 0; --i) {
-    const size_t byte = bit_count_ / 8;
-    const int bit_in_byte = static_cast<int>(bit_count_ % 8);
-    if (byte >= buf_.size()) buf_.push_back(0);
-    const uint32_t bit = (value >> i) & 1u;
-    buf_[byte] |= static_cast<uint8_t>(bit << (7 - bit_in_byte));
-    ++bit_count_;
+  // At most 7 + 32 bits are pending here, well inside the accumulator.
+  pending_ = (pending_ << width) | value;
+  pending_bits_ += width;
+  bit_count_ += static_cast<size_t>(width);
+  while (pending_bits_ >= 8) {
+    pending_bits_ -= 8;
+    out_->push_back(static_cast<char>(pending_ >> pending_bits_));
   }
+  pending_ &= (uint64_t{1} << pending_bits_) - 1;
 }
 
 void BitWriter::AlignToByte() {
-  bit_count_ = (bit_count_ + 7) / 8 * 8;
-}
-
-std::vector<uint8_t> BitWriter::Finish() {
-  AlignToByte();
-  return std::move(buf_);
+  if (pending_bits_ == 0) return;
+  out_->push_back(static_cast<char>(pending_ << (8 - pending_bits_)));
+  bit_count_ += static_cast<size_t>(8 - pending_bits_);
+  pending_ = 0;
+  pending_bits_ = 0;
 }
 
 uint32_t BitReader::ReadBits(int width) {
   assert(width >= 0 && width <= 32);
-  uint32_t out = 0;
-  for (int i = 0; i < width; ++i) {
-    assert(pos_ < size_bits_ && "BitReader overrun");
-    const size_t byte = pos_ / 8;
-    const int bit_in_byte = static_cast<int>(pos_ % 8);
-    const uint32_t bit = (data_[byte] >> (7 - bit_in_byte)) & 1u;
-    out = (out << 1) | bit;
-    ++pos_;
+  assert(static_cast<size_t>(width) <= Remaining() && "BitReader overrun");
+  uint64_t out = 0;
+  while (width > 0) {
+    // Take the rest of the current byte, or just the bits still needed.
+    const int free_bits = 8 - static_cast<int>(pos_ % 8);
+    const int take = width < free_bits ? width : free_bits;
+    const uint32_t byte = data_[pos_ / 8];
+    out = (out << take) | ((byte >> (free_bits - take)) & ((1u << take) - 1));
+    pos_ += static_cast<size_t>(take);
+    width -= take;
   }
-  return out;
+  return static_cast<uint32_t>(out);
 }
 
 void BitReader::AlignToByte() { pos_ = (pos_ + 7) / 8 * 8; }

@@ -3,49 +3,54 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace xksearch {
 
-/// \brief Appends bit fields of arbitrary width (1..32) to a byte buffer,
-/// most-significant bit first within each field.
+/// \brief Appends bit fields of arbitrary width (0..32) to a caller-owned
+/// byte string, most-significant bit first within each field.
 ///
 /// Used by the Dewey level-table codec (paper Section 4): each component of
-/// a Dewey number is stored with exactly `levelTable[level]` bits.
+/// a Dewey number is stored with exactly `levelTable[level]` bits. Fields
+/// collect in a 64-bit accumulator and leave it a whole byte at a time, so
+/// writing into a reused string allocates nothing once it has capacity.
 class BitWriter {
  public:
-  BitWriter() = default;
+  /// Appends to `out`, which must outlive the writer.
+  explicit BitWriter(std::string* out) : out_(out) {}
 
   /// Appends the low `width` bits of `value`. `width` must be in [0, 32];
   /// width 0 writes nothing (a level whose nodes have at most one child
   /// needs 0 bits only when the component is always 0).
   void WriteBits(uint32_t value, int width);
 
-  /// Pads the current byte with zero bits so the next write is byte-aligned.
+  /// Pads the current byte with zero bits and appends it, so the next
+  /// write is byte-aligned. Bits of a partial byte reach `out` only here:
+  /// call it after the last field.
   void AlignToByte();
 
-  /// Number of bits written so far.
+  /// Number of bits written so far (padding included).
   size_t bit_count() const { return bit_count_; }
 
-  /// Finishes (pads to a byte boundary) and returns the buffer.
-  std::vector<uint8_t> Finish();
-
-  /// Read-only view of the bytes written so far (last byte may be partial).
-  const std::vector<uint8_t>& bytes() const { return buf_; }
-
  private:
-  std::vector<uint8_t> buf_;
+  std::string* out_;
+  uint64_t pending_ = 0;   // the low pending_bits_ bits are not yet in out_
+  int pending_bits_ = 0;   // always < 8 between calls
   size_t bit_count_ = 0;
 };
 
-/// \brief Reads back bit fields written by BitWriter.
+/// \brief Reads back bit fields written by BitWriter, up to a byte per
+/// step.
 class BitReader {
  public:
   BitReader(const uint8_t* data, size_t size_bytes)
       : data_(data), size_bits_(size_bytes * 8) {}
 
-  explicit BitReader(const std::vector<uint8_t>& data)
-      : BitReader(data.data(), data.size()) {}
+  explicit BitReader(std::string_view bytes)
+      : BitReader(reinterpret_cast<const uint8_t*>(bytes.data()),
+                  bytes.size()) {}
 
   /// Reads `width` bits (0..32). Returns 0 for width 0. It is the caller's
   /// responsibility not to read past the end (checked via Remaining()).

@@ -73,15 +73,9 @@ std::string LevelTable::ToString() const {
   return os.str();
 }
 
-std::vector<uint8_t> DeweyCodec::Encode(const DeweyId& id) const {
-  std::vector<uint8_t> out;
-  EncodeTo(id, &out);
-  return out;
-}
-
-void DeweyCodec::EncodeTo(const DeweyId& id, std::vector<uint8_t>* out) const {
+void DeweyCodec::EncodeTo(DeweyView id, std::string* out) const {
   assert(!id.empty() && "cannot encode the empty super-root id");
-  BitWriter writer;
+  BitWriter writer(out);
   for (size_t l = 0; l < id.depth(); ++l) {
     const int width = table_.BitsAt(l);
     // Saturate components that exceed the level width. Stored document
@@ -94,8 +88,7 @@ void DeweyCodec::EncodeTo(const DeweyId& id, std::vector<uint8_t>* out) const {
     writer.WriteBits(std::min(id.component(l), cap), width);
     writer.WriteBits(l + 1 < id.depth() ? 1 : 0, 1);
   }
-  std::vector<uint8_t> bytes = writer.Finish();
-  out->insert(out->end(), bytes.begin(), bytes.end());
+  writer.AlignToByte();
 }
 
 bool DeweyCodec::CanEncode(const DeweyId& id) const {
@@ -108,18 +101,18 @@ bool DeweyCodec::CanEncode(const DeweyId& id) const {
   return true;
 }
 
-Result<DeweyId> DeweyCodec::Decode(const uint8_t* data, size_t size) const {
-  BitReader reader(data, size);
-  std::vector<uint32_t> comps;
+Status DeweyCodec::DecodeInto(std::string_view bytes, DeweyId* out) const {
+  BitReader reader(bytes);
+  out->Truncate(0);
   for (size_t l = 0;; ++l) {
     const int width = table_.BitsAt(l);
     if (reader.Remaining() < static_cast<size_t>(width) + 1) {
       return Status::Corruption("truncated compressed Dewey number");
     }
-    comps.push_back(reader.ReadBits(width));
+    out->Append(reader.ReadBits(width));
     if (reader.ReadBits(1) == 0) break;
   }
-  return DeweyId(std::move(comps));
+  return Status::OK();
 }
 
 void DeltaBlockEncoder::Append(DeweyView id) {

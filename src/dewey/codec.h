@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -58,9 +59,6 @@ class DeweyCodec {
  public:
   explicit DeweyCodec(LevelTable table) : table_(std::move(table)) {}
 
-  /// Encodes `id` (must be non-empty; the empty super-root is never stored).
-  std::vector<uint8_t> Encode(const DeweyId& id) const;
-
   /// True iff every component of `id` fits its level width, i.e. the
   /// encoding is lossless and decodes back to `id`. Probe ids may be
   /// lossy (saturated, order-preserving); ids that are *stored* must
@@ -68,13 +66,14 @@ class DeweyCodec {
   /// table rather than silently colliding.
   bool CanEncode(const DeweyId& id) const;
 
-  /// Appends the encoding of `id` to `out`.
-  void EncodeTo(const DeweyId& id, std::vector<uint8_t>* out) const;
+  /// Appends the encoding of `id` (must be non-empty; the empty
+  /// super-root is never stored) to `out`. Nothing else is allocated, so
+  /// a reused key buffer makes encoding allocation-free.
+  void EncodeTo(DeweyView id, std::string* out) const;
 
-  Result<DeweyId> Decode(const uint8_t* data, size_t size) const;
-  Result<DeweyId> Decode(const std::vector<uint8_t>& data) const {
-    return Decode(data.data(), data.size());
-  }
+  /// Decodes `bytes` into `*out`, reusing its component capacity. On
+  /// Corruption `*out` holds an unspecified prefix.
+  Status DecodeInto(std::string_view bytes, DeweyId* out) const;
 
   const LevelTable& level_table() const { return table_; }
 

@@ -107,10 +107,4 @@ std::string DeweyId::ToString() const {
   return out;
 }
 
-const DeweyId& Deeper(const DeweyId& a, const DeweyId& b) {
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  return a.depth() >= b.depth() ? a : b;
-}
-
 }  // namespace xksearch

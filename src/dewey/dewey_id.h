@@ -1,6 +1,7 @@
 #ifndef XKSEARCH_DEWEY_DEWEY_ID_H_
 #define XKSEARCH_DEWEY_DEWEY_ID_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -108,6 +109,19 @@ class DeweyId {
     components_.assign(view.data(), view.data() + view.depth());
   }
 
+  /// Shortens this id in place to its first `n` components (n <= depth()),
+  /// i.e. replaces it with its ancestor-or-self at depth `n`. Keeps the
+  /// component buffer, so an SLCA chain step — which only ever replaces x
+  /// by one of its prefixes — allocates nothing.
+  void Truncate(size_t n) {
+    assert(n <= components_.size());
+    components_.resize(n);
+  }
+
+  /// Appends one component (the id becomes its own child), reusing the
+  /// component buffer's capacity.
+  void Append(uint32_t component) { components_.push_back(component); }
+
   /// Non-owning view of the components; valid while *this is alive and
   /// unmodified.
   DeweyView view() const {
@@ -188,13 +202,6 @@ class DeweyId {
  private:
   std::vector<uint32_t> components_;
 };
-
-/// Returns the deeper of two ids; by the paper's `d(u, v)` convention, if
-/// one argument is the empty ("null") id the other is returned, and if the
-/// two ids are on an ancestor-descendant line the descendant is returned.
-/// The arguments produced by SLCA chains always satisfy one of these cases;
-/// for incomparable ids of equal depth the first argument is returned.
-const DeweyId& Deeper(const DeweyId& a, const DeweyId& b);
 
 }  // namespace xksearch
 

@@ -170,11 +170,11 @@ Result<std::unique_ptr<KeywordList>> VectorKeywordList::CloneWithStats(
 }
 
 Result<bool> DiskKeywordList::LeftMatch(const DeweyId& v, DeweyId* out) {
-  return index_->LeftMatch(term_, v, out, stats_);
+  return index_->LeftMatch(term_, v, &probe_, out, stats_);
 }
 
 Result<bool> DiskKeywordList::RightMatch(const DeweyId& v, DeweyId* out) {
-  return index_->RightMatch(term_, v, out, stats_);
+  return index_->RightMatch(term_, v, &probe_, out, stats_);
 }
 
 Result<std::unique_ptr<KeywordListIterator>> DiskKeywordList::NewIterator() {

@@ -217,6 +217,9 @@ class VectorKeywordList : public KeywordList {
 
 /// \brief Disk-backed list: lm/rm probe the Indexed Lookup B+tree,
 /// iteration streams the Scan-layout posting blocks.
+///
+/// Not thread-safe (the probe key scratch is mutable state); build one
+/// per query, and one per chunk through CloneWithStats.
 class DiskKeywordList : public KeywordList {
  public:
   DiskKeywordList(const DiskIndex* index, uint32_t term, uint64_t frequency,
@@ -246,6 +249,7 @@ class DiskKeywordList : public KeywordList {
   uint32_t term_;
   uint64_t frequency_;
   QueryStats* stats_;
+  DiskIndex::MatchProbe probe_;
 };
 
 /// \brief An always-empty list, used for keywords absent from the index

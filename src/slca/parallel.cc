@@ -3,7 +3,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 namespace xksearch {
@@ -100,67 +99,6 @@ class ChunkCollector {
   bool have_candidate_ = false;
 };
 
-/// Scan Eager's forward cursor, seeded mid-list for a chunk: the cursor
-/// starts at the lower bound of the chunk's first S1 element with `prev`
-/// the list element just before it. That pair is exactly the state a
-/// sequential cursor can reach, because every probe target is an
-/// ancestor-or-self of its S1 node: any list element e with
-/// target <= e < s1_first lies inside the target's subtree (Dewey
-/// intervals nest), so skipping it past `prev` only ever skips elements
-/// the pinned check `x.IsAncestorOrSelf(prev)` already accounts for.
-class SeededScanMatcher {
- public:
-  explicit SeededScanMatcher(QueryStats* stats) : stats_(stats) {}
-
-  Status Init(KeywordList* list, const DeweyId& seed) {
-    XKS_ASSIGN_OR_RETURN(iter_,
-                         list->NewIteratorAt(seed, &prev_, &prev_valid_));
-    cursor_.emplace(iter_.get(), stats_);
-    DeweyView v;
-    cur_valid_ = cursor_->NextView(&v);
-    if (cur_valid_) cur_.AssignFrom(v);
-    return iter_->status();
-  }
-
-  /// Identical to the sequential ScanMatcher::Step, including its
-  /// match-operation charge, so match_ops parity holds per S1 element.
-  Result<DeweyId> Step(const DeweyId& x) {
-    if (stats_ != nullptr) stats_->match_ops += 2;  // one lm + one rm
-    DeweyCmpCharge charge(stats_);
-    while (cur_valid_ && cur_.Compare(x, charge.slot()) < 0) {
-      std::swap(prev_, cur_);
-      prev_valid_ = true;
-      DeweyView v;
-      cur_valid_ = cursor_->NextView(&v);
-      if (cur_valid_) cur_.AssignFrom(v);
-      XKS_RETURN_NOT_OK(iter_->status());
-    }
-    if (prev_valid_ && x.IsAncestorOrSelf(prev_)) {
-      return x;
-    }
-    DeweyId left;
-    DeweyId right;
-    if (prev_valid_) {
-      left = x.Lca(prev_);
-      if (stats_ != nullptr) ++stats_->lca_ops;
-    }
-    if (cur_valid_) {
-      right = x.Lca(cur_);
-      if (stats_ != nullptr) ++stats_->lca_ops;
-    }
-    return Deeper(left, right);
-  }
-
- private:
-  std::unique_ptr<KeywordListIterator> iter_;
-  std::optional<BlockedListCursor> cursor_;
-  QueryStats* stats_;
-  DeweyId prev_;
-  DeweyId cur_;
-  bool prev_valid_ = false;
-  bool cur_valid_ = false;
-};
-
 /// Runs the eager chain over one S1 chunk. Every keyword list is rebound
 /// through CloneWithStats so probe-hint state and stats charging are
 /// chunk-private; the underlying arenas / disk cursors are shared and
@@ -186,7 +124,7 @@ Status RunChunkImpl(SlcaAlgorithm algorithm,
   DeweyView v;
   DeweyId x;
   if (algorithm == SlcaAlgorithm::kScanEager) {
-    std::vector<SeededScanMatcher> matchers;
+    std::vector<ScanMatcher> matchers;
     matchers.reserve(others.size());
     for (const auto& list : others) {
       matchers.emplace_back(stats);
@@ -194,16 +132,17 @@ Status RunChunkImpl(SlcaAlgorithm algorithm,
     }
     while (s1_cursor.NextView(&v)) {
       x.AssignFrom(v);
-      for (SeededScanMatcher& matcher : matchers) {
-        XKS_ASSIGN_OR_RETURN(x, matcher.Step(x));
+      for (ScanMatcher& matcher : matchers) {
+        XKS_RETURN_NOT_OK(matcher.Step(&x));
       }
       collector.Offer(x);
     }
   } else {
+    MatchScratch scratch;
     while (s1_cursor.NextView(&v)) {
       x.AssignFrom(v);
       for (const auto& list : others) {
-        XKS_ASSIGN_OR_RETURN(x, MatchStep(x, list.get(), stats));
+        XKS_RETURN_NOT_OK(MatchStep(list.get(), &x, &scratch, stats));
       }
       collector.Offer(x);
     }

@@ -1,7 +1,7 @@
 #include "slca/slca.h"
 
-#include <cassert>
-#include <optional>
+#include <algorithm>
+#include <utility>
 
 namespace xksearch {
 
@@ -64,73 +64,24 @@ class EagerEmitter {
   size_t offers_in_block_ = 0;
 };
 
-/// Combines the two match results around x (paper Property 1):
-/// deeper(lca(x, lm), lca(x, rm)).
-DeweyId CombineMatches(const DeweyId& x, bool lm_ok, const DeweyId& lm,
-                       bool rm_ok, const DeweyId& rm, QueryStats* stats) {
-  DeweyId left;
-  DeweyId right;
-  if (lm_ok) {
-    left = x.Lca(lm);
+/// Paper Property 1 on prefix lengths: lca(x, m) is x's prefix of length
+/// cpl(x, m), so deeper(lca(x, lm), lca(x, rm)) is x truncated to the
+/// longer of the two lengths (a missing match contributes length 0).
+/// `lm`/`rm` are null when the match does not exist; each present one is
+/// charged as one LCA computation.
+void TruncateToDeeperLca(DeweyId* x, const DeweyId* lm, const DeweyId* rm,
+                         QueryStats* stats) {
+  size_t keep = 0;
+  if (lm != nullptr) {
+    keep = x->view().CommonPrefixLength(lm->view());
     if (stats != nullptr) ++stats->lca_ops;
   }
-  if (rm_ok) {
-    right = x.Lca(rm);
+  if (rm != nullptr) {
+    keep = std::max(keep, x->view().CommonPrefixLength(rm->view()));
     if (stats != nullptr) ++stats->lca_ops;
   }
-  return Deeper(left, right);
+  x->Truncate(keep);
 }
-
-/// Cursor-based lm/rm over one keyword list for the Scan Eager variant.
-///
-/// Probe targets regress only to ancestors of earlier targets (every
-/// chain value is an ancestor-or-self of its S1 node, and S1 is scanned
-/// in order), so a forward-only cursor suffices: if the last passed
-/// element turns out to be a descendant of the current target x, some
-/// list element lies inside subtree(x) and the step result is pinned to
-/// x itself.
-class ScanMatcher {
- public:
-  ScanMatcher(QueryStats* stats) : stats_(stats) {}  // NOLINT
-
-  Status Init(KeywordList* list) {
-    XKS_ASSIGN_OR_RETURN(iter_, list->NewIterator());
-    cursor_.emplace(iter_.get(), stats_);
-    DeweyView v;
-    cur_valid_ = cursor_->NextView(&v);
-    if (cur_valid_) cur_.AssignFrom(v);
-    return iter_->status();
-  }
-
-  /// Computes slca({x}, S) for this list by scanning.
-  Result<DeweyId> Step(const DeweyId& x) {
-    if (stats_ != nullptr) stats_->match_ops += 2;  // one lm + one rm
-    DeweyCmpCharge charge(stats_);
-    while (cur_valid_ && cur_.Compare(x, charge.slot()) < 0) {
-      std::swap(prev_, cur_);
-      prev_valid_ = true;
-      DeweyView v;
-      cur_valid_ = cursor_->NextView(&v);
-      if (cur_valid_) cur_.AssignFrom(v);
-      XKS_RETURN_NOT_OK(iter_->status());
-    }
-    if (prev_valid_ && x.IsAncestorOrSelf(prev_)) {
-      // A passed element sits under x, so rm(x) is under x too and
-      // lca(x, rm(x)) = x — the deepest possible outcome.
-      return x;
-    }
-    return CombineMatches(x, prev_valid_, prev_, cur_valid_, cur_, stats_);
-  }
-
- private:
-  std::unique_ptr<KeywordListIterator> iter_;
-  std::optional<BlockedListCursor> cursor_;
-  QueryStats* stats_;
-  DeweyId prev_;
-  DeweyId cur_;
-  bool prev_valid_ = false;
-  bool cur_valid_ = false;
-};
 
 bool AnyListEmpty(const std::vector<KeywordList*>& lists) {
   for (KeywordList* list : lists) {
@@ -151,14 +102,51 @@ Status ValidateLists(const std::vector<KeywordList*>& lists) {
 
 }  // namespace
 
-Result<DeweyId> MatchStep(const DeweyId& x, KeywordList* list,
-                          QueryStats* stats) {
+Status MatchStep(KeywordList* list, DeweyId* x, MatchScratch* scratch,
+                 QueryStats* stats) {
   if (stats != nullptr) stats->match_ops += 2;
-  DeweyId lm;
-  DeweyId rm;
-  XKS_ASSIGN_OR_RETURN(const bool lm_ok, list->LeftMatch(x, &lm));
-  XKS_ASSIGN_OR_RETURN(const bool rm_ok, list->RightMatch(x, &rm));
-  return CombineMatches(x, lm_ok, lm, rm_ok, rm, stats);
+  XKS_ASSIGN_OR_RETURN(const bool lm_ok, list->LeftMatch(*x, &scratch->lm));
+  XKS_ASSIGN_OR_RETURN(const bool rm_ok, list->RightMatch(*x, &scratch->rm));
+  TruncateToDeeperLca(x, lm_ok ? &scratch->lm : nullptr,
+                      rm_ok ? &scratch->rm : nullptr, stats);
+  return Status::OK();
+}
+
+Status ScanMatcher::Init(KeywordList* list) {
+  XKS_ASSIGN_OR_RETURN(iter_, list->NewIterator());
+  return Start();
+}
+
+Status ScanMatcher::Init(KeywordList* list, const DeweyId& seed) {
+  XKS_ASSIGN_OR_RETURN(iter_, list->NewIteratorAt(seed, &prev_, &prev_valid_));
+  return Start();
+}
+
+Status ScanMatcher::Start() {
+  cursor_.emplace(iter_.get(), stats_);
+  DeweyView v;
+  cur_valid_ = cursor_->NextView(&v);
+  if (cur_valid_) cur_.AssignFrom(v);
+  return iter_->status();
+}
+
+Status ScanMatcher::Step(DeweyId* x) {
+  if (stats_ != nullptr) stats_->match_ops += 2;  // one lm + one rm
+  DeweyCmpCharge charge(stats_);
+  while (cur_valid_ && cur_.Compare(*x, charge.slot()) < 0) {
+    std::swap(prev_, cur_);
+    prev_valid_ = true;
+    DeweyView v;
+    cur_valid_ = cursor_->NextView(&v);
+    if (cur_valid_) cur_.AssignFrom(v);
+    XKS_RETURN_NOT_OK(iter_->status());
+  }
+  // A passed element sits under x, so rm(x) is under x too and
+  // lca(x, rm(x)) = x — the deepest possible outcome: x stays.
+  if (prev_valid_ && x->IsAncestorOrSelf(prev_)) return Status::OK();
+  TruncateToDeeperLca(x, prev_valid_ ? &prev_ : nullptr,
+                      cur_valid_ ? &cur_ : nullptr, stats_);
+  return Status::OK();
 }
 
 Status IndexedLookupEagerSlca(const std::vector<KeywordList*>& lists,
@@ -171,12 +159,13 @@ Status IndexedLookupEagerSlca(const std::vector<KeywordList*>& lists,
                        lists[0]->NewIterator());
   BlockedListCursor s1_cursor(s1.get(), stats);
   EagerEmitter emitter(options.block_size, stats, emit);
+  MatchScratch scratch;
   DeweyView v;
   DeweyId x;
   while (s1_cursor.NextView(&v)) {
     x.AssignFrom(v);
     for (size_t i = 1; i < lists.size(); ++i) {
-      XKS_ASSIGN_OR_RETURN(x, MatchStep(x, lists[i], stats));
+      XKS_RETURN_NOT_OK(MatchStep(lists[i], &x, &scratch, stats));
     }
     emitter.Offer(x);
   }
@@ -207,7 +196,7 @@ Status ScanEagerSlca(const std::vector<KeywordList*>& lists,
   while (s1_cursor.NextView(&v)) {
     x.AssignFrom(v);
     for (ScanMatcher& matcher : matchers) {
-      XKS_ASSIGN_OR_RETURN(x, matcher.Step(x));
+      XKS_RETURN_NOT_OK(matcher.Step(&x));
     }
     emitter.Offer(x);
   }

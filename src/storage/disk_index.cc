@@ -127,8 +127,7 @@ void DiskIndex::EncodeIlKey(const DeweyCodec& codec, uint32_t term,
                             const DeweyId& id, std::string* out) {
   out->clear();
   AppendBigEndian32(term, out);
-  std::vector<uint8_t> enc = codec.Encode(id);
-  out->append(reinterpret_cast<const char*>(enc.data()), enc.size());
+  codec.EncodeTo(id.view(), out);
 }
 
 Result<std::unique_ptr<DiskIndex>> DiskIndex::Build(
@@ -327,34 +326,31 @@ const DiskIndex::TermInfo* DiskIndex::FindTerm(std::string_view keyword) const {
 }
 
 Result<bool> DiskIndex::RightMatch(uint32_t term, const DeweyId& v,
-                                   DeweyId* out, QueryStats* stats) const {
-  std::string key;
-  EncodeIlKey(*codec_, term, v, &key);
+                                   MatchProbe* probe, DeweyId* out,
+                                   QueryStats* stats) const {
+  EncodeIlKey(*codec_, term, v, &probe->key);
   BPlusTree::Cursor cursor = il_tree_->NewCursor();
   cursor.set_stats(stats);
-  XKS_RETURN_NOT_OK(cursor.Seek(key));
-  if (!cursor.Valid() || !HasTermPrefix(cursor.key(), term)) return false;
-  if (stats != nullptr) ++stats->postings_read;
-  const std::string_view rest = cursor.key().substr(4);
-  XKS_ASSIGN_OR_RETURN(
-      *out, codec_->Decode(reinterpret_cast<const uint8_t*>(rest.data()),
-                           rest.size()));
-  return true;
+  XKS_RETURN_NOT_OK(cursor.Seek(probe->key));
+  return MatchAt(cursor, term, out, stats);
 }
 
 Result<bool> DiskIndex::LeftMatch(uint32_t term, const DeweyId& v,
-                                  DeweyId* out, QueryStats* stats) const {
-  std::string key;
-  EncodeIlKey(*codec_, term, v, &key);
+                                  MatchProbe* probe, DeweyId* out,
+                                  QueryStats* stats) const {
+  EncodeIlKey(*codec_, term, v, &probe->key);
   BPlusTree::Cursor cursor = il_tree_->NewCursor();
   cursor.set_stats(stats);
-  XKS_RETURN_NOT_OK(cursor.SeekForPrev(key));
+  XKS_RETURN_NOT_OK(cursor.SeekForPrev(probe->key));
+  return MatchAt(cursor, term, out, stats);
+}
+
+Result<bool> DiskIndex::MatchAt(const BPlusTree::Cursor& cursor,
+                                uint32_t term, DeweyId* out,
+                                QueryStats* stats) const {
   if (!cursor.Valid() || !HasTermPrefix(cursor.key(), term)) return false;
   if (stats != nullptr) ++stats->postings_read;
-  const std::string_view rest = cursor.key().substr(4);
-  XKS_ASSIGN_OR_RETURN(
-      *out, codec_->Decode(reinterpret_cast<const uint8_t*>(rest.data()),
-                           rest.size()));
+  XKS_RETURN_NOT_OK(codec_->DecodeInto(cursor.key().substr(4), out));
   return true;
 }
 
@@ -406,11 +402,7 @@ Result<std::vector<DiskIndex::ScanBlockRef>> DiskIndex::ScanBlockRefs(
   while (cursor.Valid() && HasTermPrefix(cursor.key(), term)) {
     ScanBlockRef ref;
     ref.key.assign(cursor.key());
-    const std::string_view rest = cursor.key().substr(4);
-    XKS_ASSIGN_OR_RETURN(
-        ref.first,
-        codec_->Decode(reinterpret_cast<const uint8_t*>(rest.data()),
-                       rest.size()));
+    XKS_RETURN_NOT_OK(codec_->DecodeInto(cursor.key().substr(4), &ref.first));
     blocks.push_back(std::move(ref));
     XKS_RETURN_NOT_OK(cursor.Next());
   }
@@ -750,6 +742,7 @@ Status DiskIndexUpdater::MergeScanBlocks(uint32_t term,
   std::string term_prefix;
   AppendBigEndian32(term, &term_prefix);
   std::string probe, block_key, payload, next_key;
+  DeweyId next_first;
   DecodedBlock block, merged;
   auto edit = edits.begin();
   while (edit != edits.end()) {
@@ -771,11 +764,8 @@ Status DiskIndexUpdater::MergeScanBlocks(uint32_t term,
           const bool has_next,
           scan_tree_->FindCeil(block_key + '\0', &next_key, nullptr));
       if (has_next && HasTermPrefix(next_key, term)) {
-        XKS_ASSIGN_OR_RETURN(
-            const DeweyId next_first,
-            codec_->Decode(
-                reinterpret_cast<const uint8_t*>(next_key.data()) + 4,
-                next_key.size() - 4));
+        XKS_RETURN_NOT_OK(codec_->DecodeInto(
+            std::string_view(next_key).substr(4), &next_first));
         end = edits.lower_bound(next_first);
       }
       size_t pos = 0;

@@ -83,7 +83,8 @@ struct DiskIndexOptions {
 ///
 /// All read operations (FindTerm, RightMatch, LeftMatch, OpenPostings
 /// and the cursors they return) are safe to call from any number of
-/// threads concurrently: the trees and dictionary are immutable after
+/// threads concurrently, each thread passing its own MatchProbe to the
+/// lm/rm probes: the trees and dictionary are immutable after
 /// open and the buffer pools are sharded and thread-safe. Each call
 /// charges its page accesses to the per-query stats object it is given,
 /// so accounting never crosses queries. DropCaches/WarmCaches are safe
@@ -125,14 +126,24 @@ class DiskIndex {
   /// Dictionary lookup; nullptr if the keyword does not occur.
   const TermInfo* FindTerm(std::string_view keyword) const;
 
-  /// Right match rm(v, S): smallest id in the term's list that is >= v.
-  /// Returns false (and leaves `out` untouched) when there is none.
-  Result<bool> RightMatch(uint32_t term, const DeweyId& v, DeweyId* out,
-                          QueryStats* stats = nullptr) const;
+  /// \brief Caller-owned scratch of the lm/rm probes: the composite probe
+  /// key is encoded into `key`, whose capacity the next probe reuses, so a
+  /// warm probe allocates nothing. One per caller thread (DiskKeywordList
+  /// holds one per query and per chunk clone), like
+  /// PackedDeweyList::Probe.
+  struct MatchProbe {
+    std::string key;
+  };
+
+  /// Right match rm(v, S): smallest id in the term's list that is >= v,
+  /// decoded into `out` (reusing its capacity). Returns false (and
+  /// leaves `out` untouched) when there is none.
+  Result<bool> RightMatch(uint32_t term, const DeweyId& v, MatchProbe* probe,
+                          DeweyId* out, QueryStats* stats = nullptr) const;
 
   /// Left match lm(v, S): greatest id in the term's list that is <= v.
-  Result<bool> LeftMatch(uint32_t term, const DeweyId& v, DeweyId* out,
-                         QueryStats* stats = nullptr) const;
+  Result<bool> LeftMatch(uint32_t term, const DeweyId& v, MatchProbe* probe,
+                         DeweyId* out, QueryStats* stats = nullptr) const;
 
   /// \brief Sequential reader over one keyword list in the scan layout.
   ///
@@ -250,6 +261,10 @@ class DiskIndex {
 
   static void EncodeIlKey(const DeweyCodec& codec, uint32_t term,
                           const DeweyId& id, std::string* out);
+  /// Decodes the match `cursor` landed on into `out`; false when it is
+  /// off the end or on another term's key.
+  Result<bool> MatchAt(const BPlusTree::Cursor& cursor, uint32_t term,
+                       DeweyId* out, QueryStats* stats) const;
   Status InitTreesAndDict(const DiskIndexOptions& options);
 
   std::unique_ptr<PageStore> il_store_;

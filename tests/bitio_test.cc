@@ -1,5 +1,6 @@
 #include "common/bitio.h"
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -9,39 +10,44 @@ namespace xksearch {
 namespace {
 
 TEST(BitWriterTest, SingleByteRoundTrip) {
-  BitWriter w;
+  std::string bytes;
+  BitWriter w(&bytes);
   w.WriteBits(0b101, 3);
   w.WriteBits(0b01, 2);
   EXPECT_EQ(w.bit_count(), 5u);
-  std::vector<uint8_t> bytes = w.Finish();
+  w.AlignToByte();
   ASSERT_EQ(bytes.size(), 1u);
   // 10101 followed by zero padding -> 1010'1000.
-  EXPECT_EQ(bytes[0], 0b10101000);
+  EXPECT_EQ(static_cast<uint8_t>(bytes[0]), 0b10101000);
 }
 
 TEST(BitWriterTest, ZeroWidthWritesNothing) {
-  BitWriter w;
+  std::string bytes;
+  BitWriter w(&bytes);
   w.WriteBits(0, 0);
   EXPECT_EQ(w.bit_count(), 0u);
-  EXPECT_TRUE(w.Finish().empty());
+  w.AlignToByte();
+  EXPECT_TRUE(bytes.empty());
 }
 
 TEST(BitWriterTest, FullWidth32) {
-  BitWriter w;
+  std::string bytes;
+  BitWriter w(&bytes);
   w.WriteBits(0xDEADBEEF, 32);
-  std::vector<uint8_t> bytes = w.Finish();
+  w.AlignToByte();
   ASSERT_EQ(bytes.size(), 4u);
   BitReader r(bytes);
   EXPECT_EQ(r.ReadBits(32), 0xDEADBEEFu);
 }
 
 TEST(BitReaderTest, ReadsAcrossByteBoundaries) {
-  BitWriter w;
+  std::string bytes;
+  BitWriter w(&bytes);
   w.WriteBits(0x3, 2);
   w.WriteBits(0x1FF, 9);   // spans bytes
   w.WriteBits(0x0, 1);
   w.WriteBits(0x5A, 7);
-  std::vector<uint8_t> bytes = w.Finish();
+  w.AlignToByte();
   BitReader r(bytes);
   EXPECT_EQ(r.ReadBits(2), 0x3u);
   EXPECT_EQ(r.ReadBits(9), 0x1FFu);
@@ -50,11 +56,12 @@ TEST(BitReaderTest, ReadsAcrossByteBoundaries) {
 }
 
 TEST(BitReaderTest, AlignToByteSkipsPadding) {
-  BitWriter w;
+  std::string bytes;
+  BitWriter w(&bytes);
   w.WriteBits(1, 1);
   w.AlignToByte();
   w.WriteBits(0xAB, 8);
-  std::vector<uint8_t> bytes = w.Finish();
+  w.AlignToByte();
   BitReader r(bytes);
   EXPECT_EQ(r.ReadBits(1), 1u);
   r.AlignToByte();
@@ -65,7 +72,8 @@ TEST(BitIoTest, RandomRoundTrip) {
   Rng rng(123);
   for (int iter = 0; iter < 50; ++iter) {
     std::vector<std::pair<uint32_t, int>> fields;
-    BitWriter w;
+    std::string bytes;
+    BitWriter w(&bytes);
     const size_t n = 1 + rng.Uniform(64);
     for (size_t i = 0; i < n; ++i) {
       const int width = static_cast<int>(1 + rng.Uniform(32));
@@ -75,7 +83,7 @@ TEST(BitIoTest, RandomRoundTrip) {
       fields.emplace_back(value, width);
       w.WriteBits(value, width);
     }
-    std::vector<uint8_t> bytes = w.Finish();
+    w.AlignToByte();
     BitReader r(bytes);
     for (const auto& [value, width] : fields) {
       EXPECT_EQ(r.ReadBits(width), value);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,14 +15,27 @@ namespace {
 using testing_util::Id;
 using testing_util::Ids;
 
-int CompareEncodings(const std::vector<uint8_t>& a,
-                     const std::vector<uint8_t>& b) {
+int CompareEncodings(std::string_view a, std::string_view b) {
   const size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+    const auto ai = static_cast<uint8_t>(a[i]);
+    const auto bi = static_cast<uint8_t>(b[i]);
+    if (ai != bi) return ai < bi ? -1 : 1;
   }
   if (a.size() == b.size()) return 0;
   return a.size() < b.size() ? -1 : 1;
+}
+
+std::string Encode(const DeweyCodec& codec, const DeweyId& id) {
+  std::string out;
+  codec.EncodeTo(id.view(), &out);
+  return out;
+}
+
+Result<DeweyId> Decode(const DeweyCodec& codec, std::string_view bytes) {
+  DeweyId id;
+  XKS_RETURN_NOT_OK(codec.DecodeInto(bytes, &id));
+  return id;
 }
 
 TEST(LevelTableTest, ObserveTracksMaxWidths) {
@@ -70,7 +84,7 @@ TEST(DeweyCodecTest, EncodeDecodeRoundTrip) {
   for (const DeweyId& id : ids) table.Observe(id);
   DeweyCodec codec(table);
   for (const DeweyId& id : ids) {
-    Result<DeweyId> decoded = codec.Decode(codec.Encode(id));
+    Result<DeweyId> decoded = Decode(codec, Encode(codec, id));
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(*decoded, id) << id.ToString();
   }
@@ -79,7 +93,7 @@ TEST(DeweyCodecTest, EncodeDecodeRoundTrip) {
 TEST(DeweyCodecTest, UncompressedCodecAlsoRoundTrips) {
   DeweyCodec codec((LevelTable()));  // all levels 32 bits
   for (const DeweyId& id : Ids({"0", "0.4000000000", "0.1.2.3.4.5"})) {
-    Result<DeweyId> decoded = codec.Decode(codec.Encode(id));
+    Result<DeweyId> decoded = Decode(codec, Encode(codec, id));
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(*decoded, id);
   }
@@ -99,19 +113,70 @@ TEST(DeweyCodecTest, CompressionBeatsFixedWidth) {
   DeweyCodec fixed((LevelTable()));
   size_t c = 0, f = 0;
   for (const DeweyId& id : ids) {
-    c += compressed.Encode(id).size();
-    f += fixed.Encode(id).size();
+    c += Encode(compressed, id).size();
+    f += Encode(fixed, id).size();
   }
   EXPECT_LT(c, f / 3);  // the level table should save a lot here
+}
+
+// Exact key bytes for a fixed level table with a width-0 level, a 32-bit
+// level and ids deeper than the table (32-bit fallback levels), recorded
+// from the bit-at-a-time encoder that wrote every existing .il file. Any
+// change to these bytes changes the key order of indexes already on disk.
+TEST(DeweyCodecTest, GoldenBytesMatchTheOnDiskKeyFormat) {
+  const DeweyCodec codec(LevelTable(std::vector<uint8_t>{0, 3, 32, 5, 1, 7}));
+  struct Golden {
+    DeweyId id;
+    std::vector<uint8_t> bytes;
+  };
+  const std::vector<Golden> lossless = {
+      {Id("0"), {0x00}},
+      {Id("0.5"), {0xd0}},
+      {Id("0.7.4294967295.31.1.100"),
+       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x20}},
+      {Id("0.2.123456789"), {0xa8, 0x3a, 0xde, 0x68, 0xa8}},
+      {Id("0.1.0.0.0.0.77"),
+       {0x98, 0x00, 0x00, 0x00, 0x04, 0x14, 0x04, 0x00, 0x00, 0x01, 0x34}},
+      {Id("0.3.1.17.0.64.4000000000.5"),
+       {0xb8, 0x00, 0x00, 0x00, 0x0e, 0x36, 0x07, 0xb9, 0xac, 0xa0, 0x02,
+        0x00, 0x00, 0x00, 0x0a}},
+  };
+  // EncodeTo appends: encode everything into one buffer after a prefix,
+  // as the index does behind its 4-byte term prefix.
+  std::string all = "pre";
+  std::vector<uint8_t> want = {'p', 'r', 'e'};
+  DeweyId decoded({9, 9, 9, 9, 9, 9, 9, 9, 9});
+  for (const Golden& g : lossless) {
+    const std::string bytes = Encode(codec, g.id);
+    EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.end()), g.bytes)
+        << g.id.ToString();
+    XKS_ASSERT_OK(codec.DecodeInto(bytes, &decoded));
+    EXPECT_EQ(decoded, g.id);
+    codec.EncodeTo(g.id.view(), &all);
+    want.insert(want.end(), g.bytes.begin(), g.bytes.end());
+  }
+  EXPECT_EQ(std::vector<uint8_t>(all.begin(), all.end()), want);
+  // Saturated probe components (9 > the 3-bit maximum 7, 3 > the 0-bit
+  // maximum 0) encode to the all-ones value of their level.
+  const std::string probe = Encode(codec, Id("0.9.2"));
+  EXPECT_EQ(std::vector<uint8_t>(probe.begin(), probe.end()),
+            (std::vector<uint8_t>{0xf8, 0x00, 0x00, 0x00, 0x10}));
+  XKS_ASSERT_OK(codec.DecodeInto(probe, &decoded));
+  EXPECT_EQ(decoded, Id("0.7.2"));
+  const std::string root_probe = Encode(codec, Id("3.4"));
+  EXPECT_EQ(std::vector<uint8_t>(root_probe.begin(), root_probe.end()),
+            std::vector<uint8_t>{0xc0});
+  XKS_ASSERT_OK(codec.DecodeInto(root_probe, &decoded));
+  EXPECT_EQ(decoded, Id("0.4"));
 }
 
 TEST(DeweyCodecTest, DecodeRejectsTruncation) {
   LevelTable table;
   table.Observe(Id("0.1000.1000"));
   DeweyCodec codec(table);
-  std::vector<uint8_t> enc = codec.Encode(Id("0.900.900"));
+  std::string enc = Encode(codec, Id("0.900.900"));
   enc.pop_back();
-  EXPECT_TRUE(codec.Decode(enc).status().IsCorruption());
+  EXPECT_TRUE(Decode(codec, enc).status().IsCorruption());
 }
 
 // Property: the encoding preserves document order byte-lexicographically.
@@ -134,7 +199,7 @@ TEST(DeweyCodecTest, OrderPreservationRandomized) {
     for (size_t j = i + 1; j < ids.size(); ++j) {
       const int id_order = ids[i].Compare(ids[j]);
       const int enc_order =
-          CompareEncodings(codec.Encode(ids[i]), codec.Encode(ids[j]));
+          CompareEncodings(Encode(codec, ids[i]), Encode(codec, ids[j]));
       EXPECT_EQ(id_order < 0, enc_order < 0)
           << ids[i].ToString() << " vs " << ids[j].ToString();
       EXPECT_EQ(id_order == 0, enc_order == 0);
@@ -153,10 +218,10 @@ TEST(DeweyCodecTest, OversizedProbeComponentsKeepOrder) {
   const auto probes = Ids({"0.9", "0.8.100", "0.3.0.2", "0.3.1", "0.100.4",
                            "0.7.999", "0.0.500"});
   for (const DeweyId& probe : probes) {
-    const std::vector<uint8_t> ep = codec.Encode(probe);
+    const std::string ep = Encode(codec, probe);
     for (const DeweyId& id : stored) {
       const int want = probe.Compare(id);
-      const int got = CompareEncodings(ep, codec.Encode(id));
+      const int got = CompareEncodings(ep, Encode(codec, id));
       EXPECT_EQ(want < 0, got < 0)
           << probe.ToString() << " vs " << id.ToString();
       EXPECT_EQ(want > 0, got > 0)

@@ -109,14 +109,20 @@ TEST(DeweyIdTest, CommonPrefixLength) {
   EXPECT_EQ(Id("1.1").CommonPrefixLength(Id("0.1")), 0u);
 }
 
-TEST(DeweyIdTest, DeeperPicksDescendantOrNonEmpty) {
-  const DeweyId a = Id("0.1");
-  const DeweyId b = Id("0.1.2");
-  EXPECT_EQ(Deeper(a, b), b);
-  EXPECT_EQ(Deeper(b, a), b);
-  EXPECT_EQ(Deeper(DeweyId(), a), a);
-  EXPECT_EQ(Deeper(a, DeweyId()), a);
-  EXPECT_EQ(Deeper(a, a), a);
+TEST(DeweyIdTest, TruncateKeepsPrefixAndCapacity) {
+  DeweyId x = Id("0.1.2.3");
+  const uint32_t* data = x.view().data();
+  x.Truncate(4);
+  EXPECT_EQ(x, Id("0.1.2.3"));
+  x.Truncate(2);
+  EXPECT_EQ(x, Id("0.1"));
+  x.Truncate(0);
+  EXPECT_EQ(x, DeweyId());
+  // Growing back within the old depth reuses the same buffer.
+  x.AssignFrom(Id("0.7.7").view());
+  x.Append(9);
+  EXPECT_EQ(x, Id("0.7.7.9"));
+  EXPECT_EQ(x.view().data(), data);
 }
 
 TEST(DeweyIdTest, SortOrderMatchesPreorder) {

@@ -73,9 +73,10 @@ TEST(DiskIndexTest, RightAndLeftMatchAgreeWithBinarySearch) {
   const auto probes =
       Ids({"0", "0.0", "0.0.1", "0.0.1.0", "0.1", "0.1.2", "0.2", "0.3.0.1",
            "0.3.0.2", "0.9", "0.0.0"});
+  DiskIndex::MatchProbe scratch;
   for (const DeweyId& probe : probes) {
     DeweyId got;
-    Result<bool> rm = (*index)->RightMatch(apple->id, probe, &got);
+    Result<bool> rm = (*index)->RightMatch(apple->id, probe, &scratch, &got);
     ASSERT_TRUE(rm.ok());
     auto lb = std::lower_bound(list.begin(), list.end(), probe);
     EXPECT_EQ(*rm, lb != list.end()) << probe.ToString();
@@ -83,7 +84,7 @@ TEST(DiskIndexTest, RightAndLeftMatchAgreeWithBinarySearch) {
       EXPECT_EQ(got, *lb) << probe.ToString();
     }
 
-    Result<bool> lm = (*index)->LeftMatch(apple->id, probe, &got);
+    Result<bool> lm = (*index)->LeftMatch(apple->id, probe, &scratch, &got);
     ASSERT_TRUE(lm.ok());
     // Last element <= probe.
     auto ub = std::upper_bound(list.begin(), list.end(), probe);
@@ -102,14 +103,17 @@ TEST(DiskIndexTest, MatchDoesNotLeakAcrossTerms) {
   // banana ends at 0.2; a right-match beyond it must not return cherry's
   // postings even though they follow in the composite key space.
   const DiskIndex::TermInfo* banana = (*index)->FindTerm("banana");
+  DiskIndex::MatchProbe scratch;
   DeweyId got;
-  Result<bool> rm = (*index)->RightMatch(banana->id, Id("0.4"), &got);
+  Result<bool> rm =
+      (*index)->RightMatch(banana->id, Id("0.4"), &scratch, &got);
   ASSERT_TRUE(rm.ok());
   EXPECT_FALSE(*rm);
   // cherry starts at 0.5.5.5; a left-match before it must not return
   // banana's postings.
   const DiskIndex::TermInfo* cherry = (*index)->FindTerm("cherry");
-  Result<bool> lm = (*index)->LeftMatch(cherry->id, Id("0.1"), &got);
+  Result<bool> lm =
+      (*index)->LeftMatch(cherry->id, Id("0.1"), &scratch, &got);
   ASSERT_TRUE(lm.ok());
   EXPECT_FALSE(*lm);
 }
@@ -138,12 +142,13 @@ TEST(DiskIndexTest, LargeListSpansManyBlocks) {
 
   // Random probes across block boundaries.
   Rng rng(12);
+  DiskIndex::MatchProbe scratch;
   for (int trial = 0; trial < 200; ++trial) {
     const DeweyId probe(
         {0, static_cast<uint32_t>(rng.Uniform(210)),
          static_cast<uint32_t>(rng.Uniform(110))});
     DeweyId got_rm;
-    Result<bool> rm = (*index)->RightMatch(big->id, probe, &got_rm);
+    Result<bool> rm = (*index)->RightMatch(big->id, probe, &scratch, &got_rm);
     ASSERT_TRUE(rm.ok());
     auto lb = std::lower_bound(expected.begin(), expected.end(), probe);
     ASSERT_EQ(*rm, lb != expected.end());
@@ -201,8 +206,10 @@ TEST(DiskIndexTest, FileBackedBuildAndReopen) {
     EXPECT_EQ((*opened)->term_count(), 3u);
     const DiskIndex::TermInfo* apple = (*opened)->FindTerm("apple");
     ASSERT_NE(apple, nullptr);
+    DiskIndex::MatchProbe scratch;
     DeweyId got;
-    Result<bool> rm = (*opened)->RightMatch(apple->id, Id("0"), &got);
+    Result<bool> rm =
+        (*opened)->RightMatch(apple->id, Id("0"), &scratch, &got);
     ASSERT_TRUE(rm.ok());
     EXPECT_TRUE(*rm);
     EXPECT_EQ(got, Id("0.0.1"));

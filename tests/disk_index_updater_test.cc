@@ -59,9 +59,10 @@ class DiskIndexUpdaterTest : public ::testing::Test {
     while (cursor->Next(&id)) out.push_back(id);
     XKS_EXPECT_OK(cursor->status());
     // The Indexed Lookup layout must agree with the scan layout.
+    DiskIndex::MatchProbe scratch;
     DeweyId got;
     DeweyId probe({0});
-    Result<bool> rm = (*index)->RightMatch(info->id, probe, &got);
+    Result<bool> rm = (*index)->RightMatch(info->id, probe, &scratch, &got);
     EXPECT_TRUE(rm.ok());
     if (!out.empty()) {
       EXPECT_TRUE(*rm);
@@ -651,16 +652,17 @@ class DiskIndexUpdaterParityTest : public ::testing::Test {
                          const std::string& term, const DeweyId& probe) {
     const DiskIndex::TermInfo* u = updated.FindTerm(term);
     const DiskIndex::TermInfo* f = fresh.FindTerm(term);
+    DiskIndex::MatchProbe scratch;
     DeweyId got_u, got_f;
-    Result<bool> rm_u = updated.RightMatch(u->id, probe, &got_u);
-    Result<bool> rm_f = fresh.RightMatch(f->id, probe, &got_f);
+    Result<bool> rm_u = updated.RightMatch(u->id, probe, &scratch, &got_u);
+    Result<bool> rm_f = fresh.RightMatch(f->id, probe, &scratch, &got_f);
     ASSERT_TRUE(rm_u.ok() && rm_f.ok());
     EXPECT_EQ(*rm_u, *rm_f) << term << " rm " << probe.ToString();
     if (*rm_u && *rm_f) {
       EXPECT_EQ(got_u, got_f);
     }
-    Result<bool> lm_u = updated.LeftMatch(u->id, probe, &got_u);
-    Result<bool> lm_f = fresh.LeftMatch(f->id, probe, &got_f);
+    Result<bool> lm_u = updated.LeftMatch(u->id, probe, &scratch, &got_u);
+    Result<bool> lm_f = fresh.LeftMatch(f->id, probe, &scratch, &got_f);
     ASSERT_TRUE(lm_u.ok() && lm_f.ok());
     EXPECT_EQ(*lm_u, *lm_f) << term << " lm " << probe.ToString();
     if (*lm_u && *lm_f) {

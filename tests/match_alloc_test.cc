@@ -1,0 +1,217 @@
+// Heap-allocation regression test for the SLCA match loop.
+//
+// A counting global operator new sees every allocation the process makes.
+// Each case runs the same query shape at two S1 sizes with the same
+// number of lists and results: only the number of match steps differs. A
+// match step (Indexed Lookup lm/rm probe or Scan Eager cursor step, plus
+// the in-place chain truncation) must allocate nothing, so the two runs
+// must allocate (almost) the same number of times, however many more
+// match operations the larger one performs. Lists are vectors, packed
+// lists, or a warm in-memory disk index.
+
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <utility>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "dewey/packed_list.h"
+#include "gtest/gtest.h"
+#include "index/inverted_index.h"
+#include "serve/thread_pool.h"
+#include "slca/keyword_list.h"
+#include "slca/packed_list.h"
+#include "slca/parallel.h"
+#include "slca/slca.h"
+#include "storage/disk_index.h"
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace xksearch {
+namespace {
+
+// Every S1 size runs with this many groups; each group yields one SLCA.
+constexpr uint32_t kGroups = 8;
+constexpr size_t kSmallS1 = 1024;
+constexpr size_t kLargeS1 = 8192;
+// Allocations the larger run may add beyond the smaller one: arena and
+// buffer capacity that grows once per list, never once per step.
+constexpr uint64_t kSlack = 16;
+
+enum class Layout { kVector, kPacked, kDisk };
+
+// Three lists over kGroups subtrees 0.g: S1 holds n/kGroups leaves
+// 0.g.i.1 per group, S2 and S3 one leaf each under 0.g.0. Every S1 node
+// costs one match step per other list; the SLCAs are the kGroups nodes
+// 0.g.0 whatever n is.
+std::vector<std::vector<DeweyId>> MakeLists(size_t s1_size) {
+  std::vector<std::vector<DeweyId>> lists(3);
+  const uint32_t per_group = static_cast<uint32_t>(s1_size / kGroups);
+  for (uint32_t g = 0; g < kGroups; ++g) {
+    for (uint32_t i = 0; i < per_group; ++i) {
+      lists[0].push_back(DeweyId({0, g, i, 1}));
+    }
+    lists[1].push_back(DeweyId({0, g, 0, 2}));
+    lists[2].push_back(DeweyId({0, g, 0, 3}));
+  }
+  return lists;
+}
+
+struct RunResult {
+  uint64_t allocations = 0;
+  uint64_t match_ops = 0;
+  uint64_t results = 0;
+};
+
+class MatchAllocationTest
+    : public ::testing::TestWithParam<std::tuple<SlcaAlgorithm, Layout, bool>> {
+ protected:
+  SlcaAlgorithm algorithm() const { return std::get<0>(GetParam()); }
+  Layout layout() const { return std::get<1>(GetParam()); }
+  bool chunked() const { return std::get<2>(GetParam()); }
+
+  // Builds the lists outside the counted region, then counts the
+  // allocations of one ComputeSlca (or chunked ComputeSlcaParallel) call.
+  RunResult Run(size_t s1_size, serve::ThreadPool* pool) {
+    const std::vector<std::vector<DeweyId>> ids = MakeLists(s1_size);
+    std::vector<PackedDeweyList> packed(ids.size());
+    std::unique_ptr<DiskIndex> disk;
+    if (layout() == Layout::kDisk) {
+      InvertedIndex source;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        for (const DeweyId& id : ids[i]) {
+          source.AddPosting("k" + std::to_string(i), id);
+        }
+      }
+      DiskIndexOptions options;
+      options.in_memory = true;
+      Result<std::unique_ptr<DiskIndex>> built =
+          DiskIndex::Build(source, "", options);
+      EXPECT_TRUE(built.ok()) << built.status().ToString();
+      if (!built.ok()) return {};
+      disk = std::move(built).ValueOrDie();
+      EXPECT_TRUE(disk->WarmCaches().ok());
+    }
+    QueryStats stats;
+    std::vector<std::unique_ptr<KeywordList>> owned;
+    std::vector<KeywordList*> lists;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      switch (layout()) {
+        case Layout::kVector:
+          owned.push_back(
+              std::make_unique<VectorKeywordList>(&ids[i], &stats));
+          break;
+        case Layout::kPacked:
+          for (const DeweyId& id : ids[i]) packed[i].Append(id);
+          owned.push_back(
+              std::make_unique<PackedKeywordList>(&packed[i], &stats));
+          break;
+        case Layout::kDisk: {
+          const DiskIndex::TermInfo* term =
+              disk->FindTerm("k" + std::to_string(i));
+          owned.push_back(std::make_unique<DiskKeywordList>(
+              disk.get(), term->id, term->frequency, &stats));
+          break;
+        }
+      }
+      lists.push_back(owned.back().get());
+    }
+    ParallelExecOptions exec;
+    exec.pool = pool;
+    exec.max_chunks = 4;
+    exec.min_chunk_elements = 64;
+
+    RunResult run;
+    const ResultCallback emit = [&run](const DeweyId&) { ++run.results; };
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const Status status =
+        chunked() ? ComputeSlcaParallel(algorithm(), lists, {}, exec, &stats,
+                                        emit)
+                  : ComputeSlca(algorithm(), lists, {}, &stats, emit);
+    run.allocations = g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    run.match_ops = stats.match_ops;
+    return run;
+  }
+};
+
+TEST_P(MatchAllocationTest, AllocationsDoNotGrowWithMatchOps) {
+  serve::ThreadPool::Options pool_options;
+  pool_options.workers = 2;
+  serve::ThreadPool pool(pool_options);
+  serve::ThreadPool* chunk_pool = chunked() ? &pool : nullptr;
+
+  Run(kSmallS1, chunk_pool);  // first-use initialization stays out
+  const RunResult small = Run(kSmallS1, chunk_pool);
+  const RunResult large = Run(kLargeS1, chunk_pool);
+
+  EXPECT_EQ(small.results, kGroups);
+  EXPECT_EQ(large.results, kGroups);
+  // Two match operations per S1 node and other list.
+  EXPECT_EQ(small.match_ops, 2 * 2 * kSmallS1);
+  EXPECT_EQ(large.match_ops, 2 * 2 * kLargeS1);
+  EXPECT_LE(large.allocations, small.allocations + kSlack)
+      << "small run: " << small.allocations << " allocations for "
+      << small.match_ops << " match ops; large run: " << large.allocations
+      << " for " << large.match_ops;
+}
+
+std::string CaseName(
+    const ::testing::TestParamInfo<std::tuple<SlcaAlgorithm, Layout, bool>>&
+        info) {
+  std::string name = ToString(std::get<0>(info.param));
+  switch (std::get<1>(info.param)) {
+    case Layout::kVector:
+      name += "Vector";
+      break;
+    case Layout::kPacked:
+      name += "Packed";
+      break;
+    case Layout::kDisk:
+      name += "Disk";
+      break;
+  }
+  name += std::get<2>(info.param) ? "Chunked" : "Sequential";
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EagerAlgorithms, MatchAllocationTest,
+    ::testing::Combine(::testing::Values(SlcaAlgorithm::kIndexedLookupEager,
+                                         SlcaAlgorithm::kScanEager),
+                       ::testing::Values(Layout::kVector, Layout::kPacked),
+                       ::testing::Bool()),
+    CaseName);
+
+// Sequential only on disk: chunk planning reads one key per scan block
+// of S1 (ScanBlockRefs), which grows with the list, as it should.
+INSTANTIATE_TEST_SUITE_P(
+    WarmDiskIndex, MatchAllocationTest,
+    ::testing::Combine(::testing::Values(SlcaAlgorithm::kIndexedLookupEager,
+                                         SlcaAlgorithm::kScanEager),
+                       ::testing::Values(Layout::kDisk),
+                       ::testing::Values(false)),
+    CaseName);
+
+}  // namespace
+}  // namespace xksearch

@@ -175,25 +175,35 @@ TEST(IndexedLookupTest, MatchStepPropertyOne) {
   QueryStats stats;
   const auto list = Ids({"0.0.1", "0.2.5"});
   VectorKeywordList s(&list, &stats);
+  MatchScratch scratch;
   // v between the two entries: lm=0.0.1 (lca 0.0 if under 0.0 ... here
   // v=0.0.9: lca(v,lm)=0.0, lca(v,rm)=0 -> deeper is 0.0.
-  Result<DeweyId> x = MatchStep(Id("0.0.9"), &s, &stats);
-  ASSERT_TRUE(x.ok());
-  EXPECT_EQ(*x, Id("0.0"));
+  DeweyId x = Id("0.0.9");
+  XKS_ASSERT_OK(MatchStep(&s, &x, &scratch, &stats));
+  EXPECT_EQ(x, Id("0.0"));
   EXPECT_EQ(stats.match_ops, 2u);
+  EXPECT_EQ(stats.lca_ops, 2u);
   // v below an entry: the entry is its own lm and the slca is v's
   // ancestor at that entry... lm(0.0.1.7)=0.0.1, lca=0.0.1.
-  x = MatchStep(Id("0.0.1.7"), &s, &stats);
-  ASSERT_TRUE(x.ok());
-  EXPECT_EQ(*x, Id("0.0.1"));
+  x = Id("0.0.1.7");
+  XKS_ASSERT_OK(MatchStep(&s, &x, &scratch, &stats));
+  EXPECT_EQ(x, Id("0.0.1"));
   // v before everything: only rm exists.
-  x = MatchStep(Id("0.0.0"), &s, &stats);
-  ASSERT_TRUE(x.ok());
-  EXPECT_EQ(*x, Id("0.0"));
+  x = Id("0.0.0");
+  XKS_ASSERT_OK(MatchStep(&s, &x, &scratch, &stats));
+  EXPECT_EQ(x, Id("0.0"));
   // v after everything: only lm exists.
-  x = MatchStep(Id("0.9"), &s, &stats);
-  ASSERT_TRUE(x.ok());
-  EXPECT_EQ(*x, Id("0"));
+  x = Id("0.9");
+  XKS_ASSERT_OK(MatchStep(&s, &x, &scratch, &stats));
+  EXPECT_EQ(x, Id("0"));
+  EXPECT_EQ(stats.match_ops, 8u);
+  EXPECT_EQ(stats.lca_ops, 6u);
+  // An empty list truncates x to the empty id.
+  const std::vector<DeweyId> none;
+  VectorKeywordList empty(&none, &stats);
+  x = Id("0.3");
+  XKS_ASSERT_OK(MatchStep(&empty, &x, &scratch, &stats));
+  EXPECT_EQ(x, DeweyId());
 }
 
 TEST(IndexedLookupTest, StatsCountMatchOperations) {

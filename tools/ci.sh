@@ -45,6 +45,13 @@ if [ "$run_slow" -eq 1 ]; then
   # stitcher, chunk planning and the engine wiring as one visible line.
   echo "==> [parallel-slca] chunked intra-query stage (release build)"
   ctest --test-dir build/release -R 'ParallelSlca' --output-on-failure
+  # The match path: the lm/rm steps of Indexed Lookup and Scan Eager
+  # (vector, packed and chunked), the level-table codec and its bit I/O
+  # (including the on-disk key bytes), and the match-loop allocation test.
+  echo "==> [match-path] SLCA match step and key codec stage (release build)"
+  ctest --test-dir build/release \
+    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest)' \
+    --output-on-failure
   # Cross-query batching: single-flight coalescing, the batch scheduler,
   # shared decoded-list providers and the vectored multi-page read path
   # as one visible line, plus a short xk_fuzz batch-parity smoke (the
