@@ -1,20 +1,12 @@
 // Batch decode-kernel sweep (Ablation X13): throughput of the
 // block-at-a-time posting decoders against the legacy entry-at-a-time
-// DeltaBlockDecoder, over the identical delta-encoded wire bytes, plus a
-// hot-list-cache on/off sweep over a planted engine query.
+// DeltaBlockDecoder, over the identical delta-encoded wire bytes.
 //
-// Two sections:
-//
-//   decode  one delta stream of N sorted Dewey ids, decoded end to end:
-//           the `legacy` row is DeltaBlockDecoder::Next per entry; each
-//           kernel row is DecodeBlockWith in 256-entry batches with the
-//           carry chained across calls (exactly the blocked cursors'
-//           access pattern). MB/s is wire bytes consumed per second.
-//
-//   hot     a closed-loop two-keyword query against an in-memory engine,
-//           with the serving layer's decoded hot-list cache off and on.
-//           The "on" rows serve both posting lists as pinned decoded
-//           vectors after admission — the per-query decode disappears.
+// One delta stream of N sorted Dewey ids is decoded end to end: the
+// `legacy` row is DeltaBlockDecoder::Next per entry; each kernel row is
+// DecodeBlockWith in 256-entry batches with the carry chained across
+// calls (exactly the blocked cursors' access pattern). MB/s is wire
+// bytes consumed per second.
 //
 // Standalone binary (like bench_parallel_query), not a google-benchmark
 // harness. Prints a table plus one JSON line per configuration for
@@ -25,16 +17,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "dewey/codec.h"
 #include "dewey/decode_kernels.h"
-#include "engine/xksearch.h"
-#include "gen/dblp_generator.h"
-#include "serve/hot_list_cache.h"
 
 namespace xksearch {
 namespace {
@@ -44,9 +31,6 @@ using Clock = std::chrono::steady_clock;
 struct Config {
   std::vector<size_t> entries = {10'000, 100'000};
   size_t duration_ms = 300;
-  size_t papers = 20'000;
-  uint64_t hot_frequency = 0;  // 0 = papers / 2
-  bool with_hot = true;
 };
 
 std::vector<DeweyId> RandomSortedIds(uint64_t seed, size_t n) {
@@ -169,71 +153,6 @@ void RunDecodeSection(const Config& config) {
   }
 }
 
-void RunHotSection(const Config& config) {
-  DblpOptions gen;
-  gen.papers = config.papers;
-  gen.seed = 7;
-  const uint64_t freq = config.hot_frequency > 0
-                            ? config.hot_frequency
-                            : static_cast<uint64_t>(config.papers / 2);
-  gen.plants = {{"hotterm", freq}, {"rareterm", freq / 50 + 1}};
-  Result<Document> doc = GenerateDblp(gen);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "gen: %s\n", doc.status().ToString().c_str());
-    std::exit(1);
-  }
-  Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(std::move(*doc));
-  if (!system.ok()) {
-    std::fprintf(stderr, "build: %s\n", system.status().ToString().c_str());
-    std::exit(1);
-  }
-  const std::vector<std::string> query = {"rareterm", "hotterm"};
-
-  std::printf("%8s %10s %10s %10s\n", "hot", "avg_us", "qps", "results");
-  double base_us = 0;
-  for (const bool hot : {false, true}) {
-    serve::HotListCache::Options cache_options;
-    cache_options.max_bytes = size_t{256} << 20;
-    cache_options.admit_after = 1;
-    serve::HotListCache cache(cache_options);
-    SearchOptions options;
-    options.algorithm = AlgorithmChoice::kScanEager;  // S1 scans both lists
-    if (hot) options.hot_lists = &cache;
-
-    uint64_t queries = 0;
-    uint64_t results = 0;
-    for (int warm = 0; warm < 3; ++warm) {
-      if (!(*system)->Search(query, options).ok()) std::abort();
-    }
-    const Clock::time_point start = Clock::now();
-    const Clock::duration budget =
-        std::chrono::milliseconds(config.duration_ms);
-    Clock::time_point now;
-    do {
-      const Result<SearchResult> r = (*system)->Search(query, options);
-      if (!r.ok()) std::abort();
-      results = r->nodes.size();
-      ++queries;
-      now = Clock::now();
-    } while (now - start < budget);
-    const double seconds = std::chrono::duration<double>(now - start).count();
-    const double avg_us = seconds * 1e6 / static_cast<double>(queries);
-    const double qps = static_cast<double>(queries) / seconds;
-    if (base_us == 0) base_us = avg_us;
-    std::printf("%8s %10.1f %10.1f %10" PRIu64 "\n", hot ? "on" : "off",
-                avg_us, qps, results);
-    std::printf(
-        "{\"bench\":\"decode_kernels\",\"section\":\"hot_list\","
-        "\"hot\":%d,\"frequency\":%" PRIu64 ",\"avg_us\":%.2f,\"qps\":%.1f,"
-        "\"speedup\":%.3f,\"queries\":%" PRIu64 ",\"results\":%" PRIu64
-        "}\n",
-        hot ? 1 : 0, freq, avg_us, qps, avg_us > 0 ? base_us / avg_us : 0,
-        queries, results);
-    std::fflush(stdout);
-  }
-}
-
 std::vector<size_t> ParseList(const char* text) {
   std::vector<size_t> out;
   for (const char* p = text; *p != '\0';) {
@@ -260,16 +179,9 @@ int main(int argc, char** argv) {
       config.entries = xksearch::ParseList(v);
     } else if (const char* v = value("--duration-ms=")) {
       config.duration_ms = static_cast<size_t>(std::strtoull(v, nullptr, 10));
-    } else if (const char* v = value("--papers=")) {
-      config.papers = static_cast<size_t>(std::strtoull(v, nullptr, 10));
-    } else if (const char* v = value("--frequency=")) {
-      config.hot_frequency = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--no-hot") == 0) {
-      config.with_hot = false;
     } else {
       std::fprintf(stderr,
-                   "unknown flag %s\nflags: --entries=l --duration-ms= "
-                   "--papers= --frequency= --no-hot\n",
+                   "unknown flag %s\nflags: --entries=l --duration-ms=\n",
                    arg);
       return 2;
     }
@@ -277,6 +189,5 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "active kernel: %s\n",
                xksearch::DecodeKernelName(xksearch::ActiveDecodeKernel()));
   xksearch::RunDecodeSection(config);
-  if (config.with_hot) xksearch::RunHotSection(config);
   return 0;
 }

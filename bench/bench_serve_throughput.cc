@@ -18,13 +18,6 @@
 //                    emulating a cold-cache storage tier; the pool
 //                    overlaps those stalls, so throughput scales with
 //                    workers even on one core.
-//
-// --batched switches to the cross-query batching sweep instead: result
-// cache off (every request takes the cold path), batch window x client
-// count grid at a fixed worker count and io floor. The window=0 rows run
-// with single-flight off and no batcher -- the pre-batching dispatch
-// path -- so the speedup column isolates what coalescing + shared-decode
-// batching buy under overlapping Zipf traffic (EXPERIMENTS.md X14).
 
 #include <algorithm>
 #include <atomic>
@@ -72,13 +65,6 @@ struct Config {
   // converge to 100% hits and measure only the submit thread.
   size_t cache_mb = 2;
   bool enable_cache = true;
-  // --batched sweep: batch window x concurrent clients, cache disabled.
-  bool batched_sweep = false;
-  std::vector<uint64_t> windows_us = {0, 50, 200};
-  std::vector<size_t> client_counts = {1, 2, 4, 8, 16};
-  size_t batch_max = 16;
-  size_t batched_workers = 4;
-  uint64_t batched_io_floor_us = 200;
 };
 
 /// Inverse-CDF sampler over ranks 1..n with weight 1/rank^s.
@@ -112,9 +98,6 @@ struct RunResult {
   uint64_t p50_us = 0;
   uint64_t p95_us = 0;
   uint64_t p99_us = 0;
-  uint64_t coalesced = 0;
-  uint64_t batches = 0;
-  uint64_t shared_decodes = 0;
 };
 
 uint64_t PercentileUs(std::vector<uint64_t>* nanos, double p) {
@@ -130,8 +113,6 @@ struct RunParams {
   size_t workers = 1;
   uint64_t io_floor_us = 0;
   size_t clients = 16;
-  uint64_t window_us = 0;
-  bool single_flight = true;
 };
 
 RunResult RunOnce(const XKSearch& system,
@@ -142,9 +123,6 @@ RunResult RunOnce(const XKSearch& system,
   options.pool.queue_capacity = config.queue_capacity;
   options.cache.capacity_bytes = config.cache_mb << 20;
   options.enable_cache = config.enable_cache;
-  options.single_flight = params.single_flight;
-  options.batch_window_us = params.window_us;
-  options.batch_max = config.batch_max;
   options.synthetic_backend_latency =
       std::chrono::microseconds(params.io_floor_us);
   serve::QueryService service(&system, options);
@@ -164,8 +142,7 @@ RunResult RunOnce(const XKSearch& system,
   clients.reserve(params.clients);
   for (size_t c = 0; c < params.clients; ++c) {
     clients.emplace_back([&, c] {
-      Rng rng(0x5eed + c * 977 + params.workers * 31 + params.io_floor_us +
-              params.window_us * 131);
+      Rng rng(0x5eed + c * 977 + params.workers * 31 + params.io_floor_us);
       ClientState& state = states[c];
       state.latencies_ns.reserve(1 << 16);
       while (running.load(std::memory_order_relaxed)) {
@@ -223,9 +200,6 @@ RunResult RunOnce(const XKSearch& system,
   result.p50_us = PercentileUs(&latencies, 0.50);
   result.p95_us = PercentileUs(&latencies, 0.95);
   result.p99_us = PercentileUs(&latencies, 0.99);
-  result.coalesced = service.metrics().coalesced_queries;
-  result.batches = service.metrics().batches;
-  result.shared_decodes = service.metrics().shared_decodes;
   return result;
 }
 
@@ -304,23 +278,13 @@ int Main(int argc, char** argv) {
       config.cache_mb = ParseU64(v);
     } else if (const char* v = value("--queue-capacity=")) {
       config.queue_capacity = ParseU64(v);
-    } else if (const char* v = value("--windows-us=")) {
-      const std::vector<size_t> list = ParseList(v);
-      config.windows_us.assign(list.begin(), list.end());
-    } else if (const char* v = value("--client-counts=")) {
-      config.client_counts = ParseList(v);
-    } else if (const char* v = value("--batch-max=")) {
-      config.batch_max = ParseU64(v);
-    } else if (std::strcmp(arg, "--batched") == 0) {
-      config.batched_sweep = true;
     } else if (std::strcmp(arg, "--no-cache") == 0) {
       config.enable_cache = false;
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nflags: --papers= --clients= --workers=l "
                    "--io-floor-us=l --pool-queries= --zipf-s= --duration-ms= "
-                   "--warmup-ms= --cache-mb= --queue-capacity= --no-cache "
-                   "--batched --windows-us=l --client-counts=l --batch-max=\n",
+                   "--warmup-ms= --cache-mb= --queue-capacity= --no-cache\n",
                    arg);
       return 2;
     }
@@ -351,44 +315,6 @@ int Main(int argc, char** argv) {
   }
   std::fprintf(stderr, "query pool: %zu queries, zipf_s=%.2f, %zu clients\n",
                queries.size(), config.zipf_s, config.clients);
-
-  if (config.batched_sweep) {
-    // Cross-query batching sweep: cache off so every request is a cold
-    // dispatch; window=0 rows disable single-flight and the batcher (the
-    // pre-batching path), so speedup vs them isolates the batching win.
-    config.enable_cache = false;
-    std::printf("%10s %8s %10s %11s %9s %9s %9s %9s\n", "window_us", "clients",
-                "qps", "coalesced", "batches", "p50_us", "p95_us", "p99_us");
-    for (const size_t clients : config.client_counts) {
-      double base_qps = 0;
-      for (const uint64_t window : config.windows_us) {
-        RunParams params;
-        params.workers = config.batched_workers;
-        params.io_floor_us = config.batched_io_floor_us;
-        params.clients = clients;
-        params.window_us = window;
-        params.single_flight = window > 0;
-        const RunResult r = RunOnce(system, queries, config, params);
-        if (window == 0) base_qps = r.qps;
-        std::printf("%10" PRIu64 " %8zu %10.0f %11" PRIu64 " %9" PRIu64
-                    " %9" PRIu64 " %9" PRIu64 " %9" PRIu64 "  (%.2fx)\n",
-                    window, clients, r.qps, r.coalesced, r.batches, r.p50_us,
-                    r.p95_us, r.p99_us, base_qps > 0 ? r.qps / base_qps : 0.0);
-        std::printf(
-            "{\"bench\":\"serve_batched\",\"window_us\":%" PRIu64
-            ",\"clients\":%zu,\"workers\":%zu,\"io_floor_us\":%" PRIu64
-            ",\"qps\":%.1f,\"coalesced\":%" PRIu64 ",\"batches\":%" PRIu64
-            ",\"shared_decodes\":%" PRIu64 ",\"p50_us\":%" PRIu64
-            ",\"p95_us\":%" PRIu64 ",\"p99_us\":%" PRIu64 ",\"ok\":%" PRIu64
-            ",\"rejected\":%" PRIu64 ",\"failed\":%" PRIu64 "}\n",
-            window, clients, config.batched_workers, config.batched_io_floor_us,
-            r.qps, r.coalesced, r.batches, r.shared_decodes, r.p50_us, r.p95_us,
-            r.p99_us, r.ok, r.rejected, r.failed);
-        std::fflush(stdout);
-      }
-    }
-    return 0;
-  }
 
   std::printf("%8s %12s %10s %8s %9s %9s %9s %10s\n", "workers", "io_floor_us",
               "qps", "hit", "p50_us", "p95_us", "p99_us", "rejected");

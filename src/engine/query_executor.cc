@@ -16,8 +16,6 @@ struct Term {
   /// Vector-layout escape hatch only: the decoded postings the adapter
   /// points into.
   std::unique_ptr<std::vector<DeweyId>> owned;
-  /// Hot-list path only: the shared decoded copy the adapter points into.
-  std::shared_ptr<const std::vector<DeweyId>> hot;
 };
 
 Result<std::vector<std::string>> Normalize(
@@ -55,9 +53,6 @@ PreparedQuery Assemble(std::vector<Term> terms) {
     if (term.owned != nullptr) {
       query.materialized.push_back(std::move(term.owned));
     }
-    if (term.hot != nullptr) {
-      query.pinned.push_back(std::move(term.hot));
-    }
   }
   query.pointers.reserve(query.lists.size());
   for (const auto& list : query.lists) query.pointers.push_back(list.get());
@@ -70,8 +65,7 @@ Result<PreparedQuery> PrepareQuery(const InvertedIndex& index,
                                    const std::vector<std::string>& keywords,
                                    const TokenizerOptions& tokenizer,
                                    QueryStats* stats,
-                                   bool use_packed_lists,
-                                   DecodedListProvider* hot_lists) {
+                                   bool use_packed_lists) {
   XKS_ASSIGN_OR_RETURN(std::vector<std::string> normalized,
                        Normalize(keywords, tokenizer));
   std::vector<Term> terms;
@@ -82,14 +76,8 @@ Result<PreparedQuery> PrepareQuery(const InvertedIndex& index,
     if (list == nullptr) {
       term.list = std::unique_ptr<KeywordList>(new EmptyKeywordList());
     } else if (use_packed_lists) {
-      if (hot_lists != nullptr) term.hot = hot_lists->Get(list);
-      if (term.hot != nullptr) {
-        term.list = std::unique_ptr<KeywordList>(
-            new VectorKeywordList(term.hot.get(), stats));
-      } else {
-        term.list =
-            std::unique_ptr<KeywordList>(new PackedKeywordList(list, stats));
-      }
+      term.list =
+          std::unique_ptr<KeywordList>(new PackedKeywordList(list, stats));
     } else {
       term.owned = std::make_unique<std::vector<DeweyId>>(list->Materialize());
       term.list = std::unique_ptr<KeywordList>(
@@ -120,19 +108,6 @@ Result<PreparedQuery> PrepareQuery(const DiskIndex& index,
     terms.push_back(std::move(term));
   }
   return Assemble(std::move(terms));
-}
-
-std::vector<const PackedDeweyList*> ResolvePackedLists(
-    const InvertedIndex& index, const std::vector<std::string>& normalized) {
-  std::vector<const PackedDeweyList*> lists;
-  lists.reserve(normalized.size());
-  for (const std::string& kw : normalized) {
-    const PackedDeweyList* list = index.Find(kw);
-    if (list == nullptr) continue;
-    if (std::find(lists.begin(), lists.end(), list) != lists.end()) continue;
-    lists.push_back(list);
-  }
-  return lists;
 }
 
 }  // namespace xksearch

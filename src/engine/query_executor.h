@@ -34,11 +34,6 @@ struct PreparedQuery {
   /// elements keep the vectors' addresses stable while this struct is
   /// built and moved.
   std::vector<std::unique_ptr<std::vector<DeweyId>>> materialized;
-  /// Hot-list keep-alives: decoded copies handed out by a
-  /// DecodedListProvider stay pinned here for the query's lifetime, so
-  /// a concurrent cache eviction or epoch invalidation cannot free a
-  /// vector an adapter still points into.
-  std::vector<std::shared_ptr<const std::vector<DeweyId>>> pinned;
   /// Frequency extremes, for algorithm auto-selection.
   uint64_t min_frequency = 0;
   uint64_t max_frequency = 0;
@@ -58,19 +53,11 @@ struct PreparedQuery {
 /// packed posting arenas directly; otherwise each list is materialized
 /// into a per-query `std::vector<DeweyId>` and served by the classic
 /// VectorKeywordList — the differential-testing escape hatch.
-///
-/// On the packed path, a non-null `hot_lists` provider is consulted per
-/// list first: a hit swaps in a pinned, already-decoded vector (served
-/// through VectorKeywordList) and skips all per-query decode for that
-/// term. Result sets and match-operation counts are unchanged — only
-/// postings_read-free probe internals differ — and misses fall through
-/// to the packed adapters untouched.
 Result<PreparedQuery> PrepareQuery(const InvertedIndex& index,
                                    const std::vector<std::string>& keywords,
                                    const TokenizerOptions& tokenizer,
                                    QueryStats* stats,
-                                   bool use_packed_lists = true,
-                                   DecodedListProvider* hot_lists = nullptr);
+                                   bool use_packed_lists = true);
 
 /// Prepares a query against a disk index (its dictionary doubles as the
 /// frequency table).
@@ -78,15 +65,6 @@ Result<PreparedQuery> PrepareQuery(const DiskIndex& index,
                                    const std::vector<std::string>& keywords,
                                    const TokenizerOptions& tokenizer,
                                    QueryStats* stats);
-
-/// The packed posting lists `normalized` keywords resolve to (absent
-/// keywords dropped, duplicates collapsed) — the exact set a later
-/// PrepareQuery over the same index will ask a DecodedListProvider
-/// about. The serving layer's batch scheduler takes this census across
-/// a batch's members so the per-batch provider can decode only lists at
-/// least two of them share.
-std::vector<const PackedDeweyList*> ResolvePackedLists(
-    const InvertedIndex& index, const std::vector<std::string>& normalized);
 
 }  // namespace xksearch
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,27 +13,6 @@
 #include "slca/slca.h"
 
 namespace xksearch {
-
-class PackedDeweyList;
-
-/// \brief Supplier of fully-decoded posting lists for hot terms.
-///
-/// Query preparation consults the provider for every packed list it is
-/// about to wire up; a non-null return is a pinned, decoded copy of that
-/// exact list (same entries, same order), and the query runs over it as
-/// a plain vector list — skipping all per-query decode. The shared_ptr
-/// keeps the decoded arena alive for the query's lifetime even if the
-/// provider evicts or invalidates it concurrently. The serving layer's
-/// hot-list cache is the production implementation.
-class DecodedListProvider {
- public:
-  virtual ~DecodedListProvider() = default;
-
-  /// A decoded copy of `list`, or nullptr to decline (not hot / over
-  /// budget / invalidated). Must be safe to call from any thread.
-  virtual std::shared_ptr<const std::vector<DeweyId>> Get(
-      const PackedDeweyList* list) = 0;
-};
 
 /// Algorithm choice for a query; kAuto applies the paper's guidance —
 /// Indexed Lookup when the keyword frequencies differ significantly,
@@ -88,18 +66,10 @@ struct SearchOptions {
   /// executor configurations (same reasoning as the serving layer's
   /// shard_exec).
   ParallelExecOptions slca_exec;
-  /// Optional supplier of pre-decoded hot posting lists, consulted on
-  /// the packed in-memory path. Pure execution config like slca_exec:
-  /// a hot hit serves the exact same entries the packed adapters would
-  /// decode, so result sets and Table-1 counters are unchanged and this
-  /// field is deliberately excluded from equality and hashing — cached
-  /// results remain valid whether or not the list was served hot.
-  DecodedListProvider* hot_lists = nullptr;
 
   /// Memberwise equality over the *semantic* fields, so SearchOptions can
   /// participate in cache keys (the serving layer keys its result cache
-  /// on keywords + options). slca_exec and hot_lists are intentionally
-  /// not compared.
+  /// on keywords + options). slca_exec is intentionally not compared.
   friend bool operator==(const SearchOptions& a, const SearchOptions& b) {
     return a.algorithm == b.algorithm && a.semantics == b.semantics &&
            a.use_disk_index == b.use_disk_index &&

@@ -100,8 +100,7 @@ Result<SearchResult> XKSearch::SearchStreaming(
                          PrepareQuery(index_, keywords,
                                       index_options_.tokenizer,
                                       &result.stats,
-                                      options.use_packed_lists,
-                                      options.hot_lists));
+                                      options.use_packed_lists));
   }
 
   result.keywords = prepared.keywords;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "common/rng.h"
@@ -595,7 +596,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
   }
 
   // --- Queries. ---
-  // Every sampled query is also remembered for the cross-query batch
+  // Every sampled query is also remembered for the concurrent-client
   // stage below, which replays them concurrently through a QueryService.
   std::vector<std::vector<std::string>> sampled_queries;
   for (size_t q = 0; q < options.queries_per_collection; ++q) {
@@ -1092,19 +1093,17 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     }
   }
 
-  // --- Cross-query batch stage: the collection's sampled queries,
-  // submitted batch_clients times each through a QueryService whose
-  // batch window is open. Identical submissions coalesce under
-  // single-flight; distinct queries land in one batch sharing one
-  // decoded-list provider and one vectored cold-page prefetch. Batching
-  // is execution-time only, so every response must reproduce the
-  // sequential unbatched engine run exactly: same nodes, same
-  // match_ops, same results counter. One worker on purpose — the fuzz
-  // pools are deliberately tiny, and serialized execution keeps the pin
-  // demand identical to the sequential stages while the batcher,
-  // coalescing and prefetch still run fully concurrently with it.
-  if (options.batch_clients > 0 && !sampled_queries.empty()) {
-    struct BatchRef {
+  // --- Concurrent-client stage: concurrent_clients threads each submit
+  // every sampled query at once through one QueryService, so identical
+  // submissions are in flight together and coalesce under single-flight.
+  // Serving never changes an answer, so every response must reproduce
+  // the sequential engine run exactly: same nodes, same match_ops, same
+  // results counter. One worker on purpose — the fuzz pools are
+  // deliberately tiny, and serialized execution keeps the pin demand
+  // identical to the sequential stages while admission and coalescing
+  // run fully concurrently with it.
+  if (options.concurrent_clients > 0 && !sampled_queries.empty()) {
+    struct ClientRef {
       std::vector<DeweyId> nodes;
       uint64_t match_ops = 0;
       uint64_t results = 0;
@@ -1114,11 +1113,9 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     serve::QueryServiceOptions qso;
     qso.pool.workers = 1;
     qso.pool.queue_capacity =
-        sampled_queries.size() * options.batch_clients + 8;
+        sampled_queries.size() * options.concurrent_clients + 8;
     qso.enable_cache = false;
     qso.single_flight = true;
-    qso.batch_window_us = 500;
-    qso.batch_max = sampled_queries.size() * options.batch_clients;
     serve::QueryService service(&engine, qso);
 
     // The stage submits each query in its canonical form (sorted,
@@ -1135,12 +1132,13 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           service.MakeCacheKey(sampled_queries[i], SearchOptions()).keywords;
     }
     auto make_refs = [&](const SearchOptions& so) {
-      std::vector<BatchRef> refs(sampled_queries.size());
+      std::vector<ClientRef> refs(sampled_queries.size());
       for (size_t i = 0; i < sampled_queries.size(); ++i) {
         Result<SearchResult> r = engine.Search(canonical[i], so);
         if (!r.ok()) {
           CaseContext bctx{seed, &report, &sampled_queries[i]};
-          bctx.Diverge("batch reference run failed: " + r.status().ToString());
+          bctx.Diverge("client reference run failed: " +
+                       r.status().ToString());
           continue;
         }
         refs[i].nodes = r->nodes;
@@ -1151,22 +1149,33 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       return refs;
     };
 
+    // Every client thread submits every query; the futures are read
+    // once all clients have joined.
     using PendingResponse =
         std::pair<size_t, std::future<Result<serve::QueryResponse>>>;
     auto submit_all = [&](const SearchOptions& so) {
+      std::vector<std::vector<PendingResponse>> per_client(
+          options.concurrent_clients);
+      std::vector<std::thread> clients;
+      for (size_t c = 0; c < per_client.size(); ++c) {
+        clients.emplace_back([&, c] {
+          for (size_t i = 0; i < canonical.size(); ++i) {
+            per_client[c].emplace_back(i, service.Submit(canonical[i], so));
+          }
+        });
+      }
+      for (std::thread& client : clients) client.join();
       std::vector<PendingResponse> submitted;
-      for (size_t c = 0; c < options.batch_clients; ++c) {
-        for (size_t i = 0; i < sampled_queries.size(); ++i) {
-          submitted.emplace_back(i, service.Submit(canonical[i], so));
-        }
+      for (std::vector<PendingResponse>& pending : per_client) {
+        for (PendingResponse& p : pending) submitted.push_back(std::move(p));
       }
       return submitted;
     };
 
-    // Submits every query batch_clients times, interleaved, and checks
-    // each response against its unbatched reference.
-    auto run_batched = [&](const char* label, const SearchOptions& so,
-                           const std::vector<BatchRef>& refs) {
+    // Submits every query from every client and checks each response
+    // against its sequential reference.
+    auto run_clients = [&](const char* label, const SearchOptions& so,
+                           const std::vector<ClientRef>& refs) {
       std::vector<PendingResponse> submitted = submit_all(so);
       for (auto& [i, fut] : submitted) {
         Result<serve::QueryResponse> resp = fut.get();
@@ -1180,7 +1189,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         }
         if (resp->result.nodes != refs[i].nodes) {
           bctx.Diverge(std::string(label) + " emitted " +
-                       IdsToString(resp->result.nodes) + ", unbatched = " +
+                       IdsToString(resp->result.nodes) + ", sequential = " +
                        IdsToString(refs[i].nodes));
           continue;
         }
@@ -1198,20 +1207,18 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
 
     {
       SearchOptions so;
-      run_batched("batched/mem", so, make_refs(so));
+      run_clients("clients/mem", so, make_refs(so));
     }
     if (options.with_disk) {
       SearchOptions so;
       so.use_disk_index = true;
-      const std::vector<BatchRef> disk_refs = make_refs(so);
-      run_batched("batched/disk", so, disk_refs);
+      const std::vector<ClientRef> disk_refs = make_refs(so);
+      run_clients("clients/disk", so, disk_refs);
 
       if (options.with_faults) {
-        // Fault round: armed stores under a full concurrent batch —
-        // faults can now land in the batch prefetch as well as in the
-        // queries themselves. Each response is either the exact
-        // unbatched answer or the injected IoError, never a wrong
-        // answer, and nothing leaks a pin.
+        // Fault round: armed stores under every client at once. Each
+        // response is either the exact sequential answer or the injected
+        // IoError, never a wrong answer, and nothing leaks a pin.
         for (FaultInjectingPageStore* w : wrappers) {
           w->ClearFaults();
           w->FailReadsWithProbability(options.fault_probability,
@@ -1227,14 +1234,14 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           if (resp.ok()) {
             ++report.fault_survivals;
             if (!SameSet(resp->result.nodes, disk_refs[i].nodes)) {
-              bctx.Diverge("batched/faults returned wrong answer " +
-                           IdsToString(resp->result.nodes) + ", unbatched = " +
+              bctx.Diverge("clients/faults returned wrong answer " +
+                           IdsToString(resp->result.nodes) + ", sequential = " +
                            IdsToString(disk_refs[i].nodes));
             }
           } else {
             ++report.clean_fault_errors;
             if (!resp.status().IsIoError()) {
-              bctx.Diverge("batched/faults failed with non-IoError: " +
+              bctx.Diverge("clients/faults failed with non-IoError: " +
                            resp.status().ToString());
             }
           }
@@ -1250,12 +1257,12 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         if (il_pins != 0 || scan_pins != 0) {
           CaseContext bctx{seed, &report, &sampled_queries[0]};
           bctx.Diverge(
-              "batched/faults leaked pins: il=" + std::to_string(il_pins) +
+              "clients/faults leaked pins: il=" + std::to_string(il_pins) +
               " scan=" + std::to_string(scan_pins));
         }
-        // Recovery: the same concurrent batch, faults disarmed, must
-        // reproduce the unbatched answers again.
-        run_batched("batched/recovery", so, disk_refs);
+        // Recovery: the same clients, faults disarmed, must reproduce
+        // the sequential answers again.
+        run_clients("clients/recovery", so, disk_refs);
       }
     }
     service.Shutdown();

@@ -74,16 +74,15 @@ struct FuzzOptions {
   std::vector<size_t> chunk_counts = {1, 2, 3, 8};
   /// Workers of the shared intra-query chunk pool.
   size_t chunk_workers = 3;
-  /// Concurrent clients of the cross-query batch stage: every sampled
-  /// query of the collection is submitted this many times, interleaved,
-  /// through a QueryService whose batch window is open — so identical
-  /// submissions coalesce under single-flight and distinct overlapping
-  /// queries land in one batch sharing one decoded-list provider. Each
-  /// response must reproduce the sequential unbatched engine run exactly
-  /// (nodes, match_ops, results); with with_disk && with_faults an armed
-  /// disk round additionally asserts the IoError-or-exact contract and
-  /// zero leaked pins. 0 disables the stage.
-  size_t batch_clients = 3;
+  /// Client threads of the concurrent-client stage: each submits every
+  /// sampled query of the collection at once through one QueryService,
+  /// so identical submissions are in flight together and coalesce under
+  /// single-flight. Each response must reproduce the sequential engine
+  /// run exactly (nodes, match_ops, results); with with_disk &&
+  /// with_faults an armed disk round additionally asserts the
+  /// IoError-or-exact contract and zero leaked pins. 0 disables the
+  /// stage.
+  size_t concurrent_clients = 3;
 };
 
 /// \brief One observed disagreement, minimized to its replay coordinates.

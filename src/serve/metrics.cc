@@ -64,14 +64,6 @@ std::string MetricsRegistry::ReportText(const Gauges& gauges) const {
   os << "  io_errors:       " << static_cast<uint64_t>(io_errors) << "\n";
   os << "  coalesced:       " << static_cast<uint64_t>(coalesced_queries)
      << "\n";
-  if (static_cast<uint64_t>(batches) > 0) {
-    const LatencyHistogram::Snapshot sizes = batch_size.TakeSnapshot();
-    os << "batches:           " << static_cast<uint64_t>(batches)
-       << " queries=" << static_cast<uint64_t>(batched_queries)
-       << " shared_decodes=" << static_cast<uint64_t>(shared_decodes)
-       << " size_p50=" << sizes.PercentileNanos(0.50)
-       << " size_p95=" << sizes.PercentileNanos(0.95) << "\n";
-  }
   os << std::fixed << std::setprecision(1);
   os << "latency_us:        mean=" << latency.MeanNanos() / 1e3
      << " p50=" << static_cast<double>(latency.PercentileNanos(0.50)) / 1e3
@@ -97,16 +89,6 @@ std::string MetricsRegistry::ReportText(const Gauges& gauges) const {
        << " resident=" << pool.resident << "/" << pool.capacity
        << " hit_ratio=" << pool.HitRatio() << "\n";
   };
-  if (gauges.hot_lists.present) {
-    os << "hot_lists:         entries=" << gauges.hot_lists.entries
-       << " bytes=" << gauges.hot_lists.bytes << "/"
-       << gauges.hot_lists.capacity << " hits=" << gauges.hot_lists.hits
-       << " misses=" << gauges.hot_lists.misses
-       << " admitted=" << gauges.hot_lists.admitted
-       << " evicted=" << gauges.hot_lists.evicted
-       << " invalidations=" << gauges.hot_lists.invalidations
-       << " hit_ratio=" << gauges.hot_lists.HitRatio() << "\n";
-  }
   pool_line("il_pool:           ", gauges.il_pool);
   pool_line("scan_pool:         ", gauges.scan_pool);
   os << "wal:               recoveries=" << gauges.wal.recoveries

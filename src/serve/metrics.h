@@ -76,21 +76,11 @@ class MetricsRegistry {
   /// Requests resolved by attaching to an identical in-flight execution
   /// (single-flight coalescing) instead of executing a duplicate.
   RelaxedCounter coalesced_queries;
-  /// Batches the batch scheduler dispatched, and the queries they
-  /// carried (batched_queries / batches = mean batch size).
-  RelaxedCounter batches;
-  RelaxedCounter batched_queries;
-  /// Posting-list decodes a per-batch provider shared across members
-  /// (each is one decode several queries would otherwise repeat).
-  RelaxedCounter shared_decodes;
 
   /// End-to-end latency of completed requests (both hit and miss paths).
   LatencyHistogram request_latency;
   /// Submit-to-worker-pickup time of dispatched requests (queueing delay).
   LatencyHistogram queue_latency;
-  /// Batch sizes (samples are member counts, not nanoseconds; the
-  /// log-bucketed histogram works unchanged for small integers).
-  LatencyHistogram batch_size;
 
   /// Engine operation counters aggregated over finished queries.
   QueryStats engine_stats;
@@ -140,33 +130,11 @@ class MetricsRegistry {
     uint64_t wal_bytes = 0;  // bytes committed through the log
   };
 
-  /// Decoded hot-list cache activity, sampled at report time.
-  /// present=false when the service runs without one (hot_list_bytes=0
-  /// or a disk-only backend).
-  struct HotListGauges {
-    bool present = false;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t admitted = 0;
-    uint64_t evicted = 0;
-    uint64_t invalidations = 0;
-    size_t bytes = 0;
-    size_t entries = 0;
-    size_t capacity = 0;
-    double HitRatio() const {
-      const uint64_t total = hits + misses;
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(total);
-    }
-  };
-
   /// Instantaneous values sampled by the caller at report time.
   struct Gauges {
     size_t queue_depth = 0;
     size_t workers = 0;
     QueryCache::Stats cache;
-    HotListGauges hot_lists;
     WalGauges wal;
     /// Disk-index buffer pools; present=false when the served engine has
     /// no disk index.

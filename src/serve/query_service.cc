@@ -46,14 +46,6 @@ QueryService::QueryService(const XKSearch* engine, const DiskSearcher* searcher,
     shard_exec_ = std::make_unique<shard::ScatterGatherExecutor>(
         collection_, options.shard_exec);
   }
-  // Hot lists only help backends with in-memory packed arenas; the
-  // disk-only searcher never consults the provider.
-  if (options.hot_list_bytes > 0 && searcher_ == nullptr) {
-    HotListCache::Options hot;
-    hot.max_bytes = options.hot_list_bytes;
-    hot.admit_after = options.hot_list_admit_after;
-    hot_lists_ = std::make_unique<HotListCache>(hot);
-  }
   if (options.slca_chunk.workers > 0) {
     ThreadPool::Options chunk_pool;
     chunk_pool.workers = options.slca_chunk.workers;
@@ -63,26 +55,13 @@ QueryService::QueryService(const XKSearch* engine, const DiskSearcher* searcher,
                               : options.slca_chunk.workers;
     chunk_budget_ = std::make_unique<ConcurrencyBudget>(tokens);
   }
-  if (options.batch_window_us > 0) {
-    Batcher::Options batch;
-    batch.window_us = options.batch_window_us;
-    batch.batch_max = std::max<size_t>(1, options.batch_max);
-    batch.queue_capacity = options.pool.queue_capacity;
-    batcher_ = std::make_unique<Batcher>(
-        batch, &pool_, hot_lists_.get(),
-        [this](const std::vector<Batcher::Item>& formed) { OnBatch(formed); },
-        &metrics_.shared_decodes);
-  }
 }
 
 QueryService::~QueryService() { Shutdown(); }
 
 void QueryService::Shutdown() {
   stopped_.store(true, std::memory_order_relaxed);
-  // Order matters: the batcher first (it dispatches everything admitted
-  // into the pool), then the pool (drains those plus directly-submitted
-  // work). Flights retire as their leaders complete during the drain.
-  if (batcher_ != nullptr) batcher_->Stop();
+  // Flights retire as their leaders complete during the drain.
   pool_.Stop(/*drain=*/true);
   // Defensive sweep: with every worker joined no leader can retire a
   // flight anymore, so any entry still here would strand its followers'
@@ -107,13 +86,9 @@ void QueryService::Shutdown() {
 }
 
 Result<SearchResult> QueryService::RunQuery(
-    const std::vector<std::string>& keywords, const SearchOptions& options,
-    DecodedListProvider* provider) const {
+    const std::vector<std::string>& keywords,
+    const SearchOptions& options) const {
   SearchOptions exec_options = options;
-  // The batch's provider when one was handed down (it consults the
-  // hot-list cache underneath), the long-lived cache otherwise.
-  exec_options.hot_lists =
-      provider != nullptr ? provider : hot_lists_.get();
   if (chunk_pool_ != nullptr) {
     // Inject the service's chunk executor; the shared budget caps the
     // extra workers across every concurrent query and (for a sharded
@@ -158,65 +133,6 @@ QueryCacheKey QueryService::MakeCacheKey(
   return key;
 }
 
-std::vector<PageId> QueryService::PredictColdPages(
-    const std::vector<std::string>& normalized,
-    const SearchOptions& options) const {
-  std::vector<PageId> pages;
-  const DiskIndex* disk = nullptr;
-  if (searcher_ != nullptr) {
-    disk = searcher_->index();
-  } else if (engine_ != nullptr && options.use_disk_index) {
-    disk = engine_->disk_index();
-  }
-  // Sharded backends are skipped: each shard has its own pools and the
-  // scatter path does its own per-shard readahead.
-  if (disk == nullptr) return pages;
-  for (const std::string& kw : normalized) {
-    const DiskIndex::TermInfo* info = disk->FindTerm(kw);
-    if (info == nullptr) continue;
-    // One B+tree descent predicts where this term's scan run starts and
-    // roughly how many leaves it spans; a misprediction only wastes a
-    // prefetched page, never changes what the query reads.
-    Result<std::pair<PageId, size_t>> predicted =
-        disk->PredictScanLeaves(info->id, info->frequency, nullptr);
-    if (!predicted.ok()) continue;
-    for (size_t i = 0; i < predicted->second; ++i) {
-      pages.push_back(predicted->first + static_cast<PageId>(i));
-    }
-  }
-  return pages;
-}
-
-void QueryService::OnBatch(const std::vector<Batcher::Item>& batch) {
-  ++metrics_.batches;
-  metrics_.batched_queries += batch.size();
-  metrics_.batch_size.Record(batch.size());
-  std::vector<PageId> pages;
-  for (const Batcher::Item& item : batch) {
-    pages.insert(pages.end(), item.pages.begin(), item.pages.end());
-  }
-  if (pages.empty()) return;
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  const DiskIndex* disk =
-      engine_ != nullptr ? engine_->disk_index()
-      : searcher_ != nullptr ? searcher_->index()
-                             : nullptr;
-  if (disk == nullptr) return;
-  BufferPool* pool = disk->scan_pool();
-  // FetchMany pins every page it returns; cap the batch well under the
-  // pool so the prefetch can never exhaust it for the queries behind it.
-  const size_t cap = std::max<size_t>(1, pool->capacity() / 2);
-  if (pages.size() > cap) pages.resize(cap);
-  Result<std::vector<PageRef>> warmed =
-      pool->FetchMany(std::span<const PageId>(pages), nullptr);
-  // Pins drop immediately — the point was the one vectored read that
-  // made the pages resident. Errors are swallowed on purpose: a failed
-  // prefetch page will be re-read (and its error surfaced, if real) by
-  // whichever query actually needs it.
-  (void)warmed;
-}
-
 void QueryService::AbortFlight(const std::shared_ptr<Job>& job,
                                const Status& status) {
   std::vector<Flight::Follower> followers;
@@ -236,8 +152,7 @@ void QueryService::AbortFlight(const std::shared_ptr<Job>& job,
   }
 }
 
-void QueryService::ExecuteJob(const std::shared_ptr<Job>& job,
-                              DecodedListProvider* provider) {
+void QueryService::ExecuteJob(const std::shared_ptr<Job>& job) {
   const Clock::time_point picked_up = Clock::now();
   metrics_.queue_latency.Record(Nanos(picked_up - job->submitted));
   bool leader_resolved = false;
@@ -264,8 +179,7 @@ void QueryService::ExecuteJob(const std::shared_ptr<Job>& job,
   if (options_.synthetic_backend_latency.count() > 0) {
     std::this_thread::sleep_for(options_.synthetic_backend_latency);
   }
-  Result<SearchResult> result =
-      RunQuery(job->keywords, job->options, provider);
+  Result<SearchResult> result = RunQuery(job->keywords, job->options);
 
   // Publish atomically: the cache insert and the flight retirement
   // happen under one flight_mu_ hold, so a concurrent submitter either
@@ -341,16 +255,15 @@ std::future<Result<QueryResponse>> QueryService::SubmitWithTimeout(
     return future;
   }
 
-  // The canonical key is the identity for the result cache, for
-  // single-flight coalescing, and for the batcher's posting-list census;
-  // skip the normalization work only when nobody needs it.
-  const bool keyed =
-      options_.enable_cache || options_.single_flight || batcher_ != nullptr;
+  // The canonical key is the identity for the result cache and for
+  // single-flight coalescing; skip the normalization work only when
+  // neither needs it.
+  const bool keyed = options_.enable_cache || options_.single_flight;
   QueryCacheKey key;
   if (keyed) key = MakeCacheKey(keywords, options);
 
   bool in_flight = false;
-  if (options_.enable_cache || options_.single_flight) {
+  if (keyed) {
     std::lock_guard<std::mutex> lock(flight_mu_);
     if (options_.enable_cache) {
       if (std::optional<SearchResult> hit = cache_.Lookup(key)) {
@@ -391,25 +304,7 @@ std::future<Result<QueryResponse>> QueryService::SubmitWithTimeout(
   job->deadline = timeout.count() > 0 ? submitted + timeout
                                       : Clock::time_point::max();
 
-  Status admitted;
-  if (batcher_ != nullptr) {
-    Batcher::Item item;
-    // The census: which packed lists will this query ask the provider
-    // about? Only meaningful for the in-memory packed path — disk and
-    // sharded backends contribute no lists (and an empty census simply
-    // means nothing is shared on their behalf).
-    if (engine_ != nullptr && !job->options.use_disk_index &&
-        job->options.use_packed_lists) {
-      item.lists = ResolvePackedLists(engine_->index(), job->key.keywords);
-    }
-    item.pages = PredictColdPages(job->key.keywords, job->options);
-    item.run = [this, job](DecodedListProvider* provider) {
-      ExecuteJob(job, provider);
-    };
-    admitted = batcher_->Enqueue(std::move(item));
-  } else {
-    admitted = pool_.Submit([this, job] { ExecuteJob(job, nullptr); });
-  }
+  const Status admitted = pool_.Submit([this, job] { ExecuteJob(job); });
   if (!admitted.ok()) {
     AbortFlight(job, admitted);
     return future;
@@ -428,18 +323,6 @@ std::string QueryService::MetricsReport() const {
   gauges.queue_depth = pool_.queue_depth();
   gauges.workers = pool_.workers();
   gauges.cache = cache_.GetStats();
-  if (hot_lists_ != nullptr) {
-    const HotListCache::Stats hot = hot_lists_->GetStats();
-    gauges.hot_lists.present = true;
-    gauges.hot_lists.hits = hot.hits;
-    gauges.hot_lists.misses = hot.misses;
-    gauges.hot_lists.admitted = hot.admitted;
-    gauges.hot_lists.evicted = hot.evicted;
-    gauges.hot_lists.invalidations = hot.invalidations;
-    gauges.hot_lists.bytes = hot.bytes;
-    gauges.hot_lists.entries = hot.entries;
-    gauges.hot_lists.capacity = hot.capacity;
-  }
   {
     const WalCounters& wal = WalCounters::Instance();
     gauges.wal.recoveries = wal.recoveries.load(std::memory_order_relaxed);

@@ -13,8 +13,6 @@
 #include "common/result.h"
 #include "engine/disk_searcher.h"
 #include "engine/xksearch.h"
-#include "serve/batcher.h"
-#include "serve/hot_list_cache.h"
 #include "serve/metrics.h"
 #include "serve/query_cache.h"
 #include "serve/thread_pool.h"
@@ -29,16 +27,10 @@ struct QueryServiceOptions {
   QueryCache::Options cache;
   /// Disable to measure the raw engine (every request dispatches).
   bool enable_cache = true;
-  /// Byte budget of the decoded hot-list cache: frequent terms' packed
-  /// posting lists are decoded once and served as pinned vectors instead
-  /// of being re-decoded per query. 0 (the default) disables it. Like
-  /// shard_exec, pure execution config — results and Table-1 counters do
-  /// not change, so it is not part of the cache key. Only the in-memory
-  /// packed path consults it (disk backends decode per block anyway).
+  /// Ignored: every in-memory query probes the packed posting arenas in
+  /// place and the service keeps no decoded lists. Kept only so callers
+  /// that still set it compile; to be removed with them.
   size_t hot_list_bytes = 0;
-  /// Sightings of a term before its list is decoded into the hot-list
-  /// cache (admission filter; see HotListCache::Options::admit_after).
-  uint32_t hot_list_admit_after = 2;
   /// Single-flight coalescing: a request whose canonical cache key
   /// matches an identical query already executing attaches to that
   /// execution instead of dispatching a duplicate, and the finished
@@ -49,18 +41,6 @@ struct QueryServiceOptions {
   /// like shard_exec it never enters the cache key. Works with the
   /// result cache disabled; coalesced responses then simply bypass it.
   bool single_flight = true;
-  /// Batch collection window for cache-miss dispatch, microseconds.
-  /// 0 (the default) dispatches each admitted query straight to the
-  /// worker pool, exactly as before. > 0 routes admitted queries through
-  /// a batch scheduler: the first query opens a window this long, every
-  /// query admitted inside it joins the batch (up to batch_max), and the
-  /// batch shares one decoded-list provider and one vectored cold-page
-  /// prefetch. Execution-time only — batched results, match_ops and
-  /// per-query stats are identical to unbatched runs (see DESIGN.md).
-  uint64_t batch_window_us = 0;
-  /// Most queries per batch; a full batch dispatches before the window
-  /// closes.
-  size_t batch_max = 16;
   /// Deadline applied to requests submitted without an explicit timeout;
   /// zero means no deadline.
   std::chrono::milliseconds default_timeout{0};
@@ -166,21 +146,18 @@ class QueryService {
   QueryCacheKey MakeCacheKey(const std::vector<std::string>& keywords,
                              const SearchOptions& options) const;
 
-  /// Drops all cached results and decoded hot lists (hook for index
-  /// mutation; the hot-list cache additionally self-invalidates on every
-  /// WAL commit it observes).
-  void InvalidateCache() {
-    cache_.Clear();
-    if (hot_lists_ != nullptr) hot_lists_->AdvanceEpoch();
-  }
+  /// Drops all cached results (hook for index mutation).
+  void InvalidateCache() { cache_.Clear(); }
 
   const MetricsRegistry& metrics() const { return metrics_; }
   QueryCache::Stats cache_stats() const { return cache_.GetStats(); }
-  /// Zeroed stats when the hot-list cache is disabled.
-  HotListCache::Stats hot_list_stats() const {
-    return hot_lists_ != nullptr ? hot_lists_->GetStats()
-                                 : HotListCache::Stats{};
-  }
+  /// Always zero, like `hot_list_bytes`: kept only for callers that
+  /// still read it, to be removed with them.
+  struct HotListStats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+  HotListStats hot_list_stats() const { return {}; }
   size_t queue_depth() const { return pool_.queue_depth(); }
 
   /// Text report of every counter, histogram and gauge.
@@ -219,31 +196,16 @@ class QueryService {
                const QueryServiceOptions& options);
 
   Result<SearchResult> RunQuery(const std::vector<std::string>& keywords,
-                                const SearchOptions& options,
-                                DecodedListProvider* provider) const;
+                                const SearchOptions& options) const;
 
   /// Worker body of a dispatched request: deadline check, engine run,
   /// atomic cache-insert + flight-retire, responses to leader and every
-  /// follower. `provider` is the batch's shared decoded-list provider
-  /// (null on the unbatched path — the hot-list cache is used directly).
-  void ExecuteJob(const std::shared_ptr<Job>& job,
-                  DecodedListProvider* provider);
+  /// follower.
+  void ExecuteJob(const std::shared_ptr<Job>& job);
 
   /// Fails every follower of job's flight (and the leader) with
   /// `status`; used when admission fails after the flight registered.
   void AbortFlight(const std::shared_ptr<Job>& job, const Status& status);
-
-  /// Batch-formation hook: size metrics plus the batch's one vectored
-  /// cold-page prefetch (merged, deduplicated, capped; errors swallowed
-  /// — a failed prefetch just means the members fault pages in
-  /// themselves).
-  void OnBatch(const std::vector<Batcher::Item>& batch);
-
-  /// Predicted cold scan-leaf pages for a disk-backed query (empty for
-  /// pure in-memory and sharded backends).
-  std::vector<PageId> PredictColdPages(
-      const std::vector<std::string>& normalized,
-      const SearchOptions& options) const;
 
   // Exactly one of engine_/searcher_/collection_ is set.
   const XKSearch* engine_;
@@ -253,9 +215,6 @@ class QueryService {
   QueryServiceOptions options_;
   MetricsRegistry metrics_;
   QueryCache cache_;
-  /// Declared before pool_: in-flight workers consult it through the
-  /// SearchOptions they carry, so it must outlive the pool join.
-  std::unique_ptr<HotListCache> hot_lists_;
   std::atomic<bool> stopped_{false};
   /// Guards flights_ AND serializes result-cache publication with
   /// lookup+attach: a completing leader inserts into cache_ and retires
@@ -275,12 +234,6 @@ class QueryService {
   // Destroyed (joined) before everything above it, so in-flight tasks
   // never see partially-destroyed cache/metrics.
   ThreadPool pool_;
-  /// Batch scheduler (batch_window_us > 0 only); constructed in the
-  /// ctor body once pool_ exists. Last member on purpose: destroyed
-  /// first, and its Stop() drains every admitted query into the
-  /// still-alive pool before the collector joins. Shutdown stops it
-  /// before the pool for the same reason.
-  std::unique_ptr<Batcher> batcher_;
 };
 
 }  // namespace serve

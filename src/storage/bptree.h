@@ -90,15 +90,6 @@ class BPlusTree {
   /// Tree height in levels (0 = empty, 1 = root is a leaf).
   uint32_t height() const { return height_; }
 
-  /// Page id of the leaf whose key range covers `key` (one descent,
-  /// charged to `stats`). The bulk loader writes leaves left-to-right in
-  /// physically consecutive pages, so this leaf plus the next few page
-  /// ids approximate the on-disk run a forward scan from `key` will
-  /// touch — the basis for batched leaf prediction without reading the
-  /// leaves themselves.
-  Result<PageId> LeafPageFor(std::string_view key, QueryStats* stats) const {
-    return FindLeaf(key, stats);
-  }
   const std::vector<uint8_t>& metadata() const { return metadata_; }
 
   /// Point lookup; NotFound if absent. Page accesses are charged to

@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 namespace xksearch {
@@ -18,12 +19,17 @@ constexpr size_t kDefaultMaxShards = 16;
 /// so tiny pools get fewer shards rather than unusably small ones.
 constexpr size_t kMinFramesPerShard = 8;
 
-/// How many times a miss yields and retries when every frame in its
-/// shard is pinned, before reporting exhaustion. Pins are typically
-/// held for microseconds (a cursor advancing off a leaf), so transient
-/// collisions resolve almost immediately; a pool genuinely too small
-/// for its concurrent pin load still fails, just not spuriously.
-constexpr size_t kMaxEvictYields = 256;
+/// When every frame in its shard is pinned, a miss retries: first by
+/// yielding up to kSpinYields times, then by sleeping kBackoffSleep
+/// between retries, and it reports exhaustion only once kExhaustionWait
+/// has passed since the first collision. Pins are typically held for
+/// microseconds, but a holder that is descheduled (a loaded machine, a
+/// chunk worker mid-block) can keep its pin for milliseconds; a fixed
+/// yield count then failed queries whose pool was big enough. A pool
+/// genuinely too small for its concurrent pin load still fails.
+constexpr size_t kSpinYields = 256;
+constexpr std::chrono::microseconds kBackoffSleep{50};
+constexpr std::chrono::milliseconds kExhaustionWait{500};
 
 }  // namespace
 
@@ -48,6 +54,7 @@ Result<BufferPool::Frame*> BufferPool::PinFrame(PageId id, QueryStats* stats,
                                                 bool mark_dirty) {
   Shard& shard = ShardFor(id);
   size_t yields = 0;
+  std::chrono::steady_clock::time_point give_up;
   std::unique_lock<std::mutex> lock(shard.mu);
   for (;;) {
     auto it = shard.frames.find(id);
@@ -78,13 +85,19 @@ Result<BufferPool::Frame*> BufferPool::PinFrame(PageId id, QueryStats* stats,
     while (shard.frames.size() >= shard.capacity) {
       const Status evicted = EvictOneLocked(&shard);
       if (evicted.ok()) continue;
-      if (!evicted.IsInternal() || yields >= kMaxEvictYields) return evicted;
-      // Every frame is pinned or loading right now. Yield with the
-      // shard unlocked so the pinning queries can progress, then retry
-      // from the top (the page may even be resident by then).
-      ++yields;
+      if (!evicted.IsInternal()) return evicted;
+      // Every frame is pinned or loading right now. Wait with the shard
+      // unlocked so the pinning queries can progress, then retry from
+      // the top (the page may even be resident by then).
+      const auto now = std::chrono::steady_clock::now();
+      if (yields == 0) give_up = now + kExhaustionWait;
+      if (now >= give_up) return evicted;
       lock.unlock();
-      std::this_thread::yield();
+      if (yields++ < kSpinYields) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(kBackoffSleep);
+      }
       lock.lock();
       full = true;
       break;
@@ -141,160 +154,6 @@ Status BufferPool::EvictOneLocked(Shard* shard) {
     return Status::OK();
   }
   return Status::Internal("buffer pool exhausted: all pages pinned");
-}
-
-Result<std::vector<PageRef>> BufferPool::FetchMany(std::span<const PageId> ids,
-                                                   QueryStats* stats) {
-  std::vector<PageRef> out;
-  if (ids.empty()) return out;
-  std::vector<PageId> unique(ids.begin(), ids.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-
-  // One in-flight placeholder staked by this batch.
-  struct Pending {
-    PageId id;
-    Frame* frame;
-    std::shared_ptr<internal::LoadState> load;
-  };
-  std::vector<Pending> loads;
-  // Frames holding exactly one pin taken on this batch's behalf.
-  std::vector<std::pair<PageId, Frame*>> held;
-  // Pages deferred to the per-page path: already loading under another
-  // thread (wait on its LoadState) or in a momentarily all-pinned shard
-  // (PinFrame's yield-retry loop handles that).
-  std::vector<PageId> slow;
-
-  // Retires every staked placeholder with `st` and wakes its waiters;
-  // without this, an early error return would leave loading frames no
-  // one will ever complete.
-  auto fail_loads = [&](const Status& st) {
-    for (Pending& p : loads) {
-      Shard& shard = ShardFor(p.id);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      p.load->done = true;
-      p.load->status = st;
-      shard.lru.erase(p.frame->lru_pos);
-      shard.frames.erase(p.id);
-      shard.cv.notify_all();
-    }
-    loads.clear();
-  };
-  auto drop_held = [&] {
-    for (auto& [id, frame] : held) {
-      frame->pin_count.fetch_sub(1, std::memory_order_release);
-    }
-    held.clear();
-  };
-
-  // Phase 1: under each shard lock, pin residents and stake pinned
-  // loading placeholders for absent pages (evicting cold frames as
-  // needed, exactly like a demand miss).
-  for (const PageId id : unique) {
-    Shard& shard = ShardFor(id);
-    std::unique_lock<std::mutex> lock(shard.mu);
-    auto it = shard.frames.find(id);
-    if (it != shard.frames.end()) {
-      Frame& frame = it->second;
-      if (frame.loading) {
-        slow.push_back(id);
-        continue;
-      }
-      frame.pin_count.fetch_add(1, std::memory_order_relaxed);
-      shard.lru.splice(shard.lru.begin(), shard.lru, frame.lru_pos);
-      total_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) ++stats->page_hits;
-      held.emplace_back(id, &frame);
-      continue;
-    }
-    bool staked = true;
-    while (shard.frames.size() >= shard.capacity) {
-      const Status evicted = EvictOneLocked(&shard);
-      if (evicted.ok()) continue;
-      if (evicted.IsInternal()) {
-        // Everything pinned right now (possibly by this very batch in a
-        // tiny shard): let PinFrame's yield loop sort it out later.
-        slow.push_back(id);
-        staked = false;
-        break;
-      }
-      // Dirty write-back failed: abort the whole batch.
-      lock.unlock();
-      fail_loads(evicted);
-      drop_held();
-      if (stats != nullptr) ++stats->io_errors;
-      return evicted;
-    }
-    if (!staked) continue;
-    total_misses_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) ++stats->page_reads;
-    Frame& frame = shard.frames[id];
-    frame.page = std::make_unique<Page>();
-    frame.pin_count.store(1, std::memory_order_relaxed);
-    frame.loading = true;
-    frame.load = std::make_shared<internal::LoadState>();
-    shard.lru.push_front(id);
-    frame.lru_pos = shard.lru.begin();
-    loads.push_back({id, &frame, frame.load});
-  }
-
-  // Phase 2: one vectored read for every staked page. `loads` follows
-  // `unique`'s order, so the id array is already sorted for ReadPages'
-  // contiguous-run batching.
-  if (!loads.empty()) {
-    std::vector<PageId> load_ids;
-    std::vector<Page*> load_pages;
-    load_ids.reserve(loads.size());
-    load_pages.reserve(loads.size());
-    for (const Pending& p : loads) {
-      load_ids.push_back(p.id);
-      load_pages.push_back(p.frame->page.get());
-    }
-    const Status read =
-        store_->ReadPages(load_ids.data(), load_ids.size(), load_pages.data());
-    if (!read.ok()) {
-      fail_loads(read);
-      drop_held();
-      if (stats != nullptr) ++stats->io_errors;
-      return read;
-    }
-    for (Pending& p : loads) {
-      Shard& shard = ShardFor(p.id);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      p.load->done = true;
-      p.frame->loading = false;
-      p.frame->load.reset();
-      held.emplace_back(p.id, p.frame);
-      shard.cv.notify_all();
-    }
-    loads.clear();
-  }
-
-  // Phase 3: the deferred pages, one at a time (waits and yields happen
-  // here, after the batch I/O is already in flight or done).
-  for (const PageId id : slow) {
-    Result<Frame*> frame = PinFrame(id, stats, /*mark_dirty=*/false);
-    if (!frame.ok()) {
-      drop_held();
-      if (stats != nullptr) ++stats->io_errors;
-      return frame.status();
-    }
-    held.emplace_back(id, *frame);
-  }
-
-  // Phase 4: hand the held pins over to the output refs in input order;
-  // duplicate ids pin their frame once more.
-  std::unordered_map<PageId, std::pair<Frame*, bool>> by_id;
-  by_id.reserve(held.size());
-  for (auto& [id, frame] : held) by_id.emplace(id, std::make_pair(frame, false));
-  out.reserve(ids.size());
-  for (const PageId id : ids) {
-    auto& [frame, consumed] = by_id.at(id);
-    if (consumed) frame->pin_count.fetch_add(1, std::memory_order_relaxed);
-    consumed = true;
-    out.emplace_back(id, frame);
-  }
-  return out;
 }
 
 Result<PageRef> BufferPool::Fetch(PageId id, QueryStats* stats) {

@@ -7,7 +7,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -173,18 +172,6 @@ class BufferPool {
 
   /// Fetches and pins a page; hit/miss is charged to `stats` if non-null.
   Result<PageRef> Fetch(PageId id, QueryStats* stats = nullptr);
-
-  /// Fetches and pins every page of `ids` in one pass: the batch is
-  /// sorted and deduplicated, absent pages get loading placeholders
-  /// under their shard locks, and all of them are then read through the
-  /// store's vectored ReadPages — one preadv per contiguous run on file
-  /// stores — instead of one round-trip each. out[i] corresponds to
-  /// ids[i]; duplicates pin the same frame again. Hits and misses are
-  /// charged to `stats` like Fetch. On any error every pin taken is
-  /// released and all placeholders are retired (waiters that coalesced
-  /// onto them receive the error), so a failed batch leaks nothing.
-  Result<std::vector<PageRef>> FetchMany(std::span<const PageId> ids,
-                                         QueryStats* stats = nullptr);
 
   /// Fetches a page for writing: pins it and marks the frame dirty; the
   /// bytes reach the store on eviction or FlushAll.

@@ -370,27 +370,6 @@ Result<DiskIndex::PostingCursor> DiskIndex::OpenPostings(
   return pc;
 }
 
-Result<std::pair<PageId, size_t>> DiskIndex::PredictScanLeaves(
-    uint32_t term, uint64_t frequency, QueryStats* stats) const {
-  std::string key;
-  AppendBigEndian32(term, &key);
-  XKS_ASSIGN_OR_RETURN(const PageId leaf, scan_tree_->LeafPageFor(key, stats));
-  // Leaves hold postings in term order, so the term's share of the total
-  // posting count bounds its share of the leaf run. The estimate is
-  // deliberately generous by one page (the term rarely starts on a leaf
-  // boundary) and capped — a huge list's tail is better left to cursor
-  // readahead than fetched speculatively in one burst.
-  constexpr size_t kMaxPredictedPages = 16;
-  const uint64_t total = std::max<uint64_t>(1, total_postings_);
-  const uint64_t leaves = scan_store_->page_count();
-  size_t span = static_cast<size_t>((leaves * frequency + total - 1) / total);
-  span = std::min(std::max<size_t>(1, span) + 1, kMaxPredictedPages);
-  const PageId limit = scan_store_->page_count();
-  if (leaf >= limit) return std::make_pair(leaf, size_t{0});
-  span = std::min(span, static_cast<size_t>(limit - leaf));
-  return std::make_pair(leaf, span);
-}
-
 Result<std::vector<DiskIndex::ScanBlockRef>> DiskIndex::ScanBlockRefs(
     uint32_t term, QueryStats* stats) const {
   BPlusTree::Cursor cursor = scan_tree_->NewCursor();

@@ -226,18 +226,6 @@ class DiskIndex {
                                          DeweyId* prev, bool* prev_valid,
                                          QueryStats* stats = nullptr) const;
 
-  /// Predicts the scan-layout leaf pages `term`'s posting blocks occupy:
-  /// one tree descent to the leaf hosting the term's first block (top
-  /// levels are almost always cached) plus a frequency-proportional span
-  /// estimate — bulk-loaded leaves are physically consecutive, so a
-  /// term's blocks sit in a contiguous page run starting at that leaf.
-  /// Returns (first leaf page, estimated page count), the unit the
-  /// serving layer's batched cold prefetch feeds to FetchMany. Purely
-  /// advisory: a mispredicted page is a wasted speculative read, never a
-  /// wrong answer.
-  Result<std::pair<PageId, size_t>> PredictScanLeaves(
-      uint32_t term, uint64_t frequency, QueryStats* stats = nullptr) const;
-
   /// Evicts everything from both buffer pools (cold-cache experiments).
   Status DropCaches();
   /// Loads as much as fits into both pools (hot-cache experiments).

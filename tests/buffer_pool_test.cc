@@ -455,110 +455,6 @@ TEST_F(BufferPoolConcurrencyTest, DropAllFailsWithPinnedPageThenRecovers) {
   EXPECT_EQ(pool.resident(), 0u);
 }
 
-// --- FetchMany: the batched (vectored) fetch path.
-
-TEST_F(BufferPoolTest, FetchManyMixesHitsAndMisses) {
-  BufferPool pool(&store_, 6, /*shards=*/1);
-  { auto r = pool.Fetch(2); ASSERT_TRUE(r.ok()); }  // make 2 resident
-  store_.reads = 0;
-  QueryStats stats;
-  std::vector<PageId> ids = {5, 2, 0};  // unsorted on purpose
-  Result<std::vector<PageRef>> refs = pool.FetchMany(ids, &stats);
-  ASSERT_TRUE(refs.ok());
-  ASSERT_EQ(refs->size(), 3u);
-  // out[i] corresponds to ids[i], whatever internal order the reads used.
-  EXPECT_EQ((*refs)[0].page().ReadU8(0), 5);
-  EXPECT_EQ((*refs)[1].page().ReadU8(0), 2);
-  EXPECT_EQ((*refs)[2].page().ReadU8(0), 0);
-  EXPECT_EQ(stats.page_hits, 1u);
-  EXPECT_EQ(stats.page_reads, 2u);
-  EXPECT_EQ(store_.reads, 2);
-  refs->clear();
-  EXPECT_EQ(pool.DebugTotalPins(), 0u);
-}
-
-TEST_F(BufferPoolTest, FetchManyDuplicateIdsEachHoldAPin) {
-  BufferPool pool(&store_, 4, /*shards=*/1);
-  std::vector<PageId> ids = {3, 3, 1};
-  Result<std::vector<PageRef>> refs = pool.FetchMany(ids, nullptr);
-  ASSERT_TRUE(refs.ok());
-  ASSERT_EQ(refs->size(), 3u);
-  EXPECT_EQ(pool.DebugTotalPins(), 3u);
-  // Releasing one duplicate leaves the other's pin intact.
-  (*refs)[0].Release();
-  EXPECT_EQ(pool.DebugTotalPins(), 2u);
-  EXPECT_EQ((*refs)[1].page().ReadU8(0), 3);
-  refs->clear();
-  EXPECT_EQ(pool.DebugTotalPins(), 0u);
-}
-
-TEST_F(BufferPoolTest, FetchManyReadFailureReleasesEveryPin) {
-  BufferPool pool(&store_, 6, /*shards=*/1);
-  { auto r = pool.Fetch(1); ASSERT_TRUE(r.ok()); }  // a hit the batch pins
-  store_.fail_reads = true;
-  QueryStats stats;
-  std::vector<PageId> ids = {1, 4, 6};
-  Result<std::vector<PageRef>> refs = pool.FetchMany(ids, &stats);
-  ASSERT_FALSE(refs.ok());
-  EXPECT_TRUE(refs.status().IsIoError()) << refs.status().ToString();
-  EXPECT_EQ(stats.io_errors, 1u);
-  // The hit's pin AND the staked placeholders are all gone.
-  EXPECT_EQ(pool.DebugTotalPins(), 0u);
-  store_.fail_reads = false;
-  // Placeholders were fully retired, so a clean retry succeeds.
-  Result<std::vector<PageRef>> retry = pool.FetchMany(ids, nullptr);
-  ASSERT_TRUE(retry.ok());
-  EXPECT_EQ((*retry)[2].page().ReadU8(0), 6);
-}
-
-TEST_F(BufferPoolTest, FetchManyBeyondCapacityFailsWithoutLeakingPins) {
-  // More unique pages than frames: the batch's own pins make the tail
-  // unsatisfiable. The call reports exhaustion (Internal, like Fetch on
-  // an all-pinned pool) and releases everything it held.
-  BufferPool pool(&store_, 2, /*shards=*/1);
-  std::vector<PageId> ids = {0, 1, 2, 3};
-  Result<std::vector<PageRef>> refs = pool.FetchMany(ids, nullptr);
-  ASSERT_FALSE(refs.ok());
-  EXPECT_TRUE(refs.status().IsInternal()) << refs.status().ToString();
-  EXPECT_EQ(pool.DebugTotalPins(), 0u);
-  // The pool stays usable.
-  Result<PageRef> after = pool.Fetch(3);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->page().ReadU8(0), 3);
-}
-
-TEST_F(BufferPoolConcurrencyTest, ConcurrentFetchManyAndFetches) {
-  BufferPool pool(&store_, 6, 3);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 200; ++i) {
-        if (t % 2 == 0) {
-          std::vector<PageId> ids = {static_cast<PageId>(i % 8),
-                                     static_cast<PageId>((i + 3) % 8)};
-          Result<std::vector<PageRef>> refs = pool.FetchMany(ids, nullptr);
-          // Transient exhaustion under cross-batch pin pressure is legal;
-          // wrong bytes never are.
-          if (refs.ok()) {
-            for (size_t j = 0; j < refs->size(); ++j) {
-              if ((*refs)[j].page().ReadU8(0) != ids[j]) failures.fetch_add(1);
-            }
-          }
-        } else {
-          const PageId id = static_cast<PageId>((t + i) % 8);
-          Result<PageRef> ref = pool.Fetch(id);
-          if (!ref.ok() || ref->page().ReadU8(0) != id) failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures, 0);
-  EXPECT_EQ(pool.DebugTotalPins(), 0u);
-  XKS_ASSERT_OK(pool.DropAll());
-}
-
 TEST_F(BufferPoolConcurrencyTest, ConcurrentReadaheadAndFetches) {
   BufferPool pool(&store_, 6, 3);
   std::atomic<int> failures{0};

@@ -7,7 +7,9 @@
 // the in-place chain truncation) must allocate nothing, so the two runs
 // must allocate (almost) the same number of times, however many more
 // match operations the larger one performs. Lists are vectors, packed
-// lists, or a warm in-memory disk index.
+// lists, or a warm in-memory disk index. A last case sends a request
+// through QueryService over an in-memory engine, which must probe the
+// packed lists in place rather than decode them.
 
 #include <atomic>
 #include <cstdlib>
@@ -19,8 +21,10 @@
 #include <vector>
 
 #include "dewey/packed_list.h"
+#include "engine/xksearch.h"
 #include "gtest/gtest.h"
 #include "index/inverted_index.h"
+#include "serve/query_service.h"
 #include "serve/thread_pool.h"
 #include "slca/keyword_list.h"
 #include "slca/packed_list.h"
@@ -46,6 +50,20 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them),
+// so every pair of new and delete goes through malloc and free even
+// where a sanitizer runtime supplies its own defaults.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace xksearch {
 namespace {
@@ -212,6 +230,56 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Layout::kDisk),
                        ::testing::Values(false)),
     CaseName);
+
+// One <g> subtree per group: `alpha_size / kGroups` <s>alpha</s> leaves
+// beside one <a><b>bravo</b><c>carol</c></a>, so {alpha, bravo, carol}
+// has one SLCA per group however long the alpha list is.
+std::string MakeGroupedXml(size_t alpha_size) {
+  std::string xml = "<r>";
+  for (uint32_t g = 0; g < kGroups; ++g) {
+    xml += "<g><a><b>bravo</b><c>carol</c></a>";
+    for (size_t i = 0; i < alpha_size / kGroups; ++i) xml += "<s>alpha</s>";
+    xml += "</g>";
+  }
+  return xml + "</r>";
+}
+
+// Allocations of one result-cache-miss request through QueryService. The
+// service runs as the serving benchmark configures it, hot_list_bytes
+// included; the counted request is the second sighting of its lists,
+// the one where a decoded-list cache would admit and decode them.
+uint64_t ServedRequestAllocations(size_t alpha_size) {
+  Result<std::unique_ptr<XKSearch>> engine =
+      XKSearch::BuildFromXml(MakeGroupedXml(alpha_size));
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  if (!engine.ok()) return 0;
+  serve::QueryServiceOptions options;
+  options.pool.workers = 1;
+  options.enable_cache = false;
+  options.hot_list_bytes = 2u << 20;
+  serve::QueryService service(engine->get(), options);
+  const std::vector<std::string> query = {"alpha", "bravo", "carol"};
+
+  EXPECT_TRUE(service.Search(query).ok());  // first sighting, first use
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const Result<serve::QueryResponse> response = service.Search(query);
+  const uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  if (response.ok()) {
+    EXPECT_FALSE(response->cache_hit);
+    EXPECT_EQ(response->result.nodes.size(), kGroups);
+  }
+  return allocations;
+}
+
+TEST(ServedMatchAllocationTest, CacheMissRequestProbesPackedListsInPlace) {
+  const uint64_t small = ServedRequestAllocations(kSmallS1);
+  const uint64_t large = ServedRequestAllocations(kLargeS1);
+  EXPECT_LE(large, small + kSlack)
+      << "request over a " << kSmallS1 << "-entry list: " << small
+      << " allocations; over a " << kLargeS1 << "-entry list: " << large;
+}
 
 }  // namespace
 }  // namespace xksearch

@@ -13,13 +13,11 @@
 #include "engine/xksearch.h"
 #include "gen/dblp_generator.h"
 #include "gtest/gtest.h"
-#include "serve/hot_list_cache.h"
 #include "serve/metrics.h"
 #include "serve/query_cache.h"
 #include "serve/query_service.h"
 #include "serve/thread_pool.h"
 #include "shard/sharded_collection.h"
-#include "storage/wal.h"
 #include "test_util.h"
 
 namespace xksearch {
@@ -565,159 +563,43 @@ TEST(QueryServiceTest, ShardedMetricsReportHasPerShardGauges) {
   EXPECT_GT(executed, 0u);
 }
 
-TEST(HotListCacheTest, AdmitsAfterRepeatedSightingsAndServesHits) {
-  std::unique_ptr<XKSearch> system = BuildCorpus();
-  const PackedDeweyList* carol = system->index().Find("carol");
-  ASSERT_NE(carol, nullptr);
-
-  HotListCache::Options options;
-  options.max_bytes = 64 << 20;
-  options.admit_after = 2;
-  HotListCache cache(options);
-
-  // First sighting: under the admission threshold, declined.
-  EXPECT_EQ(cache.Get(carol), nullptr);
-  EXPECT_EQ(cache.GetStats().misses, 1u);
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-
-  // Second sighting: decoded, admitted, and served.
-  std::shared_ptr<const std::vector<DeweyId>> decoded = cache.Get(carol);
-  ASSERT_NE(decoded, nullptr);
-  EXPECT_EQ(*decoded, carol->Materialize());
-  HotListCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.admitted, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.bytes, 0u);
-
-  // Third sighting: a straight hit on the same decoded copy.
-  EXPECT_EQ(cache.Get(carol).get(), decoded.get());
-  EXPECT_EQ(cache.GetStats().hits, 2u);
-}
-
-TEST(HotListCacheTest, ByteBudgetEvictsLeastHitEntriesFirst) {
-  std::unique_ptr<XKSearch> system = BuildCorpus();
-  const PackedDeweyList* alpha = system->index().Find("alpha");
-  const PackedDeweyList* bravo = system->index().Find("bravo");
-  const PackedDeweyList* carol = system->index().Find("carol");
-  ASSERT_NE(alpha, nullptr);
-  ASSERT_NE(bravo, nullptr);
-  ASSERT_NE(carol, nullptr);
-
-  // Measure each list's resident size through an unbounded cache.
-  size_t bytes_bravo_carol;
-  {
-    HotListCache::Options unbounded;
-    unbounded.max_bytes = size_t{1} << 30;
-    unbounded.admit_after = 1;
-    HotListCache probe(unbounded);
-    ASSERT_NE(probe.Get(bravo), nullptr);
-    ASSERT_NE(probe.Get(carol), nullptr);
-    bytes_bravo_carol = probe.GetStats().bytes;
-  }
-
-  HotListCache::Options options;
-  options.max_bytes = bytes_bravo_carol;
-  options.admit_after = 1;
-  HotListCache cache(options);
-  ASSERT_NE(cache.Get(bravo), nullptr);
-  ASSERT_NE(cache.Get(carol), nullptr);
-  EXPECT_EQ(cache.GetStats().entries, 2u);
-  // Extra hits make carol the hotter entry.
-  ASSERT_NE(cache.Get(carol), nullptr);
-  ASSERT_NE(cache.Get(carol), nullptr);
-
-  // Admitting alpha overflows the budget; the coldest entry (bravo, one
-  // hit) is evicted, never carol.
-  ASSERT_NE(cache.Get(alpha), nullptr);
-  HotListCache::Stats stats = cache.GetStats();
-  EXPECT_GE(stats.evicted, 1u);
-  EXPECT_LE(stats.bytes, options.max_bytes);
-  const uint64_t hits_before = stats.hits;
-  EXPECT_NE(cache.Get(carol), nullptr);
-  EXPECT_EQ(cache.GetStats().hits, hits_before + 1);  // carol still resident
-
-  // A list that alone exceeds the whole budget is served once from the
-  // decode just paid for, but never admitted (and not re-decoded later).
-  HotListCache::Options tiny;
-  tiny.max_bytes = 16;
-  tiny.admit_after = 1;
-  HotListCache small(tiny);
-  EXPECT_NE(small.Get(carol), nullptr);  // the already-paid decode
-  EXPECT_EQ(small.GetStats().entries, 0u);
-  EXPECT_EQ(small.Get(carol), nullptr);  // rejected, no repeated decode
-}
-
-TEST(HotListCacheTest, WalCommitAndManualAdvanceFlushTheCache) {
-  std::unique_ptr<XKSearch> system = BuildCorpus();
-  const PackedDeweyList* carol = system->index().Find("carol");
-  ASSERT_NE(carol, nullptr);
-
-  HotListCache::Options options;
-  options.max_bytes = 64 << 20;
-  options.admit_after = 2;
-  HotListCache cache(options);
-  EXPECT_EQ(cache.Get(carol), nullptr);
-  std::shared_ptr<const std::vector<DeweyId>> pinned = cache.Get(carol);
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(cache.GetStats().entries, 1u);
-
-  // An updater commit (any WAL commit in the process) advances the
-  // epoch: the next Get flushes everything, and the list must re-earn
-  // admission from zero sightings.
-  WalCounters::Instance().commits.fetch_add(1, std::memory_order_relaxed);
-  EXPECT_EQ(cache.Get(carol), nullptr);
-  HotListCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.invalidations, 1u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  // The copy handed out before the flush stays valid (pinned).
-  EXPECT_EQ(pinned->size(), carol->size());
-
-  // Re-admit, then flush explicitly via AdvanceEpoch.
-  ASSERT_NE(cache.Get(carol), nullptr);
-  cache.AdvanceEpoch();
-  EXPECT_EQ(cache.GetStats().invalidations, 2u);
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-  EXPECT_EQ(cache.Get(carol), nullptr);  // re-earning again
-}
-
+// `hot_list_bytes` is a no-op kept for callers that still set it: every
+// in-memory query probes the packed arenas in place whatever it says.
+// Setting it must change neither the answer nor the paper's counters,
+// and the service must report no hot-list activity at all.
 TEST(QueryServiceTest, HotListServingMatchesColdResultsAndReports) {
   std::unique_ptr<XKSearch> system = BuildCorpus();
+  const std::vector<std::string> query = {"alpha", "carol"};
+  Result<SearchResult> cold = system->Search(query);
+  ASSERT_TRUE(cold.ok());
+
   QueryServiceOptions options;
   options.pool.workers = 2;
   options.enable_cache = false;  // every Search runs the engine
   options.hot_list_bytes = 64 << 20;
-  options.hot_list_admit_after = 2;
   QueryService service(system.get(), options);
-
-  const std::vector<std::string> query = {"alpha", "carol"};
-  Result<QueryResponse> cold = service.Search(query);
-  ASSERT_TRUE(cold.ok());
-  // Run past the admission threshold so later queries serve "carol" (and
-  // "alpha") from decoded hot lists.
-  for (int i = 0; i < 3; ++i) {
-    Result<QueryResponse> hot = service.Search(query);
-    ASSERT_TRUE(hot.ok());
-    EXPECT_FALSE(hot->cache_hit);
-    // The hot path must be invisible in the answer AND in the paper's
-    // algorithm-level counters.
-    EXPECT_EQ(hot->result.nodes, cold->result.nodes);
-    EXPECT_EQ(hot->result.stats.match_ops.load(),
-              cold->result.stats.match_ops.load());
+  for (int i = 0; i < 4; ++i) {
+    Result<QueryResponse> response = service.Search(query);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->cache_hit);
+    EXPECT_EQ(response->result.nodes, cold->nodes);
+    EXPECT_EQ(response->result.stats.match_ops.load(),
+              cold->stats.match_ops.load());
+    EXPECT_EQ(response->result.stats.postings_read.load(),
+              cold->stats.postings_read.load());
   }
-  HotListCache::Stats stats = service.hot_list_stats();
-  EXPECT_GE(stats.admitted, 1u);
-  EXPECT_GE(stats.hits, 1u);
+  const QueryService::HotListStats stats = service.hot_list_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
   const std::string report = service.MetricsReport();
-  EXPECT_NE(report.find("hot_lists:"), std::string::npos) << report;
+  EXPECT_EQ(report.find("hot_lists:"), std::string::npos) << report;
 
-  // InvalidateCache drops decoded lists along with cached results; the
-  // answers must be unaffected.
+  // InvalidateCache has only cached results to drop; answers are
+  // unaffected.
   service.InvalidateCache();
-  EXPECT_GE(service.hot_list_stats().invalidations, 1u);
   Result<QueryResponse> after = service.Search(query);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->result.nodes, cold->result.nodes);
+  EXPECT_EQ(after->result.nodes, cold->nodes);
 }
 
 // --- Single-flight coalescing.
@@ -871,6 +753,70 @@ TEST(SingleFlightTest, DistinctQueriesNeverCoalesce) {
   ASSERT_TRUE(b.get().ok());
   ASSERT_TRUE(c.get().ok());
   EXPECT_EQ(service.metrics().coalesced_queries, 0u);
+}
+
+// There is no batch window: concurrent submissions each run on their own
+// worker over the shared packed arenas. Overlapping queries submitted
+// together must still match the raw engine exactly, and work is still
+// shared where the answer is the same: the one canonically duplicate
+// query attaches to its twin's execution through single-flight instead
+// of decoding and matching its lists again.
+TEST(BatchedServiceTest, BatchedExecutionMatchesUnbatchedAndSharesDecodes) {
+  std::unique_ptr<XKSearch> system = BuildCorpus();
+
+  const std::vector<std::vector<std::string>> queries = {
+      {"alpha", "carol"}, {"bravo", "carol"}, {"alpha", "bravo"},
+      {"carol", "alpha"},  // same canonical query as the first
+      {"bravo", "carol", "alpha"},
+  };
+  // Reference: the raw engine, no serving layer at all.
+  std::vector<SearchResult> reference;
+  for (const auto& query : queries) {
+    Result<SearchResult> r = system->Search(query, SearchOptions());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    reference.push_back(std::move(*r));
+  }
+
+  QueryServiceOptions options;
+  options.pool.workers = 4;
+  options.enable_cache = false;
+  options.single_flight = true;
+  // Widen the in-flight window so the duplicate lands while its twin is
+  // still executing.
+  options.synthetic_backend_latency = std::chrono::microseconds(50000);
+  QueryService service(system.get(), options);
+
+  std::vector<std::future<Result<QueryResponse>>> futures;
+  for (const auto& query : queries) {
+    futures.push_back(service.Submit(query, SearchOptions()));
+  }
+  int coalesced = 0;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Result<QueryResponse> response = futures[i].get();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->result.nodes, reference[i].nodes) << "query " << i;
+    EXPECT_EQ(static_cast<uint64_t>(response->result.stats.match_ops),
+              static_cast<uint64_t>(reference[i].stats.match_ops))
+        << "query " << i;
+    EXPECT_EQ(static_cast<uint64_t>(response->result.stats.results),
+              static_cast<uint64_t>(reference[i].stats.results))
+        << "query " << i;
+    if (response->coalesced) ++coalesced;
+  }
+  EXPECT_EQ(coalesced, 1);
+
+  // The engine ran the four distinct queries once each and nothing more.
+  uint64_t match_ops = 0;
+  uint64_t postings_read = 0;
+  for (size_t i : {0, 1, 2, 4}) {
+    match_ops += reference[i].stats.match_ops.load();
+    postings_read += reference[i].stats.postings_read.load();
+  }
+  const MetricsRegistry& metrics = service.metrics();
+  EXPECT_EQ(static_cast<uint64_t>(metrics.requests), queries.size());
+  EXPECT_EQ(static_cast<uint64_t>(metrics.coalesced_queries), 1u);
+  EXPECT_EQ(metrics.engine_stats.match_ops.load(), match_ops);
+  EXPECT_EQ(metrics.engine_stats.postings_read.load(), postings_read);
 }
 
 }  // namespace

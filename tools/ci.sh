@@ -52,13 +52,12 @@ if [ "$run_slow" -eq 1 ]; then
   ctest --test-dir build/release \
     -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest)' \
     --output-on-failure
-  # Cross-query batching: single-flight coalescing, the batch scheduler,
-  # shared decoded-list providers and the vectored multi-page read path
-  # as one visible line, plus a short xk_fuzz batch-parity smoke (the
-  # full soak rides in -L slow as xk_fuzz_long_batched).
-  echo "==> [batched] cross-query batching stage (release build)"
-  ctest --test-dir build/release \
-    -R '(Batcher|SingleFlight|BatchListProvider|BatchedService|FetchMany|ReadPages)' \
+  # Concurrent serving: single-flight coalescing and the vectored
+  # multi-page read path behind readahead as one visible line, plus a
+  # short xk_fuzz concurrent-client parity smoke (the full soak rides in
+  # -L slow as xk_fuzz_long_batched).
+  echo "==> [single-flight] single-flight and concurrent-client stage (release build)"
+  ctest --test-dir build/release -R '(SingleFlight|ReadPages)' \
     --output-on-failure
   ./build/release/tools/xk_fuzz --cases=30 --seed=910 --batch=4 \
     --no-shards --no-chunks

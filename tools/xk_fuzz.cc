@@ -43,12 +43,11 @@ void Usage() {
                "               parallel-SLCA parity checks (default: 3);\n"
                "               chunk counts checked stay 1,2,3,8\n"
                "  --no-chunks  skip the chunked parallel-SLCA checks\n"
-               "  --batch=N    concurrent clients of the cross-query batch\n"
-               "               stage: every sampled query is submitted N\n"
-               "               times through a QueryService with an open\n"
-               "               batch window and checked against the\n"
-               "               sequential unbatched run (default: 3);\n"
-               "               --batch=0 disables the stage\n"
+               "  --batch=N    client threads of the concurrent-client\n"
+               "               stage (at most 64): each submits every\n"
+               "               sampled query through one QueryService and\n"
+               "               is checked against the sequential run\n"
+               "               (default: 3); --batch=0 disables the stage\n"
                "  --crashes=N  crash-recovery rounds per collection: a\n"
                "               file-backed copy of the index takes a seeded\n"
                "               update batch killed at a seeded durable\n"
@@ -95,8 +94,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-chunks") == 0) {
       options.chunk_counts.clear();
     } else if (std::strncmp(arg, "--batch=", 8) == 0) {
-      options.batch_clients =
+      options.concurrent_clients =
           static_cast<size_t>(ParseFlag(arg, "--batch", 3));
+      if (options.concurrent_clients > 64) {
+        Usage();
+        return 2;
+      }
     } else if (std::strncmp(arg, "--crashes=", 10) == 0) {
       options.crash_rounds =
           static_cast<size_t>(ParseFlag(arg, "--crashes", 0));
@@ -119,7 +122,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "xk_fuzz: %llu collections from seed %llu (disk=%s faults=%s "
-      "shards=%s chunk-threads=%s batch=%zu crashes=%zu decode=%s)\n",
+      "shards=%s chunk-threads=%s clients=%zu crashes=%zu decode=%s)\n",
       static_cast<unsigned long long>(cases),
       static_cast<unsigned long long>(seed),
       options.with_disk ? "on" : "off", options.with_faults ? "on" : "off",
@@ -127,7 +130,7 @@ int main(int argc, char** argv) {
       options.chunk_counts.empty() ? "off"
                                    : std::to_string(options.chunk_workers)
                                          .c_str(),
-      options.batch_clients, options.crash_rounds,
+      options.concurrent_clients, options.crash_rounds,
       xksearch::DecodeKernelName(xksearch::ActiveDecodeKernel()));
 
   xksearch::fuzz::FuzzReport total;
