@@ -1,12 +1,12 @@
-// Batch decode-kernel sweep (Ablation X13): throughput of the
-// block-at-a-time posting decoders against the legacy entry-at-a-time
-// DeltaBlockDecoder, over the identical delta-encoded wire bytes.
+// Batch decode sweep (Ablation X13): throughput of the block-at-a-time
+// posting decoder against the legacy entry-at-a-time DeltaBlockDecoder,
+// over the identical delta-encoded wire bytes.
 //
 // One delta stream of N sorted Dewey ids is decoded end to end: the
-// `legacy` row is DeltaBlockDecoder::Next per entry; each kernel row is
-// DecodeBlockWith in 256-entry batches with the carry chained across
-// calls (exactly the blocked cursors' access pattern). MB/s is wire
-// bytes consumed per second.
+// `legacy` row is DeltaBlockDecoder::Next per entry; the `batch` row is
+// DecodeBlock in 256-entry batches with the carry chained across calls
+// (exactly the blocked cursors' access pattern). MB/s is wire bytes
+// consumed per second.
 //
 // Standalone binary (like bench_parallel_query), not a google-benchmark
 // harness. Prints a table plus one JSON line per configuration for
@@ -115,7 +115,7 @@ void RunDecodeSection(const Config& config) {
       std::fflush(stdout);
     };
 
-    // Legacy reference: the entry-at-a-time decoder the kernels replace.
+    // Legacy reference: the entry-at-a-time decoder DecodeBlock replaced.
     emit("legacy", Measure(config, bytes.size(), ids.size(), [&] {
            DeltaBlockDecoder decoder(bytes);
            DeweyId id;
@@ -125,31 +125,27 @@ void RunDecodeSection(const Config& config) {
            return sum;
          }));
 
-    for (const DecodeKernel kernel : AvailableDecodeKernels()) {
-      constexpr size_t kBatch = 256;
-      DecodedBlock block;
-      std::vector<uint32_t> carry;
-      emit(DecodeKernelName(kernel),
-           Measure(config, bytes.size(), ids.size(), [&] {
-             uint64_t sum = 0;
-             size_t pos = 0;
-             carry.clear();
-             while (pos < bytes.size()) {
-               block.Clear();
-               const Status status = DecodeBlockWith(
-                   kernel, bytes.data(), bytes.size(), &pos, kBatch,
-                   carry.empty() ? nullptr : carry.data(), carry.size(),
-                   &block);
-               if (!status.ok() || block.empty()) std::abort();
-               for (size_t i = 0; i < block.count(); ++i) {
-                 sum += block.entry(i).depth();
-               }
-               carry.assign(block.last_data(),
-                            block.last_data() + block.last_len());
+    constexpr size_t kBatch = 256;
+    DecodedBlock block;
+    std::vector<uint32_t> carry;
+    emit("batch", Measure(config, bytes.size(), ids.size(), [&] {
+           uint64_t sum = 0;
+           size_t pos = 0;
+           carry.clear();
+           while (pos < bytes.size()) {
+             block.Clear();
+             const Status status = DecodeBlock(
+                 bytes.data(), bytes.size(), &pos, kBatch,
+                 carry.empty() ? nullptr : carry.data(), carry.size(), &block);
+             if (!status.ok() || block.empty()) std::abort();
+             for (size_t i = 0; i < block.count(); ++i) {
+               sum += block.entry(i).depth();
              }
-             return sum;
-           }));
-    }
+             carry.assign(block.last_data(),
+                          block.last_data() + block.last_len());
+           }
+           return sum;
+         }));
   }
 }
 
@@ -186,8 +182,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::fprintf(stderr, "active kernel: %s\n",
-               xksearch::DecodeKernelName(xksearch::ActiveDecodeKernel()));
   xksearch::RunDecodeSection(config);
   return 0;
 }

@@ -51,9 +51,6 @@ struct Config {
   /// Frames per pool in the cold regime; small enough that eviction
   /// never stops on any realistic corpus.
   size_t cold_pool_pages = 64;
-  /// Leaf readahead for the cold regime (hot never misses, so readahead
-  /// would be a no-op there).
-  size_t readahead_pages = 0;
   /// Buffer-pool shards (0 = auto). --shards=1 reproduces the old
   /// single-LRU contention for comparison.
   size_t shards = 0;
@@ -65,7 +62,6 @@ struct RunResult {
   double qps = 0;
   uint64_t page_reads = 0;
   uint64_t page_hits = 0;
-  uint64_t readaheads = 0;
 };
 
 RunResult RunOnce(const DiskSearcher& searcher,
@@ -115,7 +111,6 @@ RunResult RunOnce(const DiskSearcher& searcher,
     result.failed += state.failed;
     result.page_reads += state.stats.page_reads;
     result.page_hits += state.stats.page_hits;
-    result.readaheads += state.stats.readahead_reads;
   }
   const double seconds = std::chrono::duration<double>(end - start).count();
   result.qps = seconds > 0 ? static_cast<double>(result.ok) / seconds : 0;
@@ -162,7 +157,6 @@ Result<std::unique_ptr<XKSearch>> BuildSystem(const Config& config,
   } else {
     build.disk.il_pool_pages = config.cold_pool_pages;
     build.disk.scan_pool_pages = config.cold_pool_pages;
-    build.disk.readahead_pages = config.readahead_pages;
   }
   return XKSearch::BuildFromDocument(std::move(doc), build);
 }
@@ -208,22 +202,20 @@ int Main(int argc, char** argv) {
       config.warmup_ms = ParseU64(v);
     } else if (const char* v = value("--cold-pool-pages=")) {
       config.cold_pool_pages = ParseU64(v);
-    } else if (const char* v = value("--readahead-pages=")) {
-      config.readahead_pages = ParseU64(v);
     } else if (const char* v = value("--shards=")) {
       config.shards = ParseU64(v);
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nflags: --papers= --workers=l "
                    "--pool-queries= --duration-ms= --warmup-ms= "
-                   "--cold-pool-pages= --readahead-pages= --shards=\n",
+                   "--cold-pool-pages= --shards=\n",
                    arg);
       return 2;
     }
   }
 
-  std::printf("%6s %8s %10s %8s %12s %12s %12s\n", "regime", "workers",
-              "qps", "scaling", "reads/query", "hits/query", "ra/query");
+  std::printf("%6s %8s %10s %8s %12s %12s\n", "regime", "workers", "qps",
+              "scaling", "reads/query", "hits/query");
   for (const bool hot : {true, false}) {
     std::fprintf(stderr, "building %s-cache index (%zu papers)...\n",
                  hot ? "hot" : "cold", config.papers);
@@ -253,23 +245,20 @@ int Main(int argc, char** argv) {
       const RunResult r = RunOnce(searcher, queries, config, workers);
       if (base_qps == 0) base_qps = r.qps;
       const double per_query = r.ok == 0 ? 0 : 1.0 / static_cast<double>(r.ok);
-      std::printf("%6s %8zu %10.0f %7.2fx %12.1f %12.1f %12.1f\n",
+      std::printf("%6s %8zu %10.0f %7.2fx %12.1f %12.1f\n",
                   hot ? "hot" : "cold", workers, r.qps,
                   base_qps > 0 ? r.qps / base_qps : 0.0,
                   static_cast<double>(r.page_reads) * per_query,
-                  static_cast<double>(r.page_hits) * per_query,
-                  static_cast<double>(r.readaheads) * per_query);
+                  static_cast<double>(r.page_hits) * per_query);
       // Machine-readable row for tools/bench_to_csv.py.
       std::printf(
           "{\"bench\":\"parallel_disk\",\"regime\":\"%s\",\"workers\":%zu,"
-          "\"shards\":%zu,\"readahead_pages\":%zu,\"qps\":%.1f,"
-          "\"qps_scaling\":%.3f,\"ok\":%" PRIu64 ",\"failed\":%" PRIu64
-          ",\"page_reads\":%" PRIu64 ",\"page_hits\":%" PRIu64
-          ",\"readaheads\":%" PRIu64 "}\n",
-          hot ? "hot" : "cold", workers, config.shards,
-          hot ? size_t{0} : config.readahead_pages, r.qps,
+          "\"shards\":%zu,\"qps\":%.1f,\"qps_scaling\":%.3f,"
+          "\"ok\":%" PRIu64 ",\"failed\":%" PRIu64 ",\"page_reads\":%" PRIu64
+          ",\"page_hits\":%" PRIu64 "}\n",
+          hot ? "hot" : "cold", workers, config.shards, r.qps,
           base_qps > 0 ? r.qps / base_qps : 0.0, r.ok, r.failed, r.page_reads,
-          r.page_hits, r.readaheads);
+          r.page_hits);
       std::fflush(stdout);
       if (r.failed != 0) {
         std::fprintf(stderr, "%" PRIu64 " queries failed\n", r.failed);

@@ -9,8 +9,7 @@ std::string QueryStats::ToString() const {
   os << "match_ops=" << match_ops << " dewey_cmp=" << dewey_comparisons
      << " lca_ops=" << lca_ops << " postings=" << postings_read
      << " page_reads=" << page_reads << " page_hits=" << page_hits
-     << " readahead=" << readahead_reads << " io_errors=" << io_errors
-     << " results=" << results;
+     << " io_errors=" << io_errors << " results=" << results;
   return os.str();
 }
 

@@ -75,15 +75,9 @@ struct QueryStats {
   RelaxedCounter page_reads = 0;
   /// Buffer-pool hits (satisfied from cache).
   RelaxedCounter page_hits = 0;
-  /// Pages loaded speculatively by leaf readahead on this query's behalf.
-  /// Kept separate from page_reads so the paper's on-demand disk-access
-  /// counts stay comparable whether or not readahead is enabled.
-  RelaxedCounter readahead_reads = 0;
-  /// Storage read failures observed on this query's behalf: demand
-  /// fetches that surfaced an error status, plus speculative readahead
-  /// loads whose failure was swallowed (the demand retry reports its own
-  /// error). Per-shard totals sum into sharded response totals like every
-  /// other counter.
+  /// Storage read failures observed on this query's behalf: fetches that
+  /// surfaced an error status. Per-shard totals sum into sharded response
+  /// totals like every other counter.
   RelaxedCounter io_errors = 0;
   /// SLCA/LCA results produced.
   RelaxedCounter results = 0;
@@ -97,7 +91,6 @@ struct QueryStats {
     postings_read += o.postings_read;
     page_reads += o.page_reads;
     page_hits += o.page_hits;
-    readahead_reads += o.readahead_reads;
     io_errors += o.io_errors;
     results += o.results;
     return *this;

@@ -114,9 +114,9 @@ class DeltaBlockEncoder {
 /// \brief Forward-only, entry-at-a-time decoder for DeltaBlockEncoder
 /// output.
 ///
-/// No read or write path uses it: every block is decoded by the batch
-/// kernels (decode_kernels.h). It stays as the independent reference
-/// decode_kernel_test compares those kernels against.
+/// No read or write path uses it: every block is decoded by DecodeBlock
+/// (decode_kernels.h). It stays as the independent reference
+/// decode_kernel_test compares DecodeBlock against.
 class DeltaBlockDecoder {
  public:
   DeltaBlockDecoder(const uint8_t* data, size_t size)

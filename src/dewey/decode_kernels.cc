@@ -1,189 +1,101 @@
 #include "dewey/decode_kernels.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 
-#include "dewey/decode_kernels_impl.h"
-
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define XKS_DECODE_X86 1
-#else
-#define XKS_DECODE_X86 0
-#endif
+#include "common/bitio.h"
 
 namespace xksearch {
 
-#if defined(XKS_DECODE_SSE4_TU)
-Status DecodeBlockSse4(const uint8_t* data, size_t size, size_t* pos,
-                       size_t max_entries, const uint32_t* carry,
-                       size_t carry_len, DecodedBlock* out);
-#endif
-#if defined(XKS_DECODE_AVX2_TU)
-Status DecodeBlockAvx2(const uint8_t* data, size_t size, size_t* pos,
-                       size_t max_entries, const uint32_t* carry,
-                       size_t carry_len, DecodedBlock* out);
-#endif
-
 namespace {
 
-struct ScalarKernel {
-  static size_t BulkSingles(const uint8_t* p, size_t n, uint32_t* dst,
-                            size_t want) {
-    const size_t lim = want < n ? want : n;
-    size_t i = 0;
-    while (i < lim && p[i] < 0x80) {
-      dst[i] = p[i];
-      ++i;
-    }
-    return i;
-  }
-};
-
-struct SwarKernel {
-  static size_t BulkSingles(const uint8_t* p, size_t n, uint32_t* dst,
-                            size_t want) {
-    const size_t lim = want < n ? want : n;
-    size_t i = 0;
-    while (i + 8 <= lim) {
-      uint64_t w;
-      std::memcpy(&w, p + i, 8);
-      const uint64_t high = w & 0x8080808080808080ull;
-      const size_t run =
-          high == 0 ? 8 : static_cast<size_t>(__builtin_ctzll(high)) / 8;
-      for (size_t j = 0; j < run; ++j) {
-        dst[i + j] = static_cast<uint32_t>((w >> (8 * j)) & 0x7f);
-      }
-      i += run;
-      if (run < 8) return i;  // hit a multi-byte lead; caller takes over
-    }
-    while (i < lim && p[i] < 0x80) {
-      dst[i] = p[i];
-      ++i;
-    }
-    return i;
-  }
-};
-
-bool ForcedByEnv() {
-  const char* value = std::getenv("XK_FORCE_SCALAR_DECODE");
-  return value != nullptr && value[0] != '\0' && value[0] != '0';
-}
-
-std::atomic<bool>& ForceFlag() {
-  static std::atomic<bool> force{ForcedByEnv()};
-  return force;
-}
-
-DecodeKernel BestKernel() {
-#if XKS_DECODE_X86 && defined(XKS_DECODE_AVX2_TU)
-  if (__builtin_cpu_supports("avx2")) return DecodeKernel::kAvx2;
-#endif
-#if XKS_DECODE_X86 && defined(XKS_DECODE_SSE4_TU)
-  if (__builtin_cpu_supports("sse4.1")) return DecodeKernel::kSse4;
-#endif
-  return DecodeKernel::kSwar;
-}
-
-/// Resolved once; ForceScalarDecode overrides at call time, not here.
-DecodeKernel DispatchedKernel() {
-  static const DecodeKernel best = BestKernel();
-  return best;
-}
+/// A shared-prefix run longer than this is treated as corruption (real
+/// Dewey depths are tiny; a multi-megabyte `added` from a flipped bit
+/// must not drive a giant allocation before the truncation check fires).
+constexpr uint32_t kMaxComponentsPerEntry = 1u << 16;
 
 }  // namespace
 
+DecodeKernel ActiveDecodeKernel() { return DecodeKernel::kScalar; }
+
 const char* DecodeKernelName(DecodeKernel kernel) {
-  switch (kernel) {
-    case DecodeKernel::kScalar:
-      return "scalar";
-    case DecodeKernel::kSwar:
-      return "swar";
-    case DecodeKernel::kSse4:
-      return "sse4";
-    case DecodeKernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-bool DecodeKernelAvailable(DecodeKernel kernel) {
-  switch (kernel) {
-    case DecodeKernel::kScalar:
-    case DecodeKernel::kSwar:
-      return true;
-    case DecodeKernel::kSse4:
-#if XKS_DECODE_X86 && defined(XKS_DECODE_SSE4_TU)
-      return __builtin_cpu_supports("sse4.1");
-#else
-      return false;
-#endif
-    case DecodeKernel::kAvx2:
-#if XKS_DECODE_X86 && defined(XKS_DECODE_AVX2_TU)
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-std::vector<DecodeKernel> AvailableDecodeKernels() {
-  std::vector<DecodeKernel> kernels;
-  for (DecodeKernel k : {DecodeKernel::kScalar, DecodeKernel::kSwar,
-                         DecodeKernel::kSse4, DecodeKernel::kAvx2}) {
-    if (DecodeKernelAvailable(k)) kernels.push_back(k);
-  }
-  return kernels;
-}
-
-DecodeKernel ActiveDecodeKernel() {
-  if (ForceFlag().load(std::memory_order_relaxed)) {
-    return DecodeKernel::kScalar;
-  }
-  return DispatchedKernel();
-}
-
-void ForceScalarDecode(bool force) {
-  ForceFlag().store(force, std::memory_order_relaxed);
-}
-
-Status DecodeBlockWith(DecodeKernel kernel, const uint8_t* data, size_t size,
-                       size_t* pos, size_t max_entries, const uint32_t* carry,
-                       size_t carry_len, DecodedBlock* out) {
-  switch (kernel) {
-    case DecodeKernel::kScalar:
-      return decode_detail::DecodeBlockLoop<ScalarKernel>(
-          data, size, pos, max_entries, carry, carry_len, out);
-    case DecodeKernel::kSwar:
-      return decode_detail::DecodeBlockLoop<SwarKernel>(
-          data, size, pos, max_entries, carry, carry_len, out);
-    case DecodeKernel::kSse4:
-#if defined(XKS_DECODE_SSE4_TU)
-      if (DecodeKernelAvailable(DecodeKernel::kSse4)) {
-        return DecodeBlockSse4(data, size, pos, max_entries, carry, carry_len,
-                               out);
-      }
-#endif
-      break;
-    case DecodeKernel::kAvx2:
-#if defined(XKS_DECODE_AVX2_TU)
-      if (DecodeKernelAvailable(DecodeKernel::kAvx2)) {
-        return DecodeBlockAvx2(data, size, pos, max_entries, carry, carry_len,
-                               out);
-      }
-#endif
-      break;
-  }
-  return Status::InvalidArgument(std::string("decode kernel unavailable: ") +
-                                 DecodeKernelName(kernel));
+  (void)kernel;
+  return "scalar";
 }
 
 Status DecodeBlock(const uint8_t* data, size_t size, size_t* pos,
                    size_t max_entries, const uint32_t* carry, size_t carry_len,
                    DecodedBlock* out) {
-  return DecodeBlockWith(ActiveDecodeKernel(), data, size, pos, max_entries,
-                         carry, carry_len, out);
+  std::vector<uint32_t>& comps = out->components;
+  std::vector<uint32_t>& offsets = out->offsets;
+  if (offsets.empty()) offsets.push_back(0);
+
+  // Previous entry for prefix expansion: `carry` for the first decoded
+  // entry, then the entry just appended to `comps` (tracked by index so
+  // reallocation is harmless).
+  bool prev_in_out = false;
+  size_t prev_off = 0;
+  size_t prev_len = carry_len;
+
+  for (size_t produced = 0; produced < max_entries && *pos < size;
+       ++produced) {
+    const size_t entry_pos = *pos;
+    const size_t entry_base = comps.size();
+    uint32_t shared = 0;
+    uint32_t added = 0;
+    if (!GetVarint32(data, size, pos, &shared) ||
+        !GetVarint32(data, size, pos, &added)) {
+      *pos = entry_pos;
+      return Status::Corruption("truncated delta block header");
+    }
+    if (shared > prev_len) {
+      *pos = entry_pos;
+      return Status::Corruption("delta block shared prefix exceeds previous");
+    }
+    if (shared + added == 0) {
+      *pos = entry_pos;
+      return Status::Corruption("empty Dewey id in delta block");
+    }
+    if (added > kMaxComponentsPerEntry) {
+      *pos = entry_pos;
+      return Status::Corruption("delta block component count exceeds bound");
+    }
+
+    comps.resize(entry_base + shared + added);
+    const uint32_t* prev = prev_in_out ? comps.data() + prev_off : carry;
+    uint32_t* dst = comps.data() + entry_base;
+    for (size_t i = 0; i < shared; ++i) dst[i] = prev[i];
+    dst += shared;
+
+    size_t got = 0;
+    while (got < added) {
+      // Nearly every component is a single-byte varint: copy the run of
+      // them inline, then hand one multi-byte component to the checked
+      // decoder.
+      const uint8_t* run = data + *pos;
+      uint32_t* out_run = dst + got;
+      const size_t lim = std::min<size_t>(added - got, size - *pos);
+      size_t i = 0;
+      while (i < lim && run[i] < 0x80) {
+        out_run[i] = run[i];
+        ++i;
+      }
+      *pos += i;
+      got += i;
+      if (got == added) break;
+      if (!GetVarint32(data, size, pos, &dst[got])) {
+        comps.resize(entry_base);
+        *pos = entry_pos;
+        return Status::Corruption("truncated delta block component");
+      }
+      ++got;
+    }
+
+    offsets.push_back(static_cast<uint32_t>(comps.size()));
+    prev_in_out = true;
+    prev_off = entry_base;
+    prev_len = shared + added;
+  }
+  return Status::OK();
 }
 
 }  // namespace xksearch

@@ -54,30 +54,17 @@ struct DecodedBlock {
   }
 };
 
-/// The batch decoders, from portable to widest. kScalar is the plain
-/// byte loop; kSwar widens single-byte varint runs 8 at a time through a
-/// uint64 load; kSse4/kAvx2 widen 16/32-byte runs with vector loads.
-/// All four decode the identical wire format (the DeltaBlockEncoder /
-/// PackedDeweyList entry encoding) and return bit-identical arenas.
-enum class DecodeKernel : uint8_t { kScalar = 0, kSwar, kSse4, kAvx2 };
+/// Compatibility shim for the benchmark's environment record, which
+/// prints `DecodeKernelName(ActiveDecodeKernel())`. Posting decode has
+/// one scalar implementation, so the only kernel is kScalar and the name
+/// is always "scalar". Delete together with that caller.
+enum class DecodeKernel : uint8_t { kScalar = 0 };
 
-/// Human-readable kernel name ("scalar", "swar", "sse4", "avx2").
-const char* DecodeKernelName(DecodeKernel kernel);
-
-/// True when `kernel` was compiled in AND the running CPU supports it.
-bool DecodeKernelAvailable(DecodeKernel kernel);
-
-/// Every kernel usable on this machine, in ascending width order.
-std::vector<DecodeKernel> AvailableDecodeKernels();
-
-/// The kernel DecodeBlock dispatches to: the widest available one, or
-/// kScalar when forced (ForceScalarDecode / XK_FORCE_SCALAR_DECODE=1).
+/// Always DecodeKernel::kScalar (see the DecodeKernel shim above).
 DecodeKernel ActiveDecodeKernel();
 
-/// Forces every subsequent DecodeBlock through the scalar kernel (CI on
-/// AVX2 machines, differential fuzzing). Thread-safe; purely a
-/// performance knob — results are identical either way.
-void ForceScalarDecode(bool force);
+/// "scalar" (see the DecodeKernel shim above).
+const char* DecodeKernelName(DecodeKernel kernel);
 
 /// \brief Decodes up to `max_entries` delta-encoded entries from
 /// `data[*pos..size)` and appends them to `out`.
@@ -96,12 +83,6 @@ void ForceScalarDecode(bool force);
 Status DecodeBlock(const uint8_t* data, size_t size, size_t* pos,
                    size_t max_entries, const uint32_t* carry, size_t carry_len,
                    DecodedBlock* out);
-
-/// DecodeBlock through one specific kernel (tests, benchmarks). Returns
-/// InvalidArgument when `kernel` is unavailable on this machine.
-Status DecodeBlockWith(DecodeKernel kernel, const uint8_t* data, size_t size,
-                       size_t* pos, size_t max_entries, const uint32_t* carry,
-                       size_t carry_len, DecodedBlock* out);
 
 }  // namespace xksearch
 

@@ -23,11 +23,10 @@ namespace xksearch {
 /// the skip table — so locating a block is a branch-light binary search
 /// over DeweyView comparisons with no decoding at all.
 ///
-/// All decoding is block-at-a-time through the batch kernels
+/// All decoding is block-at-a-time through DecodeBlock
 /// (decode_kernels.h): a whole block of entries lands in one reusable
 /// DecodedBlock arena per call, instead of entry-at-a-time varint
-/// cursors. The kernel is picked once at startup (scalar/SWAR/SSE4/AVX2
-/// by cpuid); every kernel yields bit-identical arenas.
+/// cursors.
 ///
 /// Probing (lm/rm) is: block binary search on the skip table, then a
 /// forward scan over the decoded block. The hinted variant (Seek with
@@ -83,9 +82,9 @@ class PackedDeweyList {
            firsts_.capacity() * sizeof(uint32_t);
   }
 
-  /// Batch-decodes block `b` into `out` (replacing its contents) through
-  /// the active kernel. The arena is trusted in-process input, so decode
-  /// failure is a logic error, not a Status.
+  /// Batch-decodes block `b` into `out` (replacing its contents). The
+  /// arena is trusted in-process input, so decode failure is a logic
+  /// error, not a Status.
   void DecodeBlockInto(size_t b, DecodedBlock* out) const;
 
   /// \brief Per-caller probe state: the decoded current block plus the

@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "dewey/decode_kernels.h"
 #include "engine/disk_searcher.h"
 #include "engine/xksearch.h"
 #include "gen/random_tree.h"
@@ -462,7 +461,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     // blocks — that is what gives the disk chunk planner something to
     // split (block boundaries are its partition units).
     build.disk.scan_block_bytes = static_cast<size_t>(rng.UniformInt(48, 512));
-    build.disk.readahead_pages = static_cast<size_t>(rng.UniformInt(0, 4));
+    // Discarded: this draw once picked the leaf-readahead depth. Taking
+    // it keeps every later draw of a seed, and so the index options and
+    // queries that seed builds, unchanged.
+    (void)rng.UniformInt(0, 4);
     build.disk.compress_dewey = rng.Bernoulli(0.75);
     build.disk.delta_compress = rng.Bernoulli(0.75);
     build.disk.store_decorator =
@@ -714,29 +716,6 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       const std::string label = AlgorithmLabel(algorithm, false);
       Result<SearchResult> packed = engine.Search(keywords, so);
       ctx.Check(label.c_str(), packed, *oracle_slca);
-      // Decode-kernel differential: the same packed query forced through
-      // the scalar kernel must produce the identical result set and
-      // match-operation count as the dispatched (SWAR/SIMD) run — the
-      // kernel may only change how bytes are decoded, never what they
-      // decode to. Skipped when scalar is already the active kernel
-      // (non-x86 build, --no-simd, or XK_FORCE_SCALAR_DECODE).
-      if (ActiveDecodeKernel() != DecodeKernel::kScalar) {
-        ForceScalarDecode(true);
-        Result<SearchResult> scalar = engine.Search(keywords, so);
-        ForceScalarDecode(false);
-        const std::string scalar_label = label + "/scalar-decode";
-        ctx.Check(scalar_label.c_str(), scalar, *oracle_slca);
-        if (packed.ok() && scalar.ok()) {
-          ++report.cases;
-          const uint64_t packed_ops = packed->stats.match_ops.load();
-          const uint64_t scalar_ops = scalar->stats.match_ops.load();
-          if (packed_ops != scalar_ops) {
-            ctx.Diverge(label + " match_ops=" + std::to_string(packed_ops) +
-                        " but " + scalar_label +
-                        " match_ops=" + std::to_string(scalar_ops));
-          }
-        }
-      }
       so.use_packed_lists = false;
       const std::string vec_label = label + "/vector";
       Result<SearchResult> vec = engine.Search(keywords, so);
@@ -840,7 +819,6 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
               sum.postings_read.load() != total.postings_read.load() ||
               sum.page_reads.load() != total.page_reads.load() ||
               sum.page_hits.load() != total.page_hits.load() ||
-              sum.readahead_reads.load() != total.readahead_reads.load() ||
               sum.io_errors.load() != total.io_errors.load() ||
               contributed != par->result.nodes.size()) {
             ctx.Diverge(tag + " stats aggregation broke: shard sum " +
@@ -989,10 +967,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
 
     // Fault round: arm a transient probabilistic read-fault schedule and
     // run one disk query per algorithm. Contract: the query either
-    // succeeds with the oracle answer (fault missed it, or hit only
-    // readahead) or fails with the injected IoError — never a wrong
-    // answer, never a leaked pin. After disarming, the same query must
-    // succeed: a fault must not poison the pool.
+    // succeeds with the oracle answer (fault missed it) or fails with the
+    // injected IoError — never a wrong answer, never a leaked pin. After
+    // disarming, the same query must succeed: a fault must not poison the
+    // pool.
     for (AlgorithmChoice algorithm : kAlgorithms) {
       for (FaultInjectingPageStore* w : wrappers) {
         w->ClearFaults();

@@ -85,7 +85,6 @@ std::string MetricsRegistry::ReportText(const Gauges& gauges) const {
   auto pool_line = [&os](const char* name, const PoolGauges& pool) {
     if (!pool.present) return;
     os << name << " hits=" << pool.hits << " misses=" << pool.misses
-       << " readaheads=" << pool.readaheads
        << " resident=" << pool.resident << "/" << pool.capacity
        << " hit_ratio=" << pool.HitRatio() << "\n";
   };

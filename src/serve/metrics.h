@@ -91,7 +91,6 @@ class MetricsRegistry {
     bool present = false;
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t readaheads = 0;
     size_t resident = 0;
     size_t capacity = 0;
     double HitRatio() const {

@@ -338,7 +338,6 @@ std::string QueryService::MetricsReport() const {
     g.present = true;
     g.hits = pool.total_hits();
     g.misses = pool.total_misses();
-    g.readaheads = pool.total_readaheads();
     g.resident = pool.resident();
     g.capacity = pool.capacity();
     return g;

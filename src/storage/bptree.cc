@@ -335,13 +335,6 @@ Status BPlusTree::Cursor::Next() {
   assert(valid_);
   if (slot_ + 1 < slot_count_) return PositionAt(slot_ + 1);
   const PageId next = NodeView(leaf_ref_.page()).link_a();
-  if (readahead_ > 0 && next != kInvalidPage) {
-    // Forward scan crossing a leaf boundary: speculatively pull in the
-    // pages after the one we are about to read. Bulk-loaded leaves are
-    // laid out almost contiguously, so next+1..next+K are (mostly) the
-    // upcoming leaves of this scan.
-    tree_->pool_->Readahead(next + 1, readahead_, stats_);
-  }
   XKS_RETURN_NOT_OK(LoadLeaf(next));
   if (leaf_ref_.valid() && slot_count_ > 0) return PositionAt(0);
   Invalidate();

@@ -112,12 +112,6 @@ class BPlusTree {
     /// Charges this cursor's page fetches to `stats` (may be null).
     void set_stats(QueryStats* stats) { stats_ = stats; }
 
-    /// When > 0, crossing a leaf boundary in Next() speculatively loads
-    /// the following `pages` pages. The bulk loader emits leaves almost
-    /// contiguously, so "the next few page ids" is an effective stand-in
-    /// for "the next few leaves" without extra pointer chasing.
-    void set_readahead(size_t pages) { readahead_ = pages; }
-
     /// Positions at the first entry with key >= `key` (right-match probe).
     Status Seek(std::string_view key);
     /// Positions at the last entry with key <= `key` (left-match probe).
@@ -145,7 +139,6 @@ class BPlusTree {
 
     const BPlusTree* tree_;
     QueryStats* stats_ = nullptr;
-    size_t readahead_ = 0;
     PageRef leaf_ref_;
     PageId leaf_ = kInvalidPage;
     size_t slot_ = 0;

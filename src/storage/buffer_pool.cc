@@ -221,23 +221,21 @@ Status BufferPool::DropAll() {
   return store_->Sync();
 }
 
-Result<bool> BufferPool::LoadIfAbsent(PageId id, bool evict_if_full) {
+Result<bool> BufferPool::LoadIfAbsent(PageId id) {
   Shard& shard = ShardFor(id);
   std::unique_lock<std::mutex> lock(shard.mu);
-  // If the page is already resident (or being read), do nothing.
-  if (shard.frames.count(id) != 0) return false;
-  while (shard.frames.size() >= shard.capacity) {
-    // Speculative loads never fight pinned pages: when eviction finds
-    // nothing evictable (or is disallowed), skip the load entirely.
-    if (!evict_if_full || !EvictOneLocked(&shard).ok()) return false;
+  // If the page is already resident (or being read), or the shard is
+  // full, do nothing.
+  if (shard.frames.count(id) != 0 || shard.frames.size() >= shard.capacity) {
+    return false;
   }
 
   Frame& frame = shard.frames[id];
   frame.page = std::make_unique<Page>();
   frame.loading = true;
-  // Demand fetches can coalesce onto a speculative load (PinFrame waits
-  // on any loading frame), so speculative loads publish their outcome
-  // through the same shared LoadState protocol.
+  // Demand fetches can coalesce onto a warming load (PinFrame waits on
+  // any loading frame), so it publishes its outcome through the same
+  // shared LoadState protocol.
   frame.load = std::make_shared<internal::LoadState>();
   std::shared_ptr<internal::LoadState> load = frame.load;
   shard.lru.push_front(id);
@@ -262,86 +260,11 @@ Result<bool> BufferPool::LoadIfAbsent(PageId id, bool evict_if_full) {
 
 Status BufferPool::WarmAll() {
   const PageId n = store_->page_count();
-  store_->Prefetch(0, static_cast<size_t>(n));
   for (PageId id = 0; id < n; ++id) {
-    XKS_ASSIGN_OR_RETURN(const bool loaded,
-                         LoadIfAbsent(id, /*evict_if_full=*/false));
+    XKS_ASSIGN_OR_RETURN(const bool loaded, LoadIfAbsent(id));
     if (loaded) total_misses_.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::OK();
-}
-
-void BufferPool::Readahead(PageId first, size_t count, QueryStats* stats) {
-  const PageId n = store_->page_count();
-  if (count == 0 || first >= n) return;
-  count = std::min(count, static_cast<size_t>(n - first));
-  store_->Prefetch(first, count);
-
-  // Stake unpinned loading placeholders for whichever of the pages are
-  // absent, then satisfy them all with one vectored store read instead
-  // of `count` independent round-trips. Demand fetches arriving mid-read
-  // coalesce onto the placeholders' LoadState exactly as before.
-  struct Pending {
-    PageId id;
-    Frame* frame;
-    std::shared_ptr<internal::LoadState> load;
-  };
-  std::vector<Pending> loads;
-  for (size_t i = 0; i < count; ++i) {
-    const PageId id = first + static_cast<PageId>(i);
-    Shard& shard = ShardFor(id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.frames.count(id) != 0) continue;
-    bool room = true;
-    while (shard.frames.size() >= shard.capacity) {
-      // Speculative loads never fight pinned pages: when eviction finds
-      // nothing evictable, skip this page entirely.
-      if (!EvictOneLocked(&shard).ok()) {
-        room = false;
-        break;
-      }
-    }
-    if (!room) continue;
-    Frame& frame = shard.frames[id];
-    frame.page = std::make_unique<Page>();
-    frame.loading = true;
-    frame.load = std::make_shared<internal::LoadState>();
-    shard.lru.push_front(id);
-    frame.lru_pos = shard.lru.begin();
-    loads.push_back({id, &frame, frame.load});
-  }
-  if (loads.empty()) return;
-
-  std::vector<PageId> ids;
-  std::vector<Page*> pages;
-  ids.reserve(loads.size());
-  pages.reserve(loads.size());
-  for (const Pending& p : loads) {
-    ids.push_back(p.id);
-    pages.push_back(p.frame->page.get());
-  }
-  const Status read = store_->ReadPages(ids.data(), ids.size(), pages.data());
-  for (Pending& p : loads) {
-    Shard& shard = ShardFor(p.id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    p.load->done = true;
-    p.load->status = read;
-    if (read.ok()) {
-      p.frame->loading = false;
-      p.frame->load.reset();
-      total_readaheads_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) ++stats->readahead_reads;
-    } else {
-      // Best effort: a failed speculative batch just means the demand
-      // fetches will retry (and surface the error then, if it
-      // persists). The swallowed failures are still tallied per page so
-      // they show up in stats.
-      shard.lru.erase(p.frame->lru_pos);
-      shard.frames.erase(p.id);
-      if (stats != nullptr) ++stats->io_errors;
-    }
-    shard.cv.notify_all();
-  }
 }
 
 size_t BufferPool::resident() const {

@@ -192,17 +192,6 @@ class BufferPool {
   /// Prefetches every page of the store (up to capacity; never evicts).
   Status WarmAll();
 
-  /// Best-effort speculative load of `count` pages starting at `first`
-  /// (the leaf-readahead path): hints the store, then loads whichever of
-  /// them are absent, evicting cold unpinned frames to make room (a
-  /// steady-state pool is always full, so a no-evict readahead would
-  /// never load anything) but skipping pages whose shard is entirely
-  /// pinned. Loads are charged to `stats->readahead_reads` (not
-  /// page_reads) and to the pool's readahead total, keeping demand-miss
-  /// accounting clean. Errors are swallowed — readahead must never fail
-  /// a query.
-  void Readahead(PageId first, size_t count, QueryStats* stats = nullptr);
-
   size_t capacity() const { return capacity_; }
   size_t shards() const { return shards_.size(); }
   size_t resident() const;
@@ -216,9 +205,6 @@ class BufferPool {
   }
   uint64_t total_hits() const {
     return total_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t total_readaheads() const {
-    return total_readaheads_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -236,14 +222,10 @@ class BufferPool {
 
   /// Pins an existing or freshly-read frame; shared by Fetch/FetchMut.
   Result<Frame*> PinFrame(PageId id, QueryStats* stats, bool mark_dirty);
-  /// Loads `id` unpinned if absent; true iff this call performed a store
-  /// read. With `evict_if_full` a full shard evicts one unpinned frame
-  /// to make room (skipping the load when everything is pinned, never
-  /// erroring on exhaustion); without it a full shard just declines.
-  /// Shared by WarmAll (no eviction — full pool means warming is done)
-  /// and Readahead (evicts, or steady-state full pools would never
-  /// prefetch anything).
-  Result<bool> LoadIfAbsent(PageId id, bool evict_if_full);
+  /// Loads `id` unpinned if absent and its shard has a free frame (a
+  /// full shard declines: WarmAll never evicts); true iff this call
+  /// performed a store read.
+  Result<bool> LoadIfAbsent(PageId id);
   /// Evicts one unpinned, non-loading frame of `shard` (writing it back
   /// if dirty); kInternal when every frame is pinned. Caller holds the
   /// shard mutex.
@@ -254,7 +236,6 @@ class BufferPool {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> total_misses_{0};
   std::atomic<uint64_t> total_hits_{0};
-  std::atomic<uint64_t> total_readaheads_{0};
 };
 
 }  // namespace xksearch

@@ -264,7 +264,7 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Open(
   // committed-but-unapplied batch. Replay it into the freshly opened
   // stores before any tree or dictionary is read, so the index below
   // is always a whole batch boundary — exactly pre- or post-batch.
-  if (options.use_wal && FileExists(path_prefix + ".wal")) {
+  if (FileExists(path_prefix + ".wal")) {
     std::unique_ptr<Wal> wal;
     XKS_ASSIGN_OR_RETURN(wal,
                          OpenWalFile(path_prefix, options, /*create=*/false));
@@ -283,7 +283,6 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Open(
 }
 
 Status DiskIndex::InitTreesAndDict(const DiskIndexOptions& options) {
-  readahead_pages_ = options.readahead_pages;
   il_pool_ = std::make_unique<BufferPool>(
       il_store_.get(), options.il_pool_pages, options.pool_shards);
   scan_pool_ = std::make_unique<BufferPool>(
@@ -358,9 +357,6 @@ Result<DiskIndex::PostingCursor> DiskIndex::OpenPostings(
     uint32_t term, QueryStats* stats) const {
   BPlusTree::Cursor cursor = scan_tree_->NewCursor();
   cursor.set_stats(stats);
-  // Posting scans are the long sequential reads; they are the path that
-  // profits from leaf readahead.
-  cursor.set_readahead(readahead_pages_);
   // The bare 4-byte term prefix sorts before every (term, dewey) key.
   std::string key;
   AppendBigEndian32(term, &key);
@@ -393,7 +389,6 @@ Result<DiskIndex::PostingCursor> DiskIndex::OpenPostingsAtBlock(
     QueryStats* stats) const {
   BPlusTree::Cursor cursor = scan_tree_->NewCursor();
   cursor.set_stats(stats);
-  cursor.set_readahead(readahead_pages_);
   XKS_RETURN_NOT_OK(cursor.Seek(block_key));
   PostingCursor pc(this, term, std::move(cursor));
   pc.stats_ = stats;
@@ -409,7 +404,6 @@ Result<DiskIndex::PostingCursor> DiskIndex::OpenPostingsFrom(
   EncodeIlKey(*codec_, term, start, &probe);
   BPlusTree::Cursor cursor = scan_tree_->NewCursor();
   cursor.set_stats(stats);
-  cursor.set_readahead(readahead_pages_);
   // Floor search: the hosting block is the last one whose first id is
   // <= start. When no block of this term precedes `start`, the cursor
   // starts at the term's first block with no predecessor to report.
@@ -517,54 +511,46 @@ Result<std::unique_ptr<DiskIndexUpdater>> DiskIndexUpdater::Open(
         "the updater maintains file-backed indexes only");
   }
   std::unique_ptr<DiskIndexUpdater> updater(new DiskIndexUpdater());
-  updater->path_prefix_ = path_prefix;
   updater->options_ = options;
   XKS_ASSIGN_OR_RETURN(updater->il_store_,
                        FilePageStore::Open(path_prefix + ".il"));
   XKS_ASSIGN_OR_RETURN(updater->scan_store_,
                        FilePageStore::Open(path_prefix + ".scan"));
-  if (options.use_wal) {
-    XKS_ASSIGN_OR_RETURN(updater->dict_store_,
-                         FilePageStore::Open(path_prefix + ".dict"));
-  }
+  XKS_ASSIGN_OR_RETURN(updater->dict_store_,
+                       FilePageStore::Open(path_prefix + ".dict"));
   if (options.store_decorator) {
     updater->il_store_ =
         options.store_decorator(std::move(updater->il_store_), "il");
     updater->scan_store_ =
         options.store_decorator(std::move(updater->scan_store_), "scan");
-    if (updater->dict_store_ != nullptr) {
-      updater->dict_store_ =
-          options.store_decorator(std::move(updater->dict_store_), "dict");
-    }
+    updater->dict_store_ =
+        options.store_decorator(std::move(updater->dict_store_), "dict");
   }
-  PageStore* il_base = updater->il_store_.get();
-  PageStore* scan_base = updater->scan_store_.get();
-  if (options.use_wal) {
-    // Replay any committed batch a crashed predecessor left behind, then
-    // stack the staging overlays: from here on nothing reaches the inner
-    // files until this updater's own batch commits.
-    XKS_ASSIGN_OR_RETURN(updater->wal_,
-                         OpenWalFile(path_prefix, options, /*create=*/true));
-    PageStore* const targets[] = {il_base, scan_base,
-                                  updater->dict_store_.get()};
-    XKS_ASSIGN_OR_RETURN(
-        const WalRecoveryStats stats,
-        updater->wal_->Recover([&targets](uint8_t id) -> PageStore* {
-          return id <= kWalStoreDict ? targets[id] : nullptr;
-        }));
-    RecordRecovery(stats);
-    updater->recovered_batches_ = stats.batches_applied;
-    updater->il_staged_ = std::make_unique<StagedPageStore>(il_base);
-    updater->scan_staged_ = std::make_unique<StagedPageStore>(scan_base);
-    updater->dict_staged_ =
-        std::make_unique<StagedPageStore>(updater->dict_store_.get());
-    il_base = updater->il_staged_.get();
-    scan_base = updater->scan_staged_.get();
-  }
-  updater->il_pool_ =
-      std::make_unique<BufferPool>(il_base, options.il_pool_pages);
-  updater->scan_pool_ =
-      std::make_unique<BufferPool>(scan_base, options.scan_pool_pages);
+  // Replay any committed batch a crashed predecessor left behind, then
+  // stack the staging overlays: from here on nothing reaches the inner
+  // files until this updater's own batch commits.
+  XKS_ASSIGN_OR_RETURN(updater->wal_,
+                       OpenWalFile(path_prefix, options, /*create=*/true));
+  PageStore* const targets[] = {updater->il_store_.get(),
+                                updater->scan_store_.get(),
+                                updater->dict_store_.get()};
+  XKS_ASSIGN_OR_RETURN(
+      const WalRecoveryStats stats,
+      updater->wal_->Recover([&targets](uint8_t id) -> PageStore* {
+        return id <= kWalStoreDict ? targets[id] : nullptr;
+      }));
+  RecordRecovery(stats);
+  updater->recovered_batches_ = stats.batches_applied;
+  updater->il_staged_ =
+      std::make_unique<StagedPageStore>(updater->il_store_.get());
+  updater->scan_staged_ =
+      std::make_unique<StagedPageStore>(updater->scan_store_.get());
+  updater->dict_staged_ =
+      std::make_unique<StagedPageStore>(updater->dict_store_.get());
+  updater->il_pool_ = std::make_unique<BufferPool>(updater->il_staged_.get(),
+                                                   options.il_pool_pages);
+  updater->scan_pool_ = std::make_unique<BufferPool>(
+      updater->scan_staged_.get(), options.scan_pool_pages);
   XKS_ASSIGN_OR_RETURN(BPlusTreeMut il_tree,
                        BPlusTreeMut::Open(updater->il_pool_.get()));
   updater->il_tree_ = std::make_unique<BPlusTreeMut>(std::move(il_tree));
@@ -580,18 +566,10 @@ Result<std::unique_ptr<DiskIndexUpdater>> DiskIndexUpdater::Open(
   updater->tokenizer_ = meta.tokenizer;
   updater->total_postings_ = meta.total_postings;
 
-  // Load the dictionary; term ids stay stable, new terms extend it. In
-  // WAL mode the dict store is already held (and recovered); the legacy
-  // path opens it transiently, as it is only rewritten at Finish.
+  // Load the dictionary (already recovered above); term ids stay stable,
+  // new terms extend it.
   {
-    std::unique_ptr<PageStore> transient;
-    PageStore* dict = updater->dict_store_.get();
-    if (dict == nullptr) {
-      XKS_ASSIGN_OR_RETURN(transient,
-                           FilePageStore::Open(path_prefix + ".dict"));
-      dict = transient.get();
-    }
-    BufferPool dict_pool(dict, 64);
+    BufferPool dict_pool(updater->dict_store_.get(), 64);
     XKS_ASSIGN_OR_RETURN(BPlusTree dict_tree, BPlusTree::Open(&dict_pool));
     BPlusTree::Cursor cursor = dict_tree.NewCursor();
     XKS_RETURN_NOT_OK(cursor.SeekToFirst());
@@ -847,16 +825,17 @@ Status DiskIndexUpdater::Finish() {
   XKS_RETURN_NOT_OK(scan_tree_->Flush());
 
   // Rewrite the dictionary from scratch when it changed (it is small and
-  // the bulk builder wants sorted keys anyway).
-  const bool rewrite_dict = DictChanged();
-  std::vector<std::string> terms;
-  if (rewrite_dict) {
+  // the bulk builder wants sorted keys anyway). The rebuild goes through
+  // the dict overlay (emptied first — the bulk builder wants a fresh
+  // store), so like the tree flushes above it is part of the staged
+  // batch, not an in-place file rewrite.
+  if (DictChanged()) {
+    std::vector<std::string> terms;
     terms.reserve(dict_.size());
     for (const auto& [term, info] : dict_) terms.push_back(term);
     std::sort(terms.begin(), terms.end());
-  }
-  auto build_dict = [&](PageStore* store) -> Status {
-    BPlusTreeBuilder builder(store);
+    XKS_RETURN_NOT_OK(dict_staged_->Truncate(0));
+    BPlusTreeBuilder builder(dict_staged_.get());
     for (const std::string& term : terms) {
       const DiskIndex::TermInfo& info = dict_.find(term)->second;
       std::vector<uint8_t> value;
@@ -866,22 +845,9 @@ Status DiskIndexUpdater::Finish() {
           term, std::string_view(reinterpret_cast<const char*>(value.data()),
                                  value.size())));
     }
-    return builder.Finish();
-  };
-  if (options_.use_wal) {
-    // The rebuild goes through the dict overlay (emptied first — the
-    // bulk builder wants a fresh store), so like the tree flushes above
-    // it is part of the staged batch, not an in-place file rewrite.
-    if (rewrite_dict) {
-      XKS_RETURN_NOT_OK(dict_staged_->Truncate(0));
-      XKS_RETURN_NOT_OK(build_dict(dict_staged_.get()));
-    }
-    return CommitBatch();
+    XKS_RETURN_NOT_OK(builder.Finish());
   }
-  if (!rewrite_dict) return Status::OK();
-  XKS_ASSIGN_OR_RETURN(std::unique_ptr<FilePageStore> dict_store,
-                       FilePageStore::Create(path_prefix_ + ".dict"));
-  return build_dict(dict_store.get());
+  return CommitBatch();
 }
 
 Status DiskIndexUpdater::CommitBatch() {

@@ -41,23 +41,11 @@ struct DiskIndexOptions {
   /// means less mutex contention between concurrent queries; 1 gives the
   /// old single-LRU behaviour (useful for deterministic cache tests).
   size_t pool_shards = 0;
-  /// Leaf readahead: pages speculatively loaded when a posting scan
-  /// crosses a leaf boundary. 0 (the default) disables readahead, which
-  /// keeps per-query disk-access counts exactly comparable with the
-  /// paper's figures; serving setups chasing latency turn it on.
-  size_t readahead_pages = 0;
   /// Level-table Dewey compression for IL keys (paper Section 4); when
   /// false a fixed 32-bit-per-component codec is used (ablation X2).
   bool compress_dewey = true;
   /// Prefix-delta compression inside posting blocks (ablation X2).
   bool delta_compress = true;
-  /// Crash consistency for incremental updates (file mode only): the
-  /// updater stages every batch behind a write-ahead log at
-  /// `<prefix>.wal` and Open/DiskIndexUpdater::Open replay any
-  /// committed-but-unapplied batch before touching the trees, making
-  /// each batch atomic across il/scan/dict. Off restores the legacy
-  /// in-place write path (no `.wal` file, no atomicity).
-  bool use_wal = true;
   /// Test hook: wraps each page store the index creates (Build, Open and
   /// the updater) before any pool or tree touches it. `name` is "il",
   /// "scan", "dict" or "wal". Fault-injection tests interpose
@@ -266,7 +254,6 @@ class DiskIndex {
   TermDict dict_;
   uint64_t total_postings_ = 0;
   TokenizerOptions tokenizer_;
-  size_t readahead_pages_ = 0;
 };
 
 /// \brief Incremental maintenance of a file-backed index: add or remove
@@ -291,12 +278,11 @@ class DiskIndex {
 /// rejected with InvalidArgument — rebuilding with a wider table is the
 /// remedy, never a silent lossy encoding.
 ///
-/// **Crash consistency** (DiskIndexOptions::use_wal, the default): the
-/// whole batch — every AddPosting/RemovePosting between Open and
-/// Finish — is staged in memory (StagedPageStore overlays under the
-/// buffer pools), written to `<prefix>.wal` as checksummed page-image
-/// frames, made durable by the commit frame's single fsync, and only
-/// then replayed into the il/scan/dict files. A crash at any point
+/// **Crash consistency**: the whole batch — every AddPosting/RemovePosting
+/// between Open and Finish — is staged in memory (StagedPageStore
+/// overlays under the buffer pools), written to `<prefix>.wal` as
+/// checksummed page-image frames, made durable by the commit frame's
+/// single fsync, and only then replayed into the il/scan/dict files. A crash at any point
 /// leaves the files either exactly pre-batch (commit frame not durable:
 /// recovery discards the torn log) or exactly post-batch (commit frame
 /// durable: recovery replays it idempotently) — never a hybrid.
@@ -359,16 +345,15 @@ class DiskIndexUpdater {
                         BlockEdits* out) const;
   /// True when some touched term's (id, frequency) differs from Open's.
   bool DictChanged() const;
-  /// WAL-mode Finish tail: logs every staged page as one batch, commits,
+  /// Finish tail: logs every staged page as one batch, commits,
   /// then applies the batch by replaying the log into the inner stores —
   /// the same code path crash recovery takes.
   Status CommitBatch();
 
-  std::string path_prefix_;
   DiskIndexOptions options_;
   std::unique_ptr<PageStore> il_store_;
   std::unique_ptr<PageStore> scan_store_;
-  std::unique_ptr<PageStore> dict_store_;  // held only in WAL mode
+  std::unique_ptr<PageStore> dict_store_;
   std::unique_ptr<StagedPageStore> il_staged_;
   std::unique_ptr<StagedPageStore> scan_staged_;
   std::unique_ptr<StagedPageStore> dict_staged_;

@@ -174,10 +174,6 @@ class FaultInjectingPageStore : public PageStore {
   /// so far would survive a SimulateCrash().
   Status Sync() override;
   Status Truncate(PageId page_count) override;
-  void Prefetch(PageId first, size_t count) override {
-    if (crashed()) return;
-    inner_->Prefetch(first, count);
-  }
 
   /// Attaches this store to a shared crash schedule and starts tracking
   /// unsynced writes (undo images) so SimulateCrash can drop them. The

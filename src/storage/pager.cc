@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -111,65 +110,6 @@ Result<PageId> FilePageStore::AllocatePage() {
   return id;
 }
 
-Status FilePageStore::ReadPages(const PageId* ids, size_t count,
-                                Page* const* pages) {
-  // Runs are capped well under IOV_MAX; 64 pages is 256 KiB per syscall,
-  // past the point where a longer vector buys anything.
-  constexpr size_t kMaxRun = 64;
-  const PageId limit = page_count();
-  size_t i = 0;
-  while (i < count) {
-    if (ids[i] >= limit) {
-      return Status::OutOfRange("page " + std::to_string(ids[i]) +
-                                " out of range");
-    }
-    size_t run = 1;
-    while (i + run < count && run < kMaxRun &&
-           ids[i + run] == ids[i] + static_cast<PageId>(run)) {
-      ++run;
-    }
-    if (ids[i + run - 1] >= limit) {
-      return Status::OutOfRange("page " + std::to_string(ids[i + run - 1]) +
-                                " out of range");
-    }
-    if (run == 1) {
-      XKS_RETURN_NOT_OK(ReadPage(ids[i], pages[i]));
-      ++i;
-      continue;
-    }
-    // One preadv per contiguous run, with the iovec array rebuilt from
-    // the current byte offset after a partial read.
-    const size_t total = run * kPageSize;
-    const off_t base = PageOffset(ids[i]);
-    size_t done = 0;
-    while (done < total) {
-      struct iovec iov[kMaxRun];
-      size_t iovcnt = 0;
-      size_t skip = done;
-      for (size_t k = 0; k < run; ++k) {
-        if (skip >= kPageSize) {
-          skip -= kPageSize;
-          continue;
-        }
-        iov[iovcnt].iov_base = pages[i + k]->data.data() + skip;
-        iov[iovcnt].iov_len = kPageSize - skip;
-        skip = 0;
-        ++iovcnt;
-      }
-      const ssize_t n = ::preadv(fd_, iov, static_cast<int>(iovcnt),
-                                 base + static_cast<off_t>(done));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Errno("vectored read failed in", path_);
-      }
-      if (n == 0) return Errno("short read in", path_);
-      done += static_cast<size_t>(n);
-    }
-    i += run;
-  }
-  return Status::OK();
-}
-
 Status FilePageStore::Sync() {
   if (::fsync(fd_) != 0) return Errno("sync failed in", path_);
   return Status::OK();
@@ -181,17 +121,6 @@ Status FilePageStore::Truncate(PageId page_count) {
   }
   page_count_.store(page_count, std::memory_order_release);
   return Status::OK();
-}
-
-void FilePageStore::Prefetch(PageId first, size_t count) {
-  const PageId n = page_count();
-  if (first >= n || count == 0) return;
-  if (count > static_cast<size_t>(n - first)) {
-    count = static_cast<size_t>(n - first);
-  }
-  (void)::posix_fadvise(fd_, PageOffset(first),
-                        static_cast<off_t>(count * kPageSize),
-                        POSIX_FADV_WILLNEED);
 }
 
 Status MemPageStore::ReadPage(PageId id, Page* out) {

@@ -38,28 +38,6 @@ class PageStore {
     (void)page_count;
     return Status::NotSupported("this page store cannot be truncated");
   }
-
-  /// Advisory: the caller intends to read `count` pages starting at
-  /// `first` soon. File-backed stores forward the hint to the OS page
-  /// cache so the reads overlap; default is a no-op.
-  virtual void Prefetch(PageId first, size_t count) {
-    (void)first;
-    (void)count;
-  }
-
-  /// Reads `count` pages in one call: ids[i] lands in *pages[i]. `ids`
-  /// must be sorted ascending with no duplicates (the buffer pool sorts
-  /// its batch before calling). The default loops ReadPage — so wrapper
-  /// stores (fault injection, staging) keep their per-page semantics
-  /// without overriding — while file-backed stores batch physically
-  /// contiguous runs into single vectored reads.
-  virtual Status ReadPages(const PageId* ids, size_t count,
-                           Page* const* pages) {
-    for (size_t i = 0; i < count; ++i) {
-      XKS_RETURN_NOT_OK(ReadPage(ids[i], pages[i]));
-    }
-    return Status::OK();
-  }
 };
 
 /// \brief File-backed page store over a raw file descriptor.
@@ -86,11 +64,6 @@ class FilePageStore : public PageStore {
   }
   Status Sync() override;
   Status Truncate(PageId page_count) override;
-  void Prefetch(PageId first, size_t count) override;
-  /// Contiguous runs of the sorted id batch become one preadv each, so a
-  /// cold batch of B adjacent leaves costs one syscall round-trip, not B.
-  Status ReadPages(const PageId* ids, size_t count,
-                   Page* const* pages) override;
 
   const std::string& path() const { return path_; }
 

@@ -242,58 +242,6 @@ TEST_F(BufferPoolTest, MoveOnlyPageRefTransfersPin) {
   XKS_ASSERT_OK(pool.DropAll());
 }
 
-TEST_F(BufferPoolTest, ReadaheadChargesSeparatelyFromDemandMisses) {
-  BufferPool pool(&store_, 4, /*shards=*/1);
-  QueryStats stats;
-  pool.Readahead(0, 3, &stats);
-  EXPECT_EQ(stats.readahead_reads, 3u);
-  EXPECT_EQ(pool.total_readaheads(), 3u);
-  EXPECT_EQ(pool.resident(), 3u);
-  // Speculative loads are not demand misses...
-  EXPECT_EQ(stats.page_reads, 0u);
-  EXPECT_EQ(pool.total_misses(), 0u);
-  // ...and a later demand fetch of a readahead page is a hit.
-  { auto r = pool.Fetch(1, &stats); ASSERT_TRUE(r.ok()); }
-  EXPECT_EQ(stats.page_hits, 1u);
-  EXPECT_EQ(stats.page_reads, 0u);
-}
-
-TEST_F(BufferPoolTest, ReadaheadEvictsUnpinnedButSkipsPinnedPages) {
-  BufferPool pool(&store_, 2, /*shards=*/1);
-  QueryStats stats;
-  // Fill the pool with two pinned pages: readahead finds nothing
-  // evictable and skips instead of erroring.
-  Result<PageRef> pin0 = pool.Fetch(0);
-  ASSERT_TRUE(pin0.ok());
-  {
-    Result<PageRef> pin1 = pool.Fetch(1);
-    ASSERT_TRUE(pin1.ok());
-    ASSERT_EQ(pool.resident(), 2u);
-    pool.Readahead(2, 1, &stats);
-    EXPECT_EQ(stats.readahead_reads, 0u);
-    EXPECT_EQ(pool.resident(), 2u);
-  }
-  // Page 1 unpinned: a full pool now prefetches by evicting it, and
-  // the pinned page is untouched.
-  pool.Readahead(2, 1, &stats);
-  EXPECT_EQ(stats.readahead_reads, 1u);
-  EXPECT_EQ(pool.resident(), 2u);
-  EXPECT_EQ(pin0->page().ReadU8(0), 0u);
-  // The prefetched page is resident: a demand fetch of it is a hit.
-  { auto r = pool.Fetch(2, &stats); ASSERT_TRUE(r.ok()); }
-  EXPECT_EQ(stats.page_hits, 1u);
-  EXPECT_EQ(stats.page_reads, 0u);
-}
-
-TEST_F(BufferPoolTest, ReadaheadClampsToStoreSize) {
-  BufferPool pool(&store_, 16, /*shards=*/1);
-  QueryStats stats;
-  pool.Readahead(6, 100, &stats);  // store has 8 pages
-  EXPECT_EQ(stats.readahead_reads, 2u);
-  pool.Readahead(50, 4, &stats);  // wholly out of range: no-op
-  EXPECT_EQ(stats.readahead_reads, 2u);
-}
-
 // --- Sharded / multi-threaded behaviour. The suite name contains
 // "Concurrency" so the tsan preset's test filter runs these under tsan.
 
@@ -453,29 +401,6 @@ TEST_F(BufferPoolConcurrencyTest, DropAllFailsWithPinnedPageThenRecovers) {
   pinned->Release();
   XKS_ASSERT_OK(pool.DropAll());
   EXPECT_EQ(pool.resident(), 0u);
-}
-
-TEST_F(BufferPoolConcurrencyTest, ConcurrentReadaheadAndFetches) {
-  BufferPool pool(&store_, 6, 3);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 200; ++i) {
-        if (t % 2 == 0) {
-          QueryStats stats;
-          pool.Readahead(static_cast<PageId>(i % 8), 3, &stats);
-        } else {
-          const PageId id = static_cast<PageId>((t + i) % 8);
-          Result<PageRef> ref = pool.Fetch(id);
-          if (!ref.ok() || ref->page().ReadU8(0) != id) failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures, 0);
-  XKS_ASSERT_OK(pool.DropAll());
 }
 
 }  // namespace

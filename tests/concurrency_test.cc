@@ -166,7 +166,7 @@ TEST(ConcurrencyTest, ParallelDiskQueriesAgree) {
 
 // Stress the fully concurrent disk read path: 8 threads hammer one
 // shared DiskSearcher whose pools are deliberately tiny (constant
-// eviction) with readahead on, while a chaos thread flips the caches
+// eviction), while a chaos thread flips the caches
 // between cold (DropCaches) and hot (WarmCaches). Written to run under
 // tsan (the preset's test filter includes this suite); the asserted
 // invariants are
@@ -184,11 +184,9 @@ TEST(ConcurrencyTest, DiskSearcherParallelStress) {
   XKSearch::BuildOptions build;
   build.build_disk_index = true;
   build.disk.in_memory = true;
-  // Tiny pools force eviction on nearly every query; readahead adds the
-  // speculative-load path to the interleavings tsan sees.
+  // Tiny pools force eviction on nearly every query.
   build.disk.il_pool_pages = 64;
   build.disk.scan_pool_pages = 64;
-  build.disk.readahead_pages = 4;
   Result<std::unique_ptr<XKSearch>> built =
       XKSearch::BuildFromDocument(std::move(*doc), build);
   ASSERT_TRUE(built.ok());

@@ -15,8 +15,8 @@ namespace {
 using testing_util::Id;
 using testing_util::Ids;
 
-/// Reference decode: the entry-at-a-time DeltaBlockDecoder the kernels
-/// must agree with bit for bit.
+/// Reference decode: the entry-at-a-time DeltaBlockDecoder that
+/// DecodeBlock must agree with bit for bit.
 std::vector<DeweyId> ReferenceDecode(const std::vector<uint8_t>& bytes) {
   DeltaBlockDecoder decoder(bytes);
   std::vector<DeweyId> out;
@@ -44,8 +44,13 @@ void ExpectBlockEquals(const DecodedBlock& got,
 }
 
 /// A mix of shapes: deep chains, shared-prefix runs, multi-byte
-/// components, and sibling fan-out — sorted, as every posting list is.
+/// components, sibling fan-out, and one entry that adds 40 single-byte
+/// components and then a multi-byte one — sorted, as every posting list
+/// is.
 std::vector<DeweyId> MixedIds() {
+  std::vector<uint32_t> long_run = {0, 2};
+  long_run.insert(long_run.end(), 40, 1);
+  long_run.push_back(1000);
   std::vector<DeweyId> ids = Ids({
       "0",
       "0.0.0.0.0.0.0.0",
@@ -58,8 +63,9 @@ std::vector<DeweyId> MixedIds() {
       "0.1.128",          // first two-byte varint component
       "0.1.128.1000000",  // multi-byte tail after a shared prefix
       "0.2",
-      "0.300.300.300",
   });
+  ids.emplace_back(std::move(long_run));
+  ids.push_back(Id("0.300.300.300"));
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
   return ids;
 }
@@ -87,44 +93,19 @@ std::vector<DeweyId> RandomSortedIds(uint64_t seed, size_t n,
   return ids;
 }
 
-TEST(DecodeKernelTest, ScalarAndSwarAreAlwaysAvailable) {
-  EXPECT_TRUE(DecodeKernelAvailable(DecodeKernel::kScalar));
-  EXPECT_TRUE(DecodeKernelAvailable(DecodeKernel::kSwar));
-  const std::vector<DecodeKernel> available = AvailableDecodeKernels();
-  ASSERT_GE(available.size(), 2u);
-  EXPECT_EQ(available[0], DecodeKernel::kScalar);
-  EXPECT_EQ(available[1], DecodeKernel::kSwar);
-  for (DecodeKernel kernel : available) {
-    EXPECT_STRNE(DecodeKernelName(kernel), "unknown");
-  }
-}
-
-TEST(DecodeKernelTest, ForceScalarOverridesDispatch) {
-  ForceScalarDecode(true);
-  EXPECT_EQ(ActiveDecodeKernel(), DecodeKernel::kScalar);
-  ForceScalarDecode(false);
-  // Whatever the widest kernel is, it must be one the machine supports.
-  EXPECT_TRUE(DecodeKernelAvailable(ActiveDecodeKernel()));
-}
-
 TEST(DecodeKernelTest, EveryKernelMatchesReferenceOnMixedShapes) {
   const std::vector<DeweyId> ids = MixedIds();
   for (bool delta : {true, false}) {
     const std::vector<uint8_t> bytes = Encode(ids, delta);
     const std::vector<DeweyId> expected = ReferenceDecode(bytes);
     ASSERT_EQ(expected.size(), ids.size());
-    for (DecodeKernel kernel : AvailableDecodeKernels()) {
-      DecodedBlock block;
-      size_t pos = 0;
-      const Status status =
-          DecodeBlockWith(kernel, bytes.data(), bytes.size(), &pos,
-                          ids.size(), nullptr, 0, &block);
-      ASSERT_TRUE(status.ok()) << status.ToString();
-      EXPECT_EQ(pos, bytes.size());
-      ExpectBlockEquals(block, expected,
-                        std::string("kernel ") + DecodeKernelName(kernel) +
-                            (delta ? " delta" : " full"));
-    }
+    DecodedBlock block;
+    size_t pos = 0;
+    const Status status = DecodeBlock(bytes.data(), bytes.size(), &pos,
+                                      ids.size(), nullptr, 0, &block);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(pos, bytes.size());
+    ExpectBlockEquals(block, expected, delta ? "delta" : "full");
   }
 }
 
@@ -134,35 +115,30 @@ TEST(DecodeKernelTest, KernelsAgreeOnRandomListsAcrossBlockSizes) {
         RandomSortedIds(seed, 500, /*max_component=*/2000, /*max_depth=*/12);
     const std::vector<uint8_t> bytes = Encode(ids);
     const std::vector<DeweyId> expected = ReferenceDecode(bytes);
-    for (DecodeKernel kernel : AvailableDecodeKernels()) {
-      for (const size_t max_entries : {size_t{1}, size_t{2}, size_t{7},
-                                       size_t{64}, expected.size()}) {
-        // Decode the stream in max_entries-sized chunks, carrying the
-        // previous chunk's last entry across calls exactly as a blocked
-        // cursor would.
-        std::vector<DeweyId> got;
-        std::vector<uint32_t> carry;
-        size_t pos = 0;
-        while (pos < bytes.size()) {
-          DecodedBlock block;
-          const Status status = DecodeBlockWith(
-              kernel, bytes.data(), bytes.size(), &pos, max_entries,
-              carry.empty() ? nullptr : carry.data(), carry.size(), &block);
-          ASSERT_TRUE(status.ok()) << status.ToString();
-          ASSERT_GT(block.count(), 0u);  // progress on every call
-          for (size_t i = 0; i < block.count(); ++i) {
-            got.push_back(DeweyId::FromView(block.entry(i)));
-          }
-          carry.assign(block.last_data(),
-                       block.last_data() + block.last_len());
+    for (const size_t max_entries : {size_t{1}, size_t{2}, size_t{7},
+                                     size_t{64}, expected.size()}) {
+      // Decode the stream in max_entries-sized chunks, carrying the
+      // previous chunk's last entry across calls exactly as a blocked
+      // cursor would.
+      std::vector<DeweyId> got;
+      std::vector<uint32_t> carry;
+      size_t pos = 0;
+      while (pos < bytes.size()) {
+        DecodedBlock block;
+        const Status status = DecodeBlock(
+            bytes.data(), bytes.size(), &pos, max_entries,
+            carry.empty() ? nullptr : carry.data(), carry.size(), &block);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        ASSERT_GT(block.count(), 0u);  // progress on every call
+        for (size_t i = 0; i < block.count(); ++i) {
+          got.push_back(DeweyId::FromView(block.entry(i)));
         }
-        ASSERT_EQ(got.size(), expected.size())
-            << DecodeKernelName(kernel) << " chunk=" << max_entries;
-        for (size_t i = 0; i < got.size(); ++i) {
-          ASSERT_EQ(got[i], expected[i])
-              << DecodeKernelName(kernel) << " chunk=" << max_entries
-              << " entry " << i;
-        }
+        carry.assign(block.last_data(), block.last_data() + block.last_len());
+      }
+      ASSERT_EQ(got.size(), expected.size()) << "chunk=" << max_entries;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], expected[i])
+            << "chunk=" << max_entries << " entry " << i;
       }
     }
   }
@@ -170,7 +146,7 @@ TEST(DecodeKernelTest, KernelsAgreeOnRandomListsAcrossBlockSizes) {
 
 TEST(DecodeKernelTest, MaxWidthComponentsSurviveEveryKernel) {
   // Every component at the 5-byte varint ceiling, at depth 64: the worst
-  // case for the single-byte fast paths (they must bail to the checked
+  // case for the single-byte fast path (it must bail to the checked
   // slow path on every component without misreading a byte).
   std::vector<uint32_t> components(64, 0xFFFFFFFFu);
   components[0] = 0;
@@ -182,44 +158,39 @@ TEST(DecodeKernelTest, MaxWidthComponentsSurviveEveryKernel) {
   const std::vector<uint8_t> bytes = Encode(ids);
   const std::vector<DeweyId> expected = ReferenceDecode(bytes);
   ASSERT_EQ(expected.size(), 2u);
-  for (DecodeKernel kernel : AvailableDecodeKernels()) {
-    DecodedBlock block;
-    size_t pos = 0;
-    const Status status = DecodeBlockWith(kernel, bytes.data(), bytes.size(),
-                                          &pos, 2, nullptr, 0, &block);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    ExpectBlockEquals(block, expected, DecodeKernelName(kernel));
-  }
+  DecodedBlock block;
+  size_t pos = 0;
+  const Status status =
+      DecodeBlock(bytes.data(), bytes.size(), &pos, 2, nullptr, 0, &block);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectBlockEquals(block, expected, "max width");
 }
 
 TEST(DecodeKernelTest, TruncatedTailsErrorOrStopAtEntryBoundary) {
   const std::vector<DeweyId> ids = MixedIds();
   const std::vector<uint8_t> bytes = Encode(ids);
   const std::vector<DeweyId> expected = ReferenceDecode(bytes);
-  for (DecodeKernel kernel : AvailableDecodeKernels()) {
-    for (size_t cut = 0; cut < bytes.size(); ++cut) {
-      DecodedBlock block;
-      size_t pos = 0;
-      const Status status = DecodeBlockWith(kernel, bytes.data(), cut, &pos,
-                                            ids.size(), nullptr, 0, &block);
-      if (status.ok()) {
-        // A clean stop is only legal exactly between entries, with the
-        // decoded prefix matching the reference and all input consumed.
-        EXPECT_EQ(pos, cut) << DecodeKernelName(kernel) << " cut=" << cut;
-        ASSERT_LT(block.count(), expected.size());
-        for (size_t i = 0; i < block.count(); ++i) {
-          EXPECT_EQ(DeweyId::FromView(block.entry(i)), expected[i])
-              << DecodeKernelName(kernel) << " cut=" << cut;
-        }
-      } else {
-        EXPECT_TRUE(status.IsCorruption())
-            << DecodeKernelName(kernel) << " cut=" << cut << ": "
-            << status.ToString();
-        // The failed entry must be rolled back whole: pos sits on an
-        // entry start and the partial components are gone.
-        for (size_t i = 0; i < block.count(); ++i) {
-          EXPECT_EQ(DeweyId::FromView(block.entry(i)), expected[i]);
-        }
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    DecodedBlock block;
+    size_t pos = 0;
+    const Status status =
+        DecodeBlock(bytes.data(), cut, &pos, ids.size(), nullptr, 0, &block);
+    if (status.ok()) {
+      // A clean stop is only legal exactly between entries, with the
+      // decoded prefix matching the reference and all input consumed.
+      EXPECT_EQ(pos, cut) << "cut=" << cut;
+      ASSERT_LT(block.count(), expected.size());
+      for (size_t i = 0; i < block.count(); ++i) {
+        EXPECT_EQ(DeweyId::FromView(block.entry(i)), expected[i])
+            << "cut=" << cut;
+      }
+    } else {
+      EXPECT_TRUE(status.IsCorruption())
+          << "cut=" << cut << ": " << status.ToString();
+      // The failed entry must be rolled back whole: pos sits on an
+      // entry start and the partial components are gone.
+      for (size_t i = 0; i < block.count(); ++i) {
+        EXPECT_EQ(DeweyId::FromView(block.entry(i)), expected[i]);
       }
     }
   }
@@ -233,18 +204,15 @@ TEST(DecodeKernelTest, CorruptHeadersAreRejectedNotOverRead) {
   // added with a pathological count (varint 0xFFFFFF7F ≈ 2^28): must be
   // rejected by the component-count bound, not attempted.
   const std::vector<uint8_t> huge_added = {0, 0xFF, 0xFF, 0xFF, 0x7F, 1};
-  for (DecodeKernel kernel : AvailableDecodeKernels()) {
-    for (const std::vector<uint8_t>* bytes :
-         {&bad_shared, &empty_id, &huge_added}) {
-      DecodedBlock block;
-      size_t pos = 0;
-      const Status status = DecodeBlockWith(kernel, bytes->data(),
-                                            bytes->size(), &pos, 10, nullptr,
-                                            0, &block);
-      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
-      EXPECT_EQ(pos, 0u);
-      EXPECT_EQ(block.count(), 0u);
-    }
+  for (const std::vector<uint8_t>* bytes :
+       {&bad_shared, &empty_id, &huge_added}) {
+    DecodedBlock block;
+    size_t pos = 0;
+    const Status status = DecodeBlock(bytes->data(), bytes->size(), &pos, 10,
+                                      nullptr, 0, &block);
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_EQ(pos, 0u);
+    EXPECT_EQ(block.count(), 0u);
   }
 }
 
@@ -254,8 +222,7 @@ TEST(DecodeKernelTest, CarrySeedsTheSharedPrefixChain) {
   const std::vector<DeweyId> ids =
       Ids({"0.1.2.3.4.5", "0.1.2.3.4.9", "0.1.2.7"});
   const std::vector<uint8_t> bytes = Encode(ids);
-  // Find the byte offset of the second entry by reference-decoding one
-  // entry through the kernel API.
+  // Find the byte offset of the second entry by decoding one entry.
   DecodedBlock first;
   size_t pos = 0;
   ASSERT_TRUE(DecodeBlock(bytes.data(), bytes.size(), &pos, 1, nullptr, 0,
@@ -264,17 +231,14 @@ TEST(DecodeKernelTest, CarrySeedsTheSharedPrefixChain) {
   ASSERT_EQ(first.count(), 1u);
   const std::vector<uint32_t> carry(
       first.last_data(), first.last_data() + first.last_len());
-  for (DecodeKernel kernel : AvailableDecodeKernels()) {
-    DecodedBlock tail;
-    size_t tail_pos = pos;
-    const Status status =
-        DecodeBlockWith(kernel, bytes.data(), bytes.size(), &tail_pos, 2,
-                        carry.data(), carry.size(), &tail);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    ASSERT_EQ(tail.count(), 2u);
-    EXPECT_EQ(DeweyId::FromView(tail.entry(0)), ids[1]);
-    EXPECT_EQ(DeweyId::FromView(tail.entry(1)), ids[2]);
-  }
+  DecodedBlock tail;
+  size_t tail_pos = pos;
+  const Status status = DecodeBlock(bytes.data(), bytes.size(), &tail_pos, 2,
+                                    carry.data(), carry.size(), &tail);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(tail.count(), 2u);
+  EXPECT_EQ(DeweyId::FromView(tail.entry(0)), ids[1]);
+  EXPECT_EQ(DeweyId::FromView(tail.entry(1)), ids[2]);
 }
 
 TEST(DecodeKernelTest, DecodedBlockReusesCapacityAcrossClear) {

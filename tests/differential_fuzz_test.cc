@@ -59,8 +59,8 @@ TEST(DifferentialFuzz, SurvivesInjectedReadFaults) {
   EXPECT_GT(report.fault_survivals, 0u);
 }
 
-// Large trees push multi-page posting lists through the scan layout and
-// readahead; fewer collections, bigger each.
+// Large trees push multi-page posting lists through the scan layout;
+// fewer collections, bigger each.
 TEST(DifferentialFuzz, LargeCollections) {
   FuzzOptions options;
   options.min_nodes = 400;

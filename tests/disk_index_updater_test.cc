@@ -292,36 +292,19 @@ TEST_F(DiskIndexUpdaterTest, ReadersKeepPreBatchSnapshotDuringUpdate) {
   EXPECT_EQ(Postings("padding").size(), (*updater)->Frequency("padding"));
 }
 
-TEST_F(DiskIndexUpdaterTest, LegacyPathWithoutWalWritesInPlace) {
-  auto exists = [](const std::string& path) {
-    return std::ifstream(path).good();
-  };
+TEST_F(DiskIndexUpdaterTest, WalFileSurvivesFinish) {
+  // The updater stages the batch behind <prefix>.wal; the log file
+  // survives Finish (reset to empty, ready for the next batch).
   {
-    // Default (WAL) mode stages the batch behind <prefix>.wal; the log
-    // file survives Finish (reset to empty, ready for the next batch).
     Result<std::unique_ptr<DiskIndexUpdater>> updater =
         DiskIndexUpdater::Open(prefix_);
     ASSERT_TRUE(updater.ok());
     XKS_ASSERT_OK((*updater)->AddPosting("apple", Id("0.1.5")));
     XKS_ASSERT_OK((*updater)->Finish());
   }
-  EXPECT_TRUE(exists(prefix_ + ".wal"));
-  std::remove((prefix_ + ".wal").c_str());
-  {
-    // use_wal=false is the legacy in-place path: no log file, same
-    // results, no crash-atomicity guarantee.
-    DiskIndexOptions options;
-    options.use_wal = false;
-    Result<std::unique_ptr<DiskIndexUpdater>> updater =
-        DiskIndexUpdater::Open(prefix_, options);
-    ASSERT_TRUE(updater.ok()) << updater.status().ToString();
-    XKS_ASSERT_OK((*updater)->AddPosting("apple", Id("0.3")));
-    EXPECT_EQ((*updater)->recovered_batches(), 0u);
-    XKS_ASSERT_OK((*updater)->Finish());
-  }
-  EXPECT_FALSE(exists(prefix_ + ".wal"));
+  EXPECT_TRUE(std::ifstream(prefix_ + ".wal").good());
   EXPECT_EQ(Strings(Postings("apple")),
-            (std::vector<std::string>{"0.0.1", "0.1.5", "0.2.0", "0.3"}));
+            (std::vector<std::string>{"0.0.1", "0.1.5", "0.2.0"}));
 }
 
 TEST_F(DiskIndexUpdaterTest, CommittedBatchSurvivesApplyFailure) {
@@ -336,9 +319,9 @@ TEST_F(DiskIndexUpdaterTest, CommittedBatchSurvivesApplyFailure) {
       if (name != "il") return store;
       auto wrapped =
           std::make_unique<FaultInjectingPageStore>(std::move(store), 1);
-      // In WAL mode the inner il store is only written during the apply
-      // pass (all earlier writes land in the overlay), so "first write"
-      // = first post-commit apply operation.
+      // The inner il store is only written during the apply pass (all
+      // earlier writes land in the overlay), so "first write" = first
+      // post-commit apply operation.
       wrapped->FailNthWrite(1);
       wrapped->Arm();
       return wrapped;

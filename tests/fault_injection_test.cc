@@ -324,18 +324,6 @@ TEST_F(FaultPoolTest, EvictionWriteBackFailurePropagates) {
   XKS_EXPECT_OK(pool.Fetch(1).status());
 }
 
-TEST_F(FaultPoolTest, ReadaheadSwallowsFaultsButDemandFetchReports) {
-  BufferPool pool(store_.get(), 4, /*shards=*/1);
-  store_->FailPageReads(1, FaultRule::kForever);
-  store_->Arm();
-  // Readahead over the faulty page must not fail anything.
-  pool.Readahead(0, 4);
-  EXPECT_EQ(pool.DebugTotalPins(), 0u);
-  // The demand fetch of the same page reports the error.
-  EXPECT_TRUE(pool.Fetch(1).status().IsIoError());
-  XKS_EXPECT_OK(pool.Fetch(0).status());
-}
-
 // ---------------------------------------------------------------------
 // B+tree cursors over a faulty pool.
 // ---------------------------------------------------------------------

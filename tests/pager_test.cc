@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -99,99 +98,6 @@ TEST(FilePageStoreTest, OpenRejectsTornFile) {
     std::fclose(f);
   }
   EXPECT_TRUE(FilePageStore::Open(path).status().IsCorruption());
-  std::remove(path.c_str());
-}
-
-// --- ReadPages: the vectored multi-page read path.
-
-template <typename StoreT>
-void FillStore(StoreT* store, uint8_t pages) {
-  for (uint8_t i = 0; i < pages; ++i) {
-    ASSERT_TRUE(store->AllocatePage().ok());
-    XKS_ASSERT_OK(store->WritePage(i, PatternPage(i)));
-  }
-}
-
-template <typename StoreT>
-void ExerciseReadPages(StoreT* store) {
-  FillStore(store, 80);
-
-  // One fully contiguous run.
-  {
-    std::vector<PageId> ids;
-    std::vector<Page> pages(10);
-    std::vector<Page*> ptrs;
-    for (PageId id = 20; id < 30; ++id) ids.push_back(id);
-    for (Page& p : pages) ptrs.push_back(&p);
-    XKS_ASSERT_OK(store->ReadPages(ids.data(), ids.size(), ptrs.data()));
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(pages[i].data, PatternPage(static_cast<uint8_t>(ids[i])).data);
-    }
-  }
-  // Gaps split the batch into independent runs.
-  {
-    const std::vector<PageId> ids = {0, 1, 5, 6, 7, 42, 79};
-    std::vector<Page> pages(ids.size());
-    std::vector<Page*> ptrs;
-    for (Page& p : pages) ptrs.push_back(&p);
-    XKS_ASSERT_OK(store->ReadPages(ids.data(), ids.size(), ptrs.data()));
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(pages[i].data, PatternPage(static_cast<uint8_t>(ids[i])).data);
-    }
-  }
-  // Single page and empty batch degenerate cleanly.
-  {
-    Page page;
-    Page* ptr = &page;
-    const PageId id = 13;
-    XKS_ASSERT_OK(store->ReadPages(&id, 1, &ptr));
-    EXPECT_EQ(page.data, PatternPage(13).data);
-    XKS_ASSERT_OK(store->ReadPages(nullptr, 0, nullptr));
-  }
-  // An out-of-range id fails the batch without touching later pages.
-  {
-    const std::vector<PageId> ids = {78, 79, 80};
-    std::vector<Page> pages(ids.size());
-    std::vector<Page*> ptrs;
-    for (Page& p : pages) ptrs.push_back(&p);
-    EXPECT_TRUE(
-        store->ReadPages(ids.data(), ids.size(), ptrs.data()).IsOutOfRange());
-  }
-}
-
-TEST(MemPageStoreTest, ReadPagesMatchesPerPageReads) {
-  MemPageStore store;
-  ExerciseReadPages(&store);
-}
-
-TEST(FilePageStoreTest, ReadPagesMatchesPerPageReads) {
-  const std::string path = TempPath("pager_vectored.db");
-  Result<std::unique_ptr<FilePageStore>> store = FilePageStore::Create(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  // FilePageStore overrides ReadPages with preadv over contiguous runs;
-  // the contract (and these assertions) are identical to the default.
-  ExerciseReadPages(store->get());
-  std::remove(path.c_str());
-}
-
-TEST(FilePageStoreTest, ReadPagesSpanningManyRuns) {
-  // 80 pages read in one call: longer than one iovec run cap, so the
-  // implementation must chain several preadv calls and still land every
-  // page in its right slot.
-  const std::string path = TempPath("pager_vectored_runs.db");
-  Result<std::unique_ptr<FilePageStore>> store = FilePageStore::Create(path);
-  ASSERT_TRUE(store.ok());
-  FillStore(store->get(), 80);
-  std::vector<PageId> ids;
-  for (PageId id = 0; id < 80; ++id) ids.push_back(id);
-  std::vector<Page> pages(ids.size());
-  std::vector<Page*> ptrs;
-  for (Page& p : pages) ptrs.push_back(&p);
-  XKS_ASSERT_OK(
-      (*store)->ReadPages(ids.data(), ids.size(), ptrs.data()));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(pages[i].data, PatternPage(static_cast<uint8_t>(ids[i])).data);
-  }
   std::remove(path.c_str());
 }
 

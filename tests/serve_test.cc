@@ -450,7 +450,7 @@ TEST(QueryServiceTest, ServesDiskSearcherBackend) {
   // A disk backend adds the buffer-pool gauge lines to the report (an
   // in-memory engine omits them, see MetricsReportRendersEverySection).
   const std::string report = service.MetricsReport();
-  for (const char* needle : {"il_pool:", "scan_pool:", "readaheads="}) {
+  for (const char* needle : {"il_pool:", "scan_pool:"}) {
     EXPECT_NE(report.find(needle), std::string::npos)
         << "missing \"" << needle << "\" in:\n"
         << report;

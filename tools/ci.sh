@@ -52,13 +52,11 @@ if [ "$run_slow" -eq 1 ]; then
   ctest --test-dir build/release \
     -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest)' \
     --output-on-failure
-  # Concurrent serving: single-flight coalescing and the vectored
-  # multi-page read path behind readahead as one visible line, plus a
-  # short xk_fuzz concurrent-client parity smoke (the full soak rides in
-  # -L slow as xk_fuzz_long_batched).
+  # Concurrent serving: single-flight coalescing as one visible line,
+  # plus a short xk_fuzz concurrent-client parity smoke (the full soak
+  # rides in -L slow as xk_fuzz_long_batched).
   echo "==> [single-flight] single-flight and concurrent-client stage (release build)"
-  ctest --test-dir build/release -R '(SingleFlight|ReadPages)' \
-    --output-on-failure
+  ctest --test-dir build/release -R 'SingleFlight' --output-on-failure
   ./build/release/tools/xk_fuzz --cases=30 --seed=910 --batch=4 \
     --no-shards --no-chunks
   # Crash consistency: the WAL frame/recovery suites plus the exhaustive
@@ -69,13 +67,6 @@ if [ "$run_slow" -eq 1 ]; then
   ctest --test-dir build/release \
     -R '(Wal|StagedStore|CrashRecovery|DiskIndexUpdater|BPlusTreeMut)' \
     --output-on-failure
-  # Decode-kernel portability: the whole fast suite again with the batch
-  # decoders pinned to the scalar kernel — what a non-x86 or pre-SSE4
-  # machine runs unconditionally. Any SIMD-only behavior difference
-  # (result sets, match-op counts, corruption handling) fails here.
-  echo "==> [scalar-decode] forced-scalar decode stage (release build)"
-  XK_FORCE_SCALAR_DECODE=1 ctest --test-dir build/release \
-    -LE 'slow|bench-smoke' --output-on-failure
   echo "==> [slow] long-run fuzz/stress stage (ctest -L slow, release build)"
   ctest --test-dir build/release -L slow --output-on-failure
   echo "==> [bench-smoke] benchmark smoke stage (ctest -L bench-smoke)"

@@ -19,7 +19,6 @@
 #include <cstring>
 #include <string>
 
-#include "dewey/decode_kernels.h"
 #include "fuzz/harness.h"
 
 namespace {
@@ -36,7 +35,7 @@ void Usage() {
                "               [--faults | --no-faults] [--no-disk]\n"
                "               [--shards=N | --no-shards]\n"
                "               [--threads=N | --no-chunks]\n"
-               "               [--crashes=N] [--batch=N] [--no-simd]\n"
+               "               [--crashes=N] [--batch=N]\n"
                "  --shards=N   check only shard count N (default: 1,2,4,7)\n"
                "  --no-shards  skip the sharded-collection checks\n"
                "  --threads=N  chunk-pool workers for the intra-query\n"
@@ -52,11 +51,7 @@ void Usage() {
                "               file-backed copy of the index takes a seeded\n"
                "               update batch killed at a seeded durable\n"
                "               operation; the reopened index must be exactly\n"
-               "               the pre- or post-batch state (default: 0)\n"
-               "  --no-simd    force the scalar decode kernel for the whole\n"
-               "               run (same as XK_FORCE_SCALAR_DECODE=1); this\n"
-               "               also disables the per-case scalar-vs-dispatch\n"
-               "               decode differential, which needs both kernels\n");
+               "               the pre- or post-batch state (default: 0)\n");
 }
 
 }  // namespace
@@ -103,8 +98,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--crashes=", 10) == 0) {
       options.crash_rounds =
           static_cast<size_t>(ParseFlag(arg, "--crashes", 0));
-    } else if (std::strcmp(arg, "--no-simd") == 0) {
-      xksearch::ForceScalarDecode(true);
     } else {
       Usage();
       return 2;
@@ -122,7 +115,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "xk_fuzz: %llu collections from seed %llu (disk=%s faults=%s "
-      "shards=%s chunk-threads=%s clients=%zu crashes=%zu decode=%s)\n",
+      "shards=%s chunk-threads=%s clients=%zu crashes=%zu)\n",
       static_cast<unsigned long long>(cases),
       static_cast<unsigned long long>(seed),
       options.with_disk ? "on" : "off", options.with_faults ? "on" : "off",
@@ -130,8 +123,7 @@ int main(int argc, char** argv) {
       options.chunk_counts.empty() ? "off"
                                    : std::to_string(options.chunk_workers)
                                          .c_str(),
-      options.concurrent_clients, options.crash_rounds,
-      xksearch::DecodeKernelName(xksearch::ActiveDecodeKernel()));
+      options.concurrent_clients, options.crash_rounds);
 
   xksearch::fuzz::FuzzReport total;
   const uint64_t report_every = cases >= 10 ? cases / 10 : 1;
