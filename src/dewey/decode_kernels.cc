@@ -6,15 +6,6 @@
 
 namespace xksearch {
 
-namespace {
-
-/// A shared-prefix run longer than this is treated as corruption (real
-/// Dewey depths are tiny; a multi-megabyte `added` from a flipped bit
-/// must not drive a giant allocation before the truncation check fires).
-constexpr uint32_t kMaxComponentsPerEntry = 1u << 16;
-
-}  // namespace
-
 DecodeKernel ActiveDecodeKernel() { return DecodeKernel::kScalar; }
 
 const char* DecodeKernelName(DecodeKernel kernel) {

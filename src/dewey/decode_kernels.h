@@ -66,6 +66,12 @@ DecodeKernel ActiveDecodeKernel();
 /// "scalar" (see the DecodeKernel shim above).
 const char* DecodeKernelName(DecodeKernel kernel);
 
+/// DecodeBlock rejects an entry adding more components than this as
+/// corruption (real Dewey depths are tiny; a multi-megabyte `added` from a
+/// flipped bit must not drive a giant allocation before the truncation
+/// check fires).
+constexpr uint32_t kMaxComponentsPerEntry = 1u << 16;
+
 /// \brief Decodes up to `max_entries` delta-encoded entries from
 /// `data[*pos..size)` and appends them to `out`.
 ///

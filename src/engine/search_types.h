@@ -1,7 +1,6 @@
 #ifndef XKSEARCH_ENGINE_SEARCH_TYPES_H_
 #define XKSEARCH_ENGINE_SEARCH_TYPES_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -62,40 +61,21 @@ struct SearchOptions {
   /// Intra-query chunked execution for the eager SLCA algorithms. Pure
   /// execution config: chunked and sequential runs return the same result
   /// set and Table-1 counters, so this field is deliberately excluded
-  /// from equality and hashing — cached results remain valid across
-  /// executor configurations (same reasoning as the serving layer's
-  /// shard_exec).
+  /// from equality and from the result cache's key — cached results
+  /// remain valid across executor configurations (same reasoning as the
+  /// serving layer's shard_exec).
   ParallelExecOptions slca_exec;
 
-  /// Memberwise equality over the *semantic* fields, so SearchOptions can
-  /// participate in cache keys (the serving layer keys its result cache
-  /// on keywords + options). slca_exec is intentionally not compared.
+  /// Memberwise equality over the *semantic* fields: the ones the serving
+  /// layer's result-cache key (serve::QueryCacheKey) encodes, and any new
+  /// semantic field must go into both. slca_exec is intentionally not
+  /// compared.
   friend bool operator==(const SearchOptions& a, const SearchOptions& b) {
     return a.algorithm == b.algorithm && a.semantics == b.semantics &&
            a.use_disk_index == b.use_disk_index &&
            a.use_packed_lists == b.use_packed_lists &&
            a.block_size == b.block_size &&
            a.auto_ratio_threshold == b.auto_ratio_threshold;
-  }
-};
-
-/// \brief Hash functor over every SearchOptions field that participates
-/// in operator== (slca_exec does not). Suitable for unordered_map keys;
-/// any new *semantic* option field must be added to both.
-struct SearchOptionsHash {
-  size_t operator()(const SearchOptions& o) const {
-    uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the fields.
-    auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 0x100000001b3ull;
-    };
-    mix(static_cast<uint64_t>(o.algorithm));
-    mix(static_cast<uint64_t>(o.semantics));
-    mix(o.use_disk_index ? 1 : 0);
-    mix(o.use_packed_lists ? 1 : 0);
-    mix(static_cast<uint64_t>(o.block_size));
-    mix(std::bit_cast<uint64_t>(o.auto_ratio_threshold));
-    return static_cast<size_t>(h);
   }
 };
 

@@ -1107,7 +1107,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     std::vector<std::vector<std::string>> canonical(sampled_queries.size());
     for (size_t i = 0; i < sampled_queries.size(); ++i) {
       canonical[i] =
-          service.MakeCacheKey(sampled_queries[i], SearchOptions()).keywords;
+          service.MakeCacheKey(sampled_queries[i], SearchOptions()).keywords();
     }
     auto make_refs = [&](const SearchOptions& so) {
       std::vector<ClientRef> refs(sampled_queries.size());

@@ -9,37 +9,49 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
+#include "common/status.h"
 #include "engine/search_types.h"
 
 namespace xksearch {
 namespace serve {
 
-/// \brief Identity of a cacheable query: the normalized keyword multiset
-/// plus every option that can change the answer.
+/// \brief Identity of a cacheable query as one canonical byte string:
+/// every semantic SearchOptions field, then the keywords, each followed
+/// by a NUL.
 ///
 /// Callers (QueryService) canonicalize the keywords — tokenizer
-/// normalization, sort, dedup — before lookup, so "XML, Database" and
-/// "database xml" share one entry. The cache itself treats the vector
-/// verbatim.
-struct QueryCacheKey {
-  std::vector<std::string> keywords;
-  SearchOptions options;
+/// normalization, sort, dedup — before building the key, so
+/// "XML, Database" and "database xml" share one entry. The key itself
+/// encodes the vector verbatim. Keywords must not contain NUL
+/// (normalized keywords never do).
+class QueryCacheKey {
+ public:
+  QueryCacheKey() = default;
+  QueryCacheKey(const std::vector<std::string>& keywords,
+                const SearchOptions& options);
+
+  /// The keywords, in the order the key was built from.
+  std::vector<std::string> keywords() const;
+
+  std::string_view bytes() const { return bytes_; }
 
   friend bool operator==(const QueryCacheKey&, const QueryCacheKey&) = default;
+
+ private:
+  std::string bytes_;
 };
 
 struct QueryCacheKeyHash {
+  size_t operator()(std::string_view bytes) const {
+    return std::hash<std::string_view>()(bytes);
+  }
   size_t operator()(const QueryCacheKey& key) const {
-    uint64_t h = SearchOptionsHash()(key.options);
-    for (const std::string& word : key.keywords) {
-      h ^= std::hash<std::string>()(word) + 0x9e3779b97f4a7c15ull + (h << 6) +
-           (h >> 2);
-    }
-    return static_cast<size_t>(h);
+    return (*this)(key.bytes());
   }
 };
 
@@ -89,13 +101,22 @@ class QueryCache {
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
-  /// Returns a copy of the cached result and refreshes its recency, or
-  /// nullopt on miss.
+  /// Copies the entry's encoded result into `*encoded` and refreshes its
+  /// recency; false on miss. Only the copy runs under the shard mutex:
+  /// Decode runs after every lock is released.
+  bool Lookup(const QueryCacheKey& key, std::string* encoded);
+
+  /// Decodes a result copied out by Lookup.
+  static Status Decode(std::string_view encoded, SearchResult* out);
+
+  /// Lookup plus Decode: the cached result, or nullopt on miss.
   std::optional<SearchResult> Lookup(const QueryCacheKey& key);
 
   /// Inserts (or replaces) the entry, then evicts from the shard's LRU
   /// tail until the shard is back under budget. Entries larger than one
-  /// shard's whole budget are rejected.
+  /// shard's whole budget or 4 GiB are rejected, as are results with an
+  /// id deeper than DecodeBlock accepts. Encodes the result once, straight into the
+  /// entry's exactly-sized buffer.
   void Insert(const QueryCacheKey& key, const SearchResult& result);
 
   /// Drops every entry (the invalidation hook for future index updates).
@@ -103,25 +124,41 @@ class QueryCache {
 
   Stats GetStats() const;
 
-  /// Heap-footprint estimate used against the byte budget: strings,
-  /// Dewey component vectors and per-entry bookkeeping overhead.
+  /// Length of the entry's byte string: the key, then the encoded result.
+  static size_t EncodedBytes(const QueryCacheKey& key,
+                             const SearchResult& result);
+
+  /// What the entry is charged against the byte budget: the heap blocks
+  /// of its byte string, LRU list node and map node as malloc sizes them,
+  /// plus its share of the map's bucket array.
   static size_t ApproxEntryBytes(const QueryCacheKey& key,
                                  const SearchResult& result);
 
  private:
+  /// One cached answer: the key bytes, then the result — algorithm,
+  /// stats and keywords as varints, then the nodes in the delta format
+  /// of the posting blocks (see query_cache.cc).
   struct Entry {
-    QueryCacheKey key;
-    SearchResult result;
-    size_t bytes = 0;
+    std::unique_ptr<char[]> data;
+    uint32_t key_bytes = 0;
+    uint32_t size = 0;
+
+    std::string_view key() const { return {data.get(), key_bytes}; }
+    std::string_view result() const {
+      return {data.get() + key_bytes, size - key_bytes};
+    }
   };
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<QueryCacheKey, std::list<Entry>::iterator,
+    // Keys view into their entry's bytes; list nodes never move.
+    std::unordered_map<std::string_view, std::list<Entry>::iterator,
                        QueryCacheKeyHash>
         map;
     size_t bytes = 0;
   };
+
+  static size_t EntryCharge(size_t encoded_bytes);
 
   Shard& ShardFor(const QueryCacheKey& key);
 

@@ -118,19 +118,17 @@ QueryCacheKey QueryService::MakeCacheKey(
       engine_ != nullptr       ? engine_->index_options().tokenizer
       : collection_ != nullptr ? collection_->index_options().tokenizer
                                : searcher_->tokenizer();
-  QueryCacheKey key;
-  key.options = options;
-  key.keywords.reserve(keywords.size());
+  std::vector<std::string> words;
+  words.reserve(keywords.size());
   for (const std::string& word : keywords) {
-    key.keywords.push_back(NormalizeKeyword(word, tokenizer));
+    words.push_back(NormalizeKeyword(word, tokenizer));
   }
   // Keyword order never affects the answer (the engine reorders lists by
   // frequency) and duplicate keywords contribute identical lists, so a
   // sorted deduplicated key maximizes hit rate across textual variants.
-  std::sort(key.keywords.begin(), key.keywords.end());
-  key.keywords.erase(std::unique(key.keywords.begin(), key.keywords.end()),
-                     key.keywords.end());
-  return key;
+  std::sort(words.begin(), words.end());
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  return QueryCacheKey(words, options);
 }
 
 void QueryService::AbortFlight(const std::shared_ptr<Job>& job,
@@ -262,24 +260,16 @@ std::future<Result<QueryResponse>> QueryService::SubmitWithTimeout(
   QueryCacheKey key;
   if (keyed) key = MakeCacheKey(keywords, options);
 
+  // A hit's bytes are copied here under the locks and decoded after
+  // them. The buffer keeps its capacity for this thread's next hit; it
+  // never outgrows one cache shard's budget.
+  thread_local std::string encoded;
+  bool hit = false;
   bool in_flight = false;
   if (keyed) {
     std::lock_guard<std::mutex> lock(flight_mu_);
-    if (options_.enable_cache) {
-      if (std::optional<SearchResult> hit = cache_.Lookup(key)) {
-        ++metrics_.requests;
-        ++metrics_.completed;
-        ++metrics_.cache_hits;
-        QueryResponse response;
-        response.result = std::move(*hit);
-        response.cache_hit = true;
-        response.latency = Clock::now() - submitted;
-        metrics_.request_latency.Record(Nanos(response.latency));
-        promise->set_value(std::move(response));
-        return future;
-      }
-    }
-    if (options_.single_flight) {
+    hit = options_.enable_cache && cache_.Lookup(key, &encoded);
+    if (!hit && options_.single_flight) {
       auto it = flights_.find(key);
       if (it != flights_.end()) {
         // Identical query already executing: ride it. The follower
@@ -292,6 +282,23 @@ std::future<Result<QueryResponse>> QueryService::SubmitWithTimeout(
       flights_.emplace(key, std::make_shared<Flight>());
       in_flight = true;
     }
+  }
+  if (hit) {
+    ++metrics_.requests;
+    QueryResponse response;
+    const Status decoded = QueryCache::Decode(encoded, &response.result);
+    if (!decoded.ok()) {
+      ++metrics_.failed;
+      promise->set_value(decoded);
+      return future;
+    }
+    ++metrics_.completed;
+    ++metrics_.cache_hits;
+    response.cache_hit = true;
+    response.latency = Clock::now() - submitted;
+    metrics_.request_latency.Record(Nanos(response.latency));
+    promise->set_value(std::move(response));
+    return future;
   }
 
   auto job = std::make_shared<Job>();

@@ -52,8 +52,9 @@ class BlockedListCursor {
   BlockedListCursor(KeywordListIterator* iter, QueryStats* stats)
       : iter_(iter), stats_(stats) {}
 
-  /// The next entry as a view (valid until the next NextView call);
-  /// false at end of list or error (check iterator status()).
+  /// The next entry as a view; false at end of list or error (check
+  /// iterator status()). A view stays valid across later NextView calls
+  /// as long as none of them refills the cursor (see WillRefill).
   bool NextView(DeweyView* out) {
     if (blocked_) {
       if (pos_ < block_.count()) {
@@ -74,6 +75,11 @@ class BlockedListCursor {
     *out = scratch_.view();
     return true;
   }
+
+  /// True when the next NextView call overwrites the storage behind the
+  /// views handed out so far: the current block is used up, or the
+  /// backend has no blocked path and every entry lands in one scratch id.
+  bool WillRefill() const { return !blocked_ || pos_ >= block_.count(); }
 
  private:
   KeywordListIterator* iter_;

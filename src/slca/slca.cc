@@ -69,15 +69,15 @@ class EagerEmitter {
 /// longer of the two lengths (a missing match contributes length 0).
 /// `lm`/`rm` are null when the match does not exist; each present one is
 /// charged as one LCA computation.
-void TruncateToDeeperLca(DeweyId* x, const DeweyId* lm, const DeweyId* rm,
+void TruncateToDeeperLca(DeweyId* x, const DeweyView* lm, const DeweyView* rm,
                          QueryStats* stats) {
   size_t keep = 0;
   if (lm != nullptr) {
-    keep = x->view().CommonPrefixLength(lm->view());
+    keep = x->view().CommonPrefixLength(*lm);
     if (stats != nullptr) ++stats->lca_ops;
   }
   if (rm != nullptr) {
-    keep = std::max(keep, x->view().CommonPrefixLength(rm->view()));
+    keep = std::max(keep, x->view().CommonPrefixLength(*rm));
     if (stats != nullptr) ++stats->lca_ops;
   }
   x->Truncate(keep);
@@ -107,8 +107,9 @@ Status MatchStep(KeywordList* list, DeweyId* x, MatchScratch* scratch,
   if (stats != nullptr) stats->match_ops += 2;
   XKS_ASSIGN_OR_RETURN(const bool lm_ok, list->LeftMatch(*x, &scratch->lm));
   XKS_ASSIGN_OR_RETURN(const bool rm_ok, list->RightMatch(*x, &scratch->rm));
-  TruncateToDeeperLca(x, lm_ok ? &scratch->lm : nullptr,
-                      rm_ok ? &scratch->rm : nullptr, stats);
+  const DeweyView lm = scratch->lm.view();
+  const DeweyView rm = scratch->rm.view();
+  TruncateToDeeperLca(x, lm_ok ? &lm : nullptr, rm_ok ? &rm : nullptr, stats);
   return Status::OK();
 }
 
@@ -118,32 +119,38 @@ Status ScanMatcher::Init(KeywordList* list) {
 }
 
 Status ScanMatcher::Init(KeywordList* list, const DeweyId& seed) {
-  XKS_ASSIGN_OR_RETURN(iter_, list->NewIteratorAt(seed, &prev_, &prev_valid_));
+  XKS_ASSIGN_OR_RETURN(iter_,
+                       list->NewIteratorAt(seed, &prev_store_, &prev_valid_));
+  prev_ = prev_store_.view();
   return Start();
 }
 
 Status ScanMatcher::Start() {
   cursor_.emplace(iter_.get(), stats_);
-  DeweyView v;
-  cur_valid_ = cursor_->NextView(&v);
-  if (cur_valid_) cur_.AssignFrom(v);
+  cur_valid_ = cursor_->NextView(&cur_);
   return iter_->status();
 }
 
 Status ScanMatcher::Step(DeweyId* x) {
   if (stats_ != nullptr) stats_->match_ops += 2;  // one lm + one rm
   DeweyCmpCharge charge(stats_);
-  while (cur_valid_ && cur_.Compare(*x, charge.slot()) < 0) {
-    std::swap(prev_, cur_);
+  const DeweyView target = x->view();
+  while (cur_valid_ && cur_.Compare(target, charge.slot()) < 0) {
+    // The passed element stays a view into the cursor's block; it is
+    // copied out only when the next read is about to overwrite that block.
+    if (cursor_->WillRefill()) {
+      prev_store_.AssignFrom(cur_);
+      prev_ = prev_store_.view();
+    } else {
+      prev_ = cur_;
+    }
     prev_valid_ = true;
-    DeweyView v;
-    cur_valid_ = cursor_->NextView(&v);
-    if (cur_valid_) cur_.AssignFrom(v);
-    XKS_RETURN_NOT_OK(iter_->status());
+    cur_valid_ = cursor_->NextView(&cur_);
+    if (!cur_valid_) XKS_RETURN_NOT_OK(iter_->status());
   }
   // A passed element sits under x, so rm(x) is under x too and
   // lca(x, rm(x)) = x — the deepest possible outcome: x stays.
-  if (prev_valid_ && x->IsAncestorOrSelf(prev_)) return Status::OK();
+  if (prev_valid_ && target.IsAncestorOrSelf(prev_)) return Status::OK();
   TruncateToDeeperLca(x, prev_valid_ ? &prev_ : nullptr,
                       cur_valid_ ? &cur_ : nullptr, stats_);
   return Status::OK();

@@ -84,8 +84,12 @@ class ScanMatcher {
   std::unique_ptr<KeywordListIterator> iter_;
   std::optional<BlockedListCursor> cursor_;
   QueryStats* stats_;
-  DeweyId prev_;
-  DeweyId cur_;
+  /// The last passed element and the cursor front, as views into the
+  /// cursor's decoded block. prev_ points into prev_store_ instead when
+  /// it came from a seek or outlived the block it was decoded into.
+  DeweyView prev_;
+  DeweyView cur_;
+  DeweyId prev_store_;
   bool prev_valid_ = false;
   bool cur_valid_ = false;
 };

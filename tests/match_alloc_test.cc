@@ -9,12 +9,15 @@
 // match operations the larger one performs. Lists are vectors, packed
 // lists, or a warm in-memory disk index. A last case sends a request
 // through QueryService over an in-memory engine, which must probe the
-// packed lists in place rather than decode them.
+// packed lists in place rather than decode them. The result cache is
+// checked the same way: inserting a longer answer costs no more
+// allocations, and a hit allocates only the ids it returns.
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <utility>
 #include <string>
 #include <tuple>
@@ -24,6 +27,7 @@
 #include "engine/xksearch.h"
 #include "gtest/gtest.h"
 #include "index/inverted_index.h"
+#include "serve/query_cache.h"
 #include "serve/query_service.h"
 #include "serve/thread_pool.h"
 #include "slca/keyword_list.h"
@@ -279,6 +283,65 @@ TEST(ServedMatchAllocationTest, CacheMissRequestProbesPackedListsInPlace) {
   EXPECT_LE(large, small + kSlack)
       << "request over a " << kSmallS1 << "-entry list: " << small
       << " allocations; over a " << kLargeS1 << "-entry list: " << large;
+}
+
+// A result-cache answer of n nodes over a few levels, so its delta
+// stream has shared prefixes and multi-byte components.
+SearchResult MakeAnswer(size_t n) {
+  SearchResult answer;
+  answer.algorithm = SlcaAlgorithm::kScanEager;
+  answer.keywords = {"alpha", "bravo"};
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t k = static_cast<uint32_t>(i);
+    answer.nodes.push_back(DeweyId({0, k / 64, k % 64, 1000 + k}));
+  }
+  return answer;
+}
+
+struct CacheAllocations {
+  uint64_t insert = 0;
+  uint64_t hit = 0;
+};
+
+// Allocations of one QueryCache::Insert and of one warm hit (the thread's
+// copy and decode buffers already grown by an earlier hit).
+CacheAllocations CountCacheAllocations(size_t n) {
+  serve::QueryCache::Options options;
+  options.shards = 1;
+  options.capacity_bytes = 64u << 20;
+  serve::QueryCache cache(options);
+  const serve::QueryCacheKey key({"alpha", "bravo"}, SearchOptions());
+  const SearchResult answer = MakeAnswer(n);
+  CacheAllocations counted;
+
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  cache.Insert(key, answer);
+  counted.insert = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(cache.GetStats().entries, 1u);
+
+  EXPECT_TRUE(cache.Lookup(key).has_value());
+  before = g_allocations.load(std::memory_order_relaxed);
+  const std::optional<SearchResult> hit = cache.Lookup(key);
+  counted.hit = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(hit.has_value());
+  if (hit.has_value()) {
+    EXPECT_EQ(hit->nodes, answer.nodes);
+  }
+  return counted;
+}
+
+TEST(ResultCacheAllocationTest, InsertEncodesOnceAndHitAllocatesOnlyTheIds) {
+  const CacheAllocations small = CountCacheAllocations(kSmallS1);
+  const CacheAllocations large = CountCacheAllocations(kLargeS1);
+  // Insert: the entry's byte string, list node and map node, whatever
+  // the answer's size.
+  EXPECT_NEAR(static_cast<double>(small.insert),
+              static_cast<double>(large.insert), 4)
+      << kSmallS1 << "-node answer: " << small.insert << " allocations; "
+      << kLargeS1 << "-node answer: " << large.insert;
+  // Hit: one per returned id, plus the node and keyword vectors.
+  EXPECT_EQ(small.hit, kSmallS1 + 2);
+  EXPECT_EQ(large.hit, kLargeS1 + 2);
 }
 
 }  // namespace

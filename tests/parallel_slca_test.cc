@@ -12,6 +12,7 @@
 #include "gen/random_tree.h"
 #include "gtest/gtest.h"
 #include "index/inverted_index.h"
+#include "serve/query_cache.h"
 #include "serve/thread_pool.h"
 #include "slca/keyword_list.h"
 #include "slca/packed_list.h"
@@ -489,8 +490,8 @@ TEST(ParallelSlcaEngineTest, SearchMatchesSequentialOnBothPaths) {
 }
 
 // slca_exec is execution config, not a semantic option: options that
-// differ only in it must compare equal and hash identically, so cached
-// results stay valid across executor configurations.
+// differ only in it must compare equal and give the same result-cache
+// key, so cached results stay valid across executor configurations.
 TEST(ParallelSlcaEngineTest, ExecOptionsAreNotPartOfTheCacheKey) {
   serve::ThreadPool::Options pool_options;
   pool_options.workers = 1;
@@ -501,7 +502,8 @@ TEST(ParallelSlcaEngineTest, ExecOptionsAreNotPartOfTheCacheKey) {
   chunked.slca_exec.max_chunks = 8;
   chunked.slca_exec.min_chunk_elements = 1;
   EXPECT_TRUE(plain == chunked);
-  EXPECT_EQ(SearchOptionsHash{}(plain), SearchOptionsHash{}(chunked));
+  EXPECT_TRUE(serve::QueryCacheKey({"alpha"}, plain) ==
+              serve::QueryCacheKey({"alpha"}, chunked));
   SearchOptions different = plain;
   different.block_size = 9;
   EXPECT_FALSE(plain == different);

@@ -6,10 +6,12 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/xksearch.h"
 #include "gen/dblp_generator.h"
 #include "gtest/gtest.h"
@@ -128,15 +130,20 @@ TEST(StatusTest, ServingCodes) {
   EXPECT_EQ(deadline.ToString(), "Deadline exceeded: too slow");
 }
 
+// Every semantic option changes both equality and the result-cache key
+// (and so its hash); slca_exec, execution config, changes neither.
 TEST(SearchOptionsTest, EqualityAndHashCoverEveryField) {
   const SearchOptions base;
   SearchOptions other = base;
+  const QueryCacheKey base_key({"alpha"}, base);
   EXPECT_TRUE(base == other);
-  EXPECT_EQ(SearchOptionsHash()(base), SearchOptionsHash()(other));
+  EXPECT_TRUE(QueryCacheKey({"alpha"}, other) == base_key);
 
-  const auto differs = [&base](SearchOptions changed) {
+  const auto differs = [&](SearchOptions changed) {
     EXPECT_FALSE(base == changed);
-    EXPECT_NE(SearchOptionsHash()(base), SearchOptionsHash()(changed));
+    const QueryCacheKey key({"alpha"}, changed);
+    EXPECT_FALSE(key == base_key);
+    EXPECT_NE(QueryCacheKeyHash()(key), QueryCacheKeyHash()(base_key));
   };
   other = base;
   other.algorithm = AlgorithmChoice::kStack;
@@ -148,11 +155,18 @@ TEST(SearchOptionsTest, EqualityAndHashCoverEveryField) {
   other.use_disk_index = true;
   differs(other);
   other = base;
+  other.use_packed_lists = false;
+  differs(other);
+  other = base;
   other.block_size = 32;
   differs(other);
   other = base;
   other.auto_ratio_threshold = 2.0;
   differs(other);
+  other = base;
+  other.slca_exec.max_chunks = 4;
+  EXPECT_TRUE(base == other);
+  EXPECT_TRUE(QueryCacheKey({"alpha"}, other) == base_key);
 }
 
 SearchResult MakeResult(std::vector<DeweyId> nodes) {
@@ -223,6 +237,203 @@ TEST(QueryCacheTest, OptionsDistinguishEntries) {
   EXPECT_FALSE(cache.Lookup(QueryCacheKey{{"alpha"}, elca}).has_value());
 }
 
+void ExpectSameResult(const SearchResult& got, const SearchResult& want) {
+  EXPECT_EQ(got.nodes, want.nodes);
+  EXPECT_EQ(got.algorithm, want.algorithm);
+  EXPECT_EQ(got.keywords, want.keywords);
+  EXPECT_EQ(got.stats.match_ops, want.stats.match_ops);
+  EXPECT_EQ(got.stats.dewey_comparisons, want.stats.dewey_comparisons);
+  EXPECT_EQ(got.stats.lca_ops, want.stats.lca_ops);
+  EXPECT_EQ(got.stats.postings_read, want.stats.postings_read);
+  EXPECT_EQ(got.stats.page_reads, want.stats.page_reads);
+  EXPECT_EQ(got.stats.page_hits, want.stats.page_hits);
+  EXPECT_EQ(got.stats.io_errors, want.stats.io_errors);
+  EXPECT_EQ(got.stats.results, want.stats.results);
+}
+
+TEST(QueryCacheTest, RoundTripsEveryResultShape) {
+  std::vector<SearchResult> shapes;
+  shapes.push_back(SearchResult());  // no nodes, no keywords
+  shapes.push_back(MakeResult({DeweyId()}));
+  shapes.push_back(MakeResult({DeweyId(), DeweyId({0, 1}), DeweyId(),
+                               DeweyId({0, 1}), DeweyId()}));
+  // Out of document order: an id after its descendant, a prefix after a
+  // longer id, a jump back to an earlier subtree, a duplicate.
+  shapes.push_back(MakeResult({DeweyId({0, 5, 2}), DeweyId({0, 5}),
+                               DeweyId({0, 1, 9, 9}), DeweyId({0, 7}),
+                               DeweyId({0, 7}), DeweyId({0})}));
+  // Components of 2^28 and above take five-byte varints.
+  shapes.push_back(MakeResult({DeweyId({0, 1u << 28, 0xffffffffu}),
+                               DeweyId({0, 1u << 28, 0xfffffffeu, 3})}));
+  // Depth above 127: the `added` and `shared` counts take two bytes.
+  std::vector<uint32_t> deep(300);
+  for (size_t i = 0; i < deep.size(); ++i) deep[i] = static_cast<uint32_t>(i);
+  std::vector<uint32_t> deeper = deep;
+  deeper.push_back(7);
+  shapes.push_back(MakeResult(
+      {DeweyId(deep), DeweyId(deeper), DeweyId({0, 1}), DeweyId(deep)}));
+  // Keywords in engine order, duplicates included, and every stats field
+  // and algorithm with distinct values.
+  SearchResult full = MakeResult({DeweyId({0, 2, 4})});
+  full.keywords = {"carol", "alpha", "carol", "", "bravo"};
+  full.stats.match_ops = 1;
+  full.stats.dewey_comparisons = 1ull << 40;
+  full.stats.lca_ops = 3;
+  full.stats.postings_read = 127;
+  full.stats.page_reads = 128;
+  full.stats.page_hits = ~0ull;
+  full.stats.io_errors = 7;
+  full.stats.results = 1;
+  for (SlcaAlgorithm algorithm :
+       {SlcaAlgorithm::kIndexedLookupEager, SlcaAlgorithm::kScanEager,
+        SlcaAlgorithm::kStack}) {
+    full.algorithm = algorithm;
+    shapes.push_back(full);
+  }
+
+  QueryCache cache(QueryCache::Options{});
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    SCOPED_TRACE(i);
+    const QueryCacheKey key({"shape" + std::to_string(i)}, SearchOptions());
+    cache.Insert(key, shapes[i]);
+    std::string encoded;
+    ASSERT_TRUE(cache.Lookup(key, &encoded));
+    EXPECT_EQ(encoded.size() + key.bytes().size(),
+              QueryCache::EncodedBytes(key, shapes[i]));
+    std::optional<SearchResult> hit = cache.Lookup(key);
+    ASSERT_TRUE(hit.has_value());
+    ExpectSameResult(*hit, shapes[i]);
+    // Decode overwrites whatever the target held.
+    SearchResult reused = full;
+    ASSERT_TRUE(QueryCache::Decode(encoded, &reused).ok());
+    ExpectSameResult(reused, shapes[i]);
+    // Every truncation is rejected, never read past.
+    for (size_t cut = 0; cut < encoded.size(); ++cut) {
+      SearchResult partial;
+      EXPECT_FALSE(
+          QueryCache::Decode(std::string_view(encoded).substr(0, cut),
+                             &partial)
+              .ok())
+          << "cut at " << cut;
+    }
+  }
+}
+
+TEST(QueryCacheTest, ChargesEncodedBytesPlusBookkeeping) {
+  const QueryCacheKey key({"alpha", "bravo"}, SearchOptions());
+  for (const SearchResult& result :
+       {SearchResult(), MakeResult({DeweyId({0, 1, 2})}),
+        MakeResult(std::vector<DeweyId>(500, DeweyId({0, 3, 4, 5})))}) {
+    const size_t encoded = QueryCache::EncodedBytes(key, result);
+    // The byte string, plus at least a list node (two links) and a map
+    // node (a link, the key view, the list iterator) around it.
+    const size_t bookkeeping =
+        2 * sizeof(void*) + sizeof(void*) + sizeof(std::string_view) +
+        sizeof(void*);
+    EXPECT_GE(QueryCache::ApproxEntryBytes(key, result),
+              encoded + bookkeeping);
+  }
+}
+
+TEST(QueryCacheTest, StaysWithinBudgetUnderMixedInserts) {
+  QueryCache::Options options;
+  options.shards = 4;
+  options.capacity_bytes = 64u << 10;
+  QueryCache cache(options);
+  Rng rng(11);
+  for (int i = 0; i < 10000; ++i) {
+    // Answers from empty to a few hundred nodes; some keys repeat, so
+    // replacements mix with fresh inserts, lookups and evictions.
+    const QueryCacheKey key({"k" + std::to_string(rng.Uniform(3000))},
+                            SearchOptions());
+    std::vector<DeweyId> nodes(rng.Uniform(10) == 0 ? rng.Uniform(400)
+                                                    : rng.Uniform(20));
+    for (DeweyId& id : nodes) {
+      id = DeweyId({0, static_cast<uint32_t>(rng.Uniform(50)),
+                    static_cast<uint32_t>(rng.Uniform(1u << 20))});
+    }
+    cache.Insert(key, MakeResult(std::move(nodes)));
+    if (rng.Uniform(4) == 0) (void)cache.Lookup(key);
+    const QueryCache::Stats stats = cache.GetStats();
+    ASSERT_LE(stats.bytes, options.capacity_bytes) << "after insert " << i;
+  }
+  const QueryCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.insertions + stats.oversize_rejects, 10000u);
+  EXPECT_GT(stats.evictions, 0u);
+}
+
+TEST(QueryCacheTest, HoldsAThousandTypicalAnswersPerMiB) {
+  // Two keywords, 77 nodes of depth 6 in document order: the shape of a
+  // bibliography answer (root.venue.year.paper.field.word).
+  QueryCache::Options options;
+  options.capacity_bytes = 1u << 20;
+  QueryCache cache(options);
+  constexpr uint32_t kAnswers = 1000;
+  for (uint32_t q = 0; q < kAnswers; ++q) {
+    std::vector<DeweyId> nodes;
+    for (uint32_t i = 0; i < 77; ++i) {
+      nodes.push_back(DeweyId({0, (q + i) % 5, i / 8, 40 * i + q % 40,
+                               2 + i % 3, i % 7}));
+    }
+    SearchResult result = MakeResult(std::move(nodes));
+    result.keywords = {"t" + std::to_string(q), "t" + std::to_string(q + 1)};
+    result.stats.match_ops = 154;
+    result.stats.postings_read = 900 + q;
+    cache.Insert(QueryCacheKey(result.keywords, SearchOptions()), result);
+  }
+  const QueryCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, kAnswers);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes, options.capacity_bytes);
+}
+
+TEST(QueryCacheConcurrencyTest, EveryHitEqualsWhatWasInserted) {
+  QueryCache::Options options;
+  options.shards = 1;  // every thread on one shard mutex
+  options.capacity_bytes = 16u << 10;
+  QueryCache cache(options);
+  // Key i always maps to the same answer, so any hit can be checked.
+  auto answer = [](uint32_t i) {
+    std::vector<DeweyId> nodes;
+    for (uint32_t n = 0; n < i % 13; ++n) nodes.push_back(DeweyId({0, i, n}));
+    SearchResult result = MakeResult(std::move(nodes));
+    result.keywords = {"k" + std::to_string(i)};
+    result.stats.match_ops = i;
+    return result;
+  };
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      for (int op = 0; op < 4000; ++op) {
+        const uint32_t i = static_cast<uint32_t>(rng.Uniform(64));
+        const QueryCacheKey key({"k" + std::to_string(i)}, SearchOptions());
+        const uint64_t dice = rng.Uniform(100);
+        if (dice < 45) {
+          cache.Insert(key, answer(i));
+        } else if (dice < 99) {
+          std::optional<SearchResult> hit = cache.Lookup(key);
+          if (!hit.has_value()) continue;
+          ++hits;
+          const SearchResult want = answer(i);
+          if (hit->nodes != want.nodes || hit->keywords != want.keywords ||
+              hit->stats.match_ops != want.stats.match_ops) {
+            ++wrong;
+          }
+        } else {
+          cache.Clear();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_LE(cache.GetStats().bytes, options.capacity_bytes);
+}
+
 TEST(LatencyHistogramTest, PercentilesAreOrderedAndBucketed) {
   LatencyHistogram histogram;
   for (int i = 0; i < 900; ++i) histogram.Record(1000);     // ~1us
@@ -248,6 +459,10 @@ TEST(QueryServiceTest, CacheKeyCanonicalizesKeywords) {
       service.MakeCacheKey({"bravo", "alpha", "alpha"}, SearchOptions());
   EXPECT_TRUE(a == b);
   EXPECT_EQ(QueryCacheKeyHash()(a), QueryCacheKeyHash()(b));
+  EXPECT_EQ(a.keywords(), (std::vector<std::string>{"alpha", "bravo"}));
+  // The NUL after each keyword keeps word boundaries apart.
+  EXPECT_FALSE(QueryCacheKey({"ab", "c"}, SearchOptions()) ==
+               QueryCacheKey({"a", "bc"}, SearchOptions()));
 }
 
 TEST(QueryServiceTest, CacheHitMatchesEngineAndCounts) {

@@ -52,11 +52,13 @@ if [ "$run_slow" -eq 1 ]; then
   ctest --test-dir build/release \
     -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest)' \
     --output-on-failure
-  # Concurrent serving: single-flight coalescing as one visible line,
-  # plus a short xk_fuzz concurrent-client parity smoke (the full soak
-  # rides in -L slow as xk_fuzz_long_batched).
+  # Concurrent serving: single-flight coalescing and the result cache
+  # (round trips, budget, concurrent insert/lookup/clear) as one visible
+  # line, plus a short xk_fuzz concurrent-client parity smoke (the full
+  # soak rides in -L slow as xk_fuzz_long_batched).
   echo "==> [single-flight] single-flight and concurrent-client stage (release build)"
-  ctest --test-dir build/release -R 'SingleFlight' --output-on-failure
+  ctest --test-dir build/release -R '(SingleFlight|QueryCache)' \
+    --output-on-failure
   ./build/release/tools/xk_fuzz --cases=30 --seed=910 --batch=4 \
     --no-shards --no-chunks
   # Crash consistency: the WAL frame/recovery suites plus the exhaustive
