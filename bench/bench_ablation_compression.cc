@@ -57,8 +57,6 @@ void RunCompression(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(queries.size()));
-  state.counters["il_pages"] =
-      static_cast<double>(system.disk_index()->il_page_count());
   state.counters["scan_pages"] =
       static_cast<double>(system.disk_index()->scan_page_count());
   state.counters["page_reads_per_query"] =

@@ -87,10 +87,9 @@ Corpus::Corpus() : papers_(PapersFromEnv()) {
   std::fprintf(
       stderr,
       "[bench] corpus ready: %zu nodes, %zu terms, %llu postings, "
-      "il=%u pages scan=%u pages\n",
+      "scan=%u pages\n",
       system_->document().node_count(), system_->index().term_count(),
       static_cast<unsigned long long>(system_->index().total_postings()),
-      system_->disk_index()->il_page_count(),
       system_->disk_index()->scan_page_count());
 }
 

@@ -152,10 +152,8 @@ Result<std::unique_ptr<XKSearch>> BuildSystem(const Config& config,
   build.disk.pool_shards = config.shards;
   if (hot) {
     // Oversized pools + WarmCaches below: everything resident.
-    build.disk.il_pool_pages = 1 << 20;
     build.disk.scan_pool_pages = 1 << 20;
   } else {
-    build.disk.il_pool_pages = config.cold_pool_pages;
     build.disk.scan_pool_pages = config.cold_pool_pages;
   }
   return XKSearch::BuildFromDocument(std::move(doc), build);

@@ -107,7 +107,6 @@ Result<std::unique_ptr<XKSearch>> BuildSystem(const Config& config,
   XKSearch::BuildOptions build;
   build.build_disk_index = true;
   build.disk.in_memory = true;  // page-identical to files, no FS noise
-  build.disk.il_pool_pages = 1 << 20;
   build.disk.scan_pool_pages = 1 << 20;
   return XKSearch::BuildFromDocument(std::move(doc), build);
 }

@@ -68,9 +68,8 @@ Result<std::unique_ptr<shard::ShardedCollection>> BuildCollection(
   sco.build.build_disk_index = disk;
   if (disk) {
     sco.build.disk.in_memory = true;  // page-identical to files, no FS noise
-    const size_t pages = hot ? size_t{1} << 18 : config.cold_pool_pages;
-    sco.build.disk.il_pool_pages = pages;
-    sco.build.disk.scan_pool_pages = pages;
+    sco.build.disk.scan_pool_pages =
+        hot ? size_t{1} << 18 : config.cold_pool_pages;
   }
   shard::ShardedCollection::Builder builder(std::move(sco));
   for (size_t d = 0; d < corpus.size(); ++d) {

@@ -93,11 +93,10 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "indexed %zu nodes, %zu terms, %llu postings in %.0f ms "
-      "(il=%u pages, scan=%u pages)\n\n",
+      "(scan=%u pages)\n\n",
       (*system)->document().node_count(), (*system)->index().term_count(),
       static_cast<unsigned long long>((*system)->index().total_postings()),
-      MillisSince(start), (*system)->disk_index()->il_page_count(),
-      (*system)->disk_index()->scan_page_count());
+      MillisSince(start), (*system)->disk_index()->scan_page_count());
 
   if (argc > 2) {
     std::vector<std::string> keywords(argv + 2, argv + argc);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", system.status().ToString().c_str());
       return 1;
     }
-    std::printf("session 1: indexed %zu nodes into %s.{il,scan,dict}\n",
+    std::printf("session 1: indexed %zu nodes into %s.{scan,dict}\n",
                 (*system)->document().node_count(), prefix.c_str());
   }  // everything in memory is gone here
 

@@ -26,6 +26,8 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Unavailable";
     case StatusCode::kDeadlineExceeded:
       return "Deadline exceeded";
+    case StatusCode::kResourceExhausted:
+      return "Resource exhausted";
   }
   return "Unknown";
 }

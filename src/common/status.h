@@ -25,6 +25,9 @@ enum class StatusCode : int {
   kUnavailable = 9,
   /// The caller-supplied deadline passed before the operation ran.
   kDeadlineExceeded = 10,
+  /// A bounded resource stayed used up (e.g. every buffer-pool frame of a
+  /// shard pinned past the wait bound); may succeed once load drops.
+  kResourceExhausted = 11,
 };
 
 /// \brief Returns a human-readable name for a status code ("OK",
@@ -84,6 +87,9 @@ class Status {
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
 
   bool ok() const { return state_ == nullptr; }
   StatusCode code() const { return ok() ? StatusCode::kOk : state_->code; }
@@ -104,6 +110,9 @@ class Status {
   bool IsUnavailable() const { return code() == StatusCode::kUnavailable; }
   bool IsDeadlineExceeded() const {
     return code() == StatusCode::kDeadlineExceeded;
+  }
+  bool IsResourceExhausted() const {
+    return code() == StatusCode::kResourceExhausted;
   }
 
   /// "OK" or "<code name>: <message>".

@@ -17,9 +17,11 @@ namespace xksearch {
 /// The original XKSearch server keeps only the B-tree files and the
 /// in-memory frequency table between sessions; re-parsing the XML is not
 /// needed to answer queries (only to render result subtrees). This class
-/// is that mode: open the `<prefix>.il/.scan/.dict` files produced by a
-/// previous `XKSearch::BuildFromDocument(..., build_disk_index=true)` run
-/// and search them directly.
+/// is that mode: open the `<prefix>.scan` tree (posting blocks, which
+/// answer both the lm/rm probes and the sequential scans) and the
+/// `<prefix>.dict` dictionary produced by a previous
+/// `XKSearch::BuildFromDocument(..., build_disk_index=true)` run and
+/// search them directly.
 class DiskSearcher {
  public:
   /// Opens the index files at `path_prefix`. Query keywords are

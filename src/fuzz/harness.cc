@@ -236,7 +236,7 @@ void RunCrashRounds(uint64_t seed, const FuzzOptions& options,
     }
   }
   auto reset_work = [&]() -> bool {
-    for (const char* suffix : {".il", ".scan", ".dict"}) {
+    for (const char* suffix : {".scan", ".dict"}) {
       if (!CopyFileBytes(base_prefix + suffix, work_prefix + suffix)) {
         return false;
       }
@@ -313,8 +313,7 @@ void RunCrashRounds(uint64_t seed, const FuzzOptions& options,
       }
       (*out)[keyword] = std::move(ids);
     }
-    if ((*index)->il_pool()->DebugTotalPins() != 0 ||
-        (*index)->scan_pool()->DebugTotalPins() != 0) {
+    if ((*index)->scan_pool()->DebugTotalPins() != 0) {
       return Status::Internal("recovered index leaked pins");
     }
     return Status::OK();
@@ -454,8 +453,11 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     // Deliberately tiny pools (and sometimes a single shard) so cursor
     // traffic misses constantly: a fuzz case where everything stays
     // cached would never exercise the read path, let alone its faults.
-    build.disk.il_pool_pages = static_cast<size_t>(rng.UniformInt(2, 16));
-    build.disk.scan_pool_pages = static_cast<size_t>(rng.UniformInt(2, 16));
+    // Two draws, summed: the frame budget of the former probe and scan
+    // pools, and the same draw sequence per seed as when there were two.
+    const auto probe_pages = static_cast<size_t>(rng.UniformInt(2, 16));
+    build.disk.scan_pool_pages =
+        probe_pages + static_cast<size_t>(rng.UniformInt(2, 16));
     build.disk.pool_shards = static_cast<size_t>(rng.UniformInt(1, 4));
     // Tiny scan blocks so even fuzz-sized keyword lists span several
     // blocks — that is what gives the disk chunk planner something to
@@ -557,10 +559,12 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         // a divergence).
         const int64_t floor_pages =
             4 + 4 * static_cast<int64_t>(corpus.size());
-        sco.build.disk.il_pool_pages = static_cast<size_t>(
+        // Two draws, summed, as for single-index cases above.
+        const auto probe_pages = static_cast<size_t>(
             rng.UniformInt(floor_pages, floor_pages + 12));
-        sco.build.disk.scan_pool_pages = static_cast<size_t>(
-            rng.UniformInt(floor_pages, floor_pages + 12));
+        sco.build.disk.scan_pool_pages =
+            probe_pages + static_cast<size_t>(
+                              rng.UniformInt(floor_pages, floor_pages + 12));
         sco.build.disk.pool_shards =
             static_cast<size_t>(rng.UniformInt(1, 4));
         sco.store_decorator =
@@ -920,14 +924,11 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
                 shard_engine->disk_index() == nullptr) {
               continue;
             }
-            const uint64_t il_pins =
-                shard_engine->disk_index()->il_pool()->DebugTotalPins();
-            const uint64_t scan_pins =
+            const uint64_t pins =
                 shard_engine->disk_index()->scan_pool()->DebugTotalPins();
-            if (il_pins != 0 || scan_pins != 0) {
+            if (pins != 0) {
               ctx.Diverge(tag + " leaked pins on shard " + std::to_string(s) +
-                          ": il=" + std::to_string(il_pins) +
-                          " scan=" + std::to_string(scan_pins));
+                          ": " + std::to_string(pins));
             }
           }
           check_sharded(tag + "/recovery", setup.executor->Search(keywords, so),
@@ -1003,13 +1004,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         w->Disarm();
         w->ClearFaults();
       }
-      const uint64_t il_pins = engine.disk_index()->il_pool()->DebugTotalPins();
-      const uint64_t scan_pins =
-          engine.disk_index()->scan_pool()->DebugTotalPins();
-      if (il_pins != 0 || scan_pins != 0) {
+      const uint64_t pins = engine.disk_index()->scan_pool()->DebugTotalPins();
+      if (pins != 0) {
         ctx.Diverge(std::string(AlgorithmLabel(algorithm, true)) +
-                    " under faults leaked pins: il=" + std::to_string(il_pins) +
-                    " scan=" + std::to_string(scan_pins));
+                    " under faults leaked pins: " + std::to_string(pins));
       }
       // Recovery: the identical query, faults disarmed, must succeed.
       ctx.Check("disk/recovery", engine.Search(keywords, so), *oracle_slca);
@@ -1057,14 +1055,11 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         w->Disarm();
         w->ClearFaults();
       }
-      const uint64_t chunk_il_pins =
-          engine.disk_index()->il_pool()->DebugTotalPins();
-      const uint64_t chunk_scan_pins =
+      const uint64_t chunk_pins =
           engine.disk_index()->scan_pool()->DebugTotalPins();
-      if (chunk_il_pins != 0 || chunk_scan_pins != 0) {
-        ctx.Diverge(fault_label +
-                    " leaked pins: il=" + std::to_string(chunk_il_pins) +
-                    " scan=" + std::to_string(chunk_scan_pins));
+      if (chunk_pins != 0) {
+        ctx.Diverge(fault_label + " leaked pins: " +
+                    std::to_string(chunk_pins));
       }
       ctx.Check("disk/chunked-recovery", engine.Search(keywords, cso),
                 *oracle_slca);
@@ -1228,15 +1223,11 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           w->Disarm();
           w->ClearFaults();
         }
-        const uint64_t il_pins =
-            engine.disk_index()->il_pool()->DebugTotalPins();
-        const uint64_t scan_pins =
+        const uint64_t pins =
             engine.disk_index()->scan_pool()->DebugTotalPins();
-        if (il_pins != 0 || scan_pins != 0) {
+        if (pins != 0) {
           CaseContext bctx{seed, &report, &sampled_queries[0]};
-          bctx.Diverge(
-              "clients/faults leaked pins: il=" + std::to_string(il_pins) +
-              " scan=" + std::to_string(scan_pins));
+          bctx.Diverge("clients/faults leaked pins: " + std::to_string(pins));
         }
         // Recovery: the same clients, faults disarmed, must reproduce
         // the sequential answers again.

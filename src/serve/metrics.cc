@@ -82,14 +82,12 @@ std::string MetricsRegistry::ReportText(const Gauges& gauges) const {
      << " misses=" << gauges.cache.misses
      << " evictions=" << gauges.cache.evictions
      << " hit_ratio=" << gauges.cache.HitRatio() << "\n";
-  auto pool_line = [&os](const char* name, const PoolGauges& pool) {
-    if (!pool.present) return;
-    os << name << " hits=" << pool.hits << " misses=" << pool.misses
+  if (const PoolGauges& pool = gauges.scan_pool; pool.present) {
+    os << "scan_pool:          hits=" << pool.hits
+       << " misses=" << pool.misses << " exhausted=" << pool.exhausted
        << " resident=" << pool.resident << "/" << pool.capacity
        << " hit_ratio=" << pool.HitRatio() << "\n";
-  };
-  pool_line("il_pool:           ", gauges.il_pool);
-  pool_line("scan_pool:         ", gauges.scan_pool);
+  }
   os << "wal:               recoveries=" << gauges.wal.recoveries
      << " batches_replayed=" << gauges.wal.batches_replayed
      << " bytes_replayed=" << gauges.wal.bytes_replayed
@@ -99,12 +97,10 @@ std::string MetricsRegistry::ReportText(const Gauges& gauges) const {
     os << "shard[" << shard.shard << "]:          docs=" << shard.documents
        << " executed=" << shard.executed << " pruned=" << shard.pruned
        << " io_errors=" << shard.io_errors << " results=" << shard.results;
-    auto shard_pool = [&os](const char* name, const PoolGauges& pool) {
-      if (!pool.present) return;
-      os << " " << name << "=" << pool.hits << "h/" << pool.misses << "m";
-    };
-    shard_pool("il", shard.il_pool);
-    shard_pool("scan", shard.scan_pool);
+    if (shard.scan_pool.present) {
+      os << " scan=" << shard.scan_pool.hits << "h/"
+         << shard.scan_pool.misses << "m";
+    }
     os << "\n";
   }
   os << "engine:            " << engine_stats.ToString() << "\n";

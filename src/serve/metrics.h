@@ -91,6 +91,8 @@ class MetricsRegistry {
     bool present = false;
     uint64_t hits = 0;
     uint64_t misses = 0;
+    /// Fetches refused because every frame of a shard stayed pinned.
+    uint64_t exhausted = 0;
     size_t resident = 0;
     size_t capacity = 0;
     double HitRatio() const {
@@ -102,7 +104,7 @@ class MetricsRegistry {
   };
 
   /// Point-in-time view of one shard of a sharded backend: cumulative
-  /// query counters plus that shard's own buffer pools. An operator reads
+  /// query counters plus that shard's own buffer pool. An operator reads
   /// these to spot skew (one hot shard), confirm pruning is working
   /// (pruned counts rising on keyword-sparse shards) and localize disk
   /// trouble (io_errors pinned to one shard = one failing volume).
@@ -113,7 +115,6 @@ class MetricsRegistry {
     uint64_t pruned = 0;
     uint64_t io_errors = 0;
     uint64_t results = 0;
-    PoolGauges il_pool;
     PoolGauges scan_pool;
   };
 
@@ -135,9 +136,8 @@ class MetricsRegistry {
     size_t workers = 0;
     QueryCache::Stats cache;
     WalGauges wal;
-    /// Disk-index buffer pools; present=false when the served engine has
-    /// no disk index.
-    PoolGauges il_pool;
+    /// The disk index's buffer pool; present=false when the served engine
+    /// has no disk index.
     PoolGauges scan_pool;
     /// One entry per shard when serving a sharded collection; empty for
     /// single-index backends.

@@ -345,6 +345,7 @@ std::string QueryService::MetricsReport() const {
     g.present = true;
     g.hits = pool.total_hits();
     g.misses = pool.total_misses();
+    g.exhausted = pool.total_exhausted();
     g.resident = pool.resident();
     g.capacity = pool.capacity();
     return g;
@@ -363,7 +364,6 @@ std::string QueryService::MetricsReport() const {
       g.results = counters[s].results;
       const XKSearch* engine = collection_->shard_engine(s);
       if (engine != nullptr && engine->disk_index() != nullptr) {
-        g.il_pool = sample(*engine->disk_index()->il_pool());
         g.scan_pool = sample(*engine->disk_index()->scan_pool());
       }
     }
@@ -371,7 +371,6 @@ std::string QueryService::MetricsReport() const {
     const DiskIndex* disk =
         engine_ != nullptr ? engine_->disk_index() : searcher_->index();
     if (disk != nullptr) {
-      gauges.il_pool = sample(*disk->il_pool());
       gauges.scan_pool = sample(*disk->scan_pool());
     }
   }

@@ -221,10 +221,11 @@ class VectorKeywordList : public KeywordList {
   QueryStats* stats_;
 };
 
-/// \brief Disk-backed list: lm/rm probe the Indexed Lookup B+tree,
-/// iteration streams the Scan-layout posting blocks.
+/// \brief Disk-backed list over the scan tree: lm/rm probe the block
+/// hosting the target through its restart heads, iteration streams the
+/// posting blocks.
 ///
-/// Not thread-safe (the probe key scratch is mutable state); build one
+/// Not thread-safe (the probe's cached block is mutable state); build one
 /// per query, and one per chunk through CloneWithStats.
 class DiskKeywordList : public KeywordList {
  public:

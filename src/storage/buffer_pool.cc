@@ -85,13 +85,16 @@ Result<BufferPool::Frame*> BufferPool::PinFrame(PageId id, QueryStats* stats,
     while (shard.frames.size() >= shard.capacity) {
       const Status evicted = EvictOneLocked(&shard);
       if (evicted.ok()) continue;
-      if (!evicted.IsInternal()) return evicted;
+      if (!evicted.IsResourceExhausted()) return evicted;
       // Every frame is pinned or loading right now. Wait with the shard
       // unlocked so the pinning queries can progress, then retry from
       // the top (the page may even be resident by then).
       const auto now = std::chrono::steady_clock::now();
       if (yields == 0) give_up = now + kExhaustionWait;
-      if (now >= give_up) return evicted;
+      if (now >= give_up) {
+        total_exhausted_.fetch_add(1, std::memory_order_relaxed);
+        return evicted;
+      }
       lock.unlock();
       if (yields++ < kSpinYields) {
         std::this_thread::yield();
@@ -153,7 +156,7 @@ Status BufferPool::EvictOneLocked(Shard* shard) {
     shard->frames.erase(fit);
     return Status::OK();
   }
-  return Status::Internal("buffer pool exhausted: all pages pinned");
+  return Status::ResourceExhausted("buffer pool exhausted: all pages pinned");
 }
 
 Result<PageRef> BufferPool::Fetch(PageId id, QueryStats* stats) {

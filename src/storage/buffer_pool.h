@@ -206,6 +206,11 @@ class BufferPool {
   uint64_t total_hits() const {
     return total_hits_.load(std::memory_order_relaxed);
   }
+  /// Fetches that failed with ResourceExhausted: every frame of the
+  /// page's shard stayed pinned for the whole exhaustion wait.
+  uint64_t total_exhausted() const {
+    return total_exhausted_.load(std::memory_order_relaxed);
+  }
 
  private:
   using Frame = internal::PoolFrame;
@@ -227,8 +232,8 @@ class BufferPool {
   /// performed a store read.
   Result<bool> LoadIfAbsent(PageId id);
   /// Evicts one unpinned, non-loading frame of `shard` (writing it back
-  /// if dirty); kInternal when every frame is pinned. Caller holds the
-  /// shard mutex.
+  /// if dirty); kResourceExhausted when every frame is pinned. Caller
+  /// holds the shard mutex.
   Status EvictOneLocked(Shard* shard);
 
   PageStore* store_;
@@ -236,6 +241,7 @@ class BufferPool {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> total_misses_{0};
   std::atomic<uint64_t> total_hits_{0};
+  std::atomic<uint64_t> total_exhausted_{0};
 };
 
 }  // namespace xksearch

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -13,13 +14,30 @@ namespace xksearch {
 
 namespace {
 
-// Index metadata blob: level table + codec flags.
-constexpr uint8_t kMetaFormatVersion = 2;
+// Index metadata blob: level table + codec flags. Version 3 is the
+// single scan tree with restart-indexed blocks; version 2 was the
+// two-tree layout with an Indexed Lookup tree beside it.
+constexpr uint8_t kMetaFormatVersion = 3;
 
-// WAL frame store ids (stable on-disk protocol, do not renumber).
-constexpr uint8_t kWalStoreIl = 0;
+// WAL frame store ids (stable on-disk protocol, do not renumber). Id 0
+// was the Indexed Lookup tree's and is retired.
 constexpr uint8_t kWalStoreScan = 1;
 constexpr uint8_t kWalStoreDict = 2;
+
+// Maps a WAL frame's store id to its target store.
+PageStore* WalTarget(uint8_t id, PageStore* scan, PageStore* dict) {
+  switch (id) {
+    case kWalStoreScan:
+      return scan;
+    case kWalStoreDict:
+      return dict;
+    default:
+      return nullptr;
+  }
+}
+
+// Source of DiskIndex::instance_; 0 marks a MatchProbe with no block.
+std::atomic<uint64_t> next_instance{1};
 
 bool FileExists(const std::string& path) {
   struct stat st;
@@ -97,8 +115,11 @@ struct IndexMeta {
 };
 
 Result<IndexMeta> DecodeIndexMeta(const std::vector<uint8_t>& blob) {
-  if (blob.size() < 3 || blob[0] != kMetaFormatVersion) {
-    return Status::Corruption("bad index metadata header");
+  if (blob.size() < 3) return Status::Corruption("bad index metadata header");
+  if (blob[0] != kMetaFormatVersion) {
+    return Status::NotSupported(
+        "index format version " + std::to_string(blob[0]) + ", expected " +
+        std::to_string(kMetaFormatVersion) + ": rebuild the index");
   }
   IndexMeta meta;
   meta.compress_dewey = blob[1] != 0;
@@ -123,8 +144,8 @@ Result<IndexMeta> DecodeIndexMeta(const std::vector<uint8_t>& blob) {
 
 }  // namespace
 
-void DiskIndex::EncodeIlKey(const DeweyCodec& codec, uint32_t term,
-                            const DeweyId& id, std::string* out) {
+void DiskIndex::EncodeBlockKey(const DeweyCodec& codec, uint32_t term,
+                               const DeweyId& id, std::string* out) {
   out->clear();
   AppendBigEndian32(term, out);
   codec.EncodeTo(id.view(), out);
@@ -136,20 +157,19 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Build(
   std::unique_ptr<DiskIndex> index(new DiskIndex());
 
   if (options.in_memory) {
-    index->il_store_ = std::make_unique<MemPageStore>();
     index->scan_store_ = std::make_unique<MemPageStore>();
     index->dict_store_ = std::make_unique<MemPageStore>();
   } else {
-    XKS_ASSIGN_OR_RETURN(index->il_store_,
-                         FilePageStore::Create(path_prefix + ".il"));
     XKS_ASSIGN_OR_RETURN(index->scan_store_,
                          FilePageStore::Create(path_prefix + ".scan"));
     XKS_ASSIGN_OR_RETURN(index->dict_store_,
                          FilePageStore::Create(path_prefix + ".dict"));
+    // An empty placeholder where the Indexed Lookup tree used to be, for
+    // tools that still size `<prefix>.il`; nothing reads it.
+    XKS_RETURN_NOT_OK(
+        FilePageStore::Create(path_prefix + ".il").status());
   }
   if (options.store_decorator) {
-    index->il_store_ =
-        options.store_decorator(std::move(index->il_store_), "il");
     index->scan_store_ =
         options.store_decorator(std::move(index->scan_store_), "scan");
     index->dict_store_ =
@@ -166,7 +186,7 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Build(
   const std::vector<std::string> terms = src.Terms();
 
   // Dictionary tree: term -> (id, frequency). Terms are sorted, and ids
-  // are assigned in that order, so all three trees load in key order.
+  // are assigned in that order, so both trees load in key order.
   {
     BPlusTreeBuilder builder(index->dict_store_.get());
     for (uint32_t id = 0; id < terms.size(); ++id) {
@@ -182,50 +202,28 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Build(
     XKS_RETURN_NOT_OK(builder.Finish());
   }
 
-  // Indexed Lookup tree: composite (term, Dewey) keys, empty values.
-  {
-    BPlusTreeBuilder builder(index->il_store_.get());
-    builder.SetMetadata(meta);
-    std::string key;
-    for (uint32_t id = 0; id < terms.size(); ++id) {
-      PackedDeweyList::Decoder postings(src.Find(terms[id]));
-      DeweyId node;
-      while (postings.Next(&node)) {
-        EncodeIlKey(codec, id, node, &key);
-        XKS_RETURN_NOT_OK(builder.Add(key, ""));
-      }
-    }
-    XKS_RETURN_NOT_OK(builder.Finish());
-  }
-
-  // Scan tree: (term, first Dewey id of the block) -> delta-compressed
-  // run of ids. Keying blocks by their first id (rather than a block
-  // ordinal) lets the incremental updater locate, split and re-key
-  // blocks with ordinary tree operations.
+  // Scan tree: (term, first Dewey id of the block) -> restart-indexed
+  // delta-compressed run of ids. Keying blocks by their first id (rather
+  // than a block ordinal) lets a probe find the block hosting any id with
+  // one floor search, and lets the incremental updater locate, split and
+  // re-key blocks with ordinary tree operations.
   {
     BPlusTreeBuilder builder(index->scan_store_.get());
     builder.SetMetadata(meta);
-    std::string key;
+    std::string key, payload;
     for (uint32_t id = 0; id < terms.size(); ++id) {
-      DeltaBlockEncoder block(options.delta_compress);
-      bool have_first = false;
+      ScanBlockBuilder block(options.delta_compress);
       auto flush = [&]() -> Status {
         if (block.count() == 0) return Status::OK();
-        const std::vector<uint8_t> payload = block.Finish();
-        have_first = false;
-        return builder.Add(
-            key, std::string_view(
-                     reinterpret_cast<const char*>(payload.data()),
-                     payload.size()));
+        payload.clear();
+        block.FinishTo(&payload);
+        return builder.Add(key, payload);
       };
       PackedDeweyList::Decoder postings(src.Find(terms[id]));
       DeweyId node;
       while (postings.Next(&node)) {
-        if (!have_first) {
-          EncodeIlKey(codec, id, node, &key);
-          have_first = true;
-        }
-        block.Append(node);
+        if (block.count() == 0) EncodeBlockKey(codec, id, node, &key);
+        block.Append(node.view());
         if (block.SizeBytes() >= options.scan_block_bytes) {
           XKS_RETURN_NOT_OK(flush());
         }
@@ -246,15 +244,11 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Open(
         "an in-memory index cannot be reopened; use Build");
   }
   std::unique_ptr<DiskIndex> index(new DiskIndex());
-  XKS_ASSIGN_OR_RETURN(index->il_store_,
-                       FilePageStore::Open(path_prefix + ".il"));
   XKS_ASSIGN_OR_RETURN(index->scan_store_,
                        FilePageStore::Open(path_prefix + ".scan"));
   XKS_ASSIGN_OR_RETURN(index->dict_store_,
                        FilePageStore::Open(path_prefix + ".dict"));
   if (options.store_decorator) {
-    index->il_store_ =
-        options.store_decorator(std::move(index->il_store_), "il");
     index->scan_store_ =
         options.store_decorator(std::move(index->scan_store_), "scan");
     index->dict_store_ =
@@ -268,14 +262,12 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Open(
     std::unique_ptr<Wal> wal;
     XKS_ASSIGN_OR_RETURN(wal,
                          OpenWalFile(path_prefix, options, /*create=*/false));
-    PageStore* const targets[] = {index->il_store_.get(),
-                                  index->scan_store_.get(),
-                                  index->dict_store_.get()};
-    XKS_ASSIGN_OR_RETURN(
-        const WalRecoveryStats stats,
-        wal->Recover([&targets](uint8_t id) -> PageStore* {
-          return id <= kWalStoreDict ? targets[id] : nullptr;
-        }));
+    PageStore* const scan = index->scan_store_.get();
+    PageStore* const dict = index->dict_store_.get();
+    XKS_ASSIGN_OR_RETURN(const WalRecoveryStats stats,
+                         wal->Recover([scan, dict](uint8_t id) {
+                           return WalTarget(id, scan, dict);
+                         }));
     RecordRecovery(stats);
   }
   XKS_RETURN_NOT_OK(index->InitTreesAndDict(options));
@@ -283,16 +275,14 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Open(
 }
 
 Status DiskIndex::InitTreesAndDict(const DiskIndexOptions& options) {
-  il_pool_ = std::make_unique<BufferPool>(
-      il_store_.get(), options.il_pool_pages, options.pool_shards);
+  instance_ = next_instance.fetch_add(1, std::memory_order_relaxed);
   scan_pool_ = std::make_unique<BufferPool>(
       scan_store_.get(), options.scan_pool_pages, options.pool_shards);
-  XKS_ASSIGN_OR_RETURN(BPlusTree il_tree, BPlusTree::Open(il_pool_.get()));
-  il_tree_ = std::move(il_tree);
   XKS_ASSIGN_OR_RETURN(BPlusTree scan_tree, BPlusTree::Open(scan_pool_.get()));
   scan_tree_ = std::move(scan_tree);
 
-  XKS_ASSIGN_OR_RETURN(IndexMeta meta, DecodeIndexMeta(il_tree_->metadata()));
+  XKS_ASSIGN_OR_RETURN(IndexMeta meta,
+                       DecodeIndexMeta(scan_tree_->metadata()));
   codec_.emplace(std::move(meta.table));
   total_postings_ = meta.total_postings;
   tokenizer_ = meta.tokenizer;
@@ -327,29 +317,112 @@ const DiskIndex::TermInfo* DiskIndex::FindTerm(std::string_view keyword) const {
 Result<bool> DiskIndex::RightMatch(uint32_t term, const DeweyId& v,
                                    MatchProbe* probe, DeweyId* out,
                                    QueryStats* stats) const {
-  EncodeIlKey(*codec_, term, v, &probe->key);
-  BPlusTree::Cursor cursor = il_tree_->NewCursor();
-  cursor.set_stats(stats);
-  XKS_RETURN_NOT_OK(cursor.Seek(probe->key));
-  return MatchAt(cursor, term, out, stats);
+  return Match(term, v, /*right=*/true, probe, out, stats);
 }
 
 Result<bool> DiskIndex::LeftMatch(uint32_t term, const DeweyId& v,
                                   MatchProbe* probe, DeweyId* out,
                                   QueryStats* stats) const {
-  EncodeIlKey(*codec_, term, v, &probe->key);
-  BPlusTree::Cursor cursor = il_tree_->NewCursor();
-  cursor.set_stats(stats);
-  XKS_RETURN_NOT_OK(cursor.SeekForPrev(probe->key));
-  return MatchAt(cursor, term, out, stats);
+  return Match(term, v, /*right=*/false, probe, out, stats);
 }
 
-Result<bool> DiskIndex::MatchAt(const BPlusTree::Cursor& cursor,
-                                uint32_t term, DeweyId* out,
-                                QueryStats* stats) const {
-  if (!cursor.Valid() || !HasTermPrefix(cursor.key(), term)) return false;
+Result<bool> DiskIndex::Match(uint32_t term, const DeweyId& v, bool right,
+                              MatchProbe* probe, DeweyId* out,
+                              QueryStats* stats) const {
+  XKS_ASSIGN_OR_RETURN(bool hosted, Hosts(term, v.view(), probe));
+  if (!hosted) {
+    XKS_ASSIGN_OR_RETURN(const bool any, Locate(term, v, probe, stats));
+    if (!any) return false;
+  }
+  DeweyView match;
+  if (right) {
+    XKS_ASSIGN_OR_RETURN(const bool in_block,
+                         probe->reader_.Ceil(v.view(), &match));
+    if (!in_block) {
+      // v follows the block's last entry, so Locate read the next key.
+      if (probe->next_ != MatchProbe::Next::kKnown) return false;
+      match = probe->next_first_.view();
+    }
+  } else {
+    XKS_ASSIGN_OR_RETURN(const bool found,
+                         probe->reader_.Floor(v.view(), &match));
+    if (!found) return false;
+  }
+  // One posting per returned match, as a leaf entry of an Indexed Lookup
+  // tree would be charged; the in-block search is positioning work.
   if (stats != nullptr) ++stats->postings_read;
-  XKS_RETURN_NOT_OK(codec_->DecodeInto(cursor.key().substr(4), out));
+  out->AssignFrom(match);
+  return true;
+}
+
+Result<bool> DiskIndex::Hosts(uint32_t term, DeweyView v,
+                              MatchProbe* probe) const {
+  if (probe->owner_ != instance_ || probe->term_ != term) return false;
+  if (!probe->first_block_ && v.Compare(probe->reader_.first()) < 0) {
+    return false;
+  }
+  switch (probe->next_) {
+    case MatchProbe::Next::kNone:
+      return true;
+    case MatchProbe::Next::kKnown:
+      return v.Compare(probe->next_first_.view()) < 0;
+    case MatchProbe::Next::kUnknown:
+      break;
+  }
+  // Without the next block's first id the block hosts v only up to its
+  // own last entry.
+  DeweyView ceil;
+  return probe->reader_.Ceil(v, &ceil);
+}
+
+Result<bool> DiskIndex::Locate(uint32_t term, const DeweyId& v,
+                               MatchProbe* probe, QueryStats* stats) const {
+  EncodeBlockKey(*codec_, term, v, &probe->key_);
+  BPlusTree::Cursor cursor = scan_tree_->NewCursor();
+  cursor.set_stats(stats);
+  // Floor search: the hosting block is the last one whose first id is
+  // <= v. When no block of this term precedes v, the term's first block
+  // is the one after the cursor (or the tree's first, when the cursor
+  // fell off the front).
+  XKS_RETURN_NOT_OK(cursor.SeekForPrev(probe->key_));
+  bool first_block = false;
+  if (!cursor.Valid() || !HasTermPrefix(cursor.key(), term)) {
+    if (cursor.Valid()) {
+      XKS_RETURN_NOT_OK(cursor.Next());
+    } else {
+      XKS_RETURN_NOT_OK(cursor.SeekToFirst());
+    }
+    if (!cursor.Valid() || !HasTermPrefix(cursor.key(), term)) return false;
+    first_block = true;
+  }
+  if (probe->owner_ != instance_ || probe->term_ != term ||
+      probe->block_key_ != cursor.key()) {
+    probe->owner_ = 0;
+    probe->block_key_.assign(cursor.key());
+    probe->payload_.assign(cursor.value());
+    XKS_RETURN_NOT_OK(probe->reader_.Reset(
+        reinterpret_cast<const uint8_t*>(probe->payload_.data()),
+        probe->payload_.size()));
+    probe->owner_ = instance_;
+    probe->term_ = term;
+    probe->first_block_ = false;
+    probe->next_ = MatchProbe::Next::kUnknown;
+  }
+  probe->first_block_ = probe->first_block_ || first_block;
+  if (probe->next_ != MatchProbe::Next::kUnknown || first_block) return true;
+  DeweyView ceil;
+  XKS_ASSIGN_OR_RETURN(const bool within, probe->reader_.Ceil(v.view(), &ceil));
+  if (within) return true;
+  // v follows the block's last entry: rm(v) is the next block's first id,
+  // and every probe below it stays in this block.
+  XKS_RETURN_NOT_OK(cursor.Next());
+  if (cursor.Valid() && HasTermPrefix(cursor.key(), term)) {
+    XKS_RETURN_NOT_OK(
+        codec_->DecodeInto(cursor.key().substr(4), &probe->next_first_));
+    probe->next_ = MatchProbe::Next::kKnown;
+  } else {
+    probe->next_ = MatchProbe::Next::kNone;
+  }
   return true;
 }
 
@@ -401,7 +474,7 @@ Result<DiskIndex::PostingCursor> DiskIndex::OpenPostingsFrom(
     QueryStats* stats) const {
   *prev_valid = false;
   std::string probe;
-  EncodeIlKey(*codec_, term, start, &probe);
+  EncodeBlockKey(*codec_, term, start, &probe);
   BPlusTree::Cursor cursor = scan_tree_->NewCursor();
   cursor.set_stats(stats);
   // Floor search: the hosting block is the last one whose first id is
@@ -441,12 +514,11 @@ bool DiskIndex::PostingCursor::LoadBlock() {
   }
   --blocks_remaining_;
   const std::string_view value = cursor_.value();
-  block_.assign(value.begin(), value.end());
   decoded_.Clear();
   decoded_pos_ = 0;
-  size_t pos = 0;
-  status_ = DecodeBlock(block_.data(), block_.size(), &pos,
-                        ~size_t{0}, nullptr, 0, &decoded_);
+  status_ = ScanBlockReader::DecodeAll(
+      reinterpret_cast<const uint8_t*>(value.data()), value.size(),
+      &decoded_);
   if (!status_.ok()) {
     done_ = true;
     return false;
@@ -493,16 +565,9 @@ bool DiskIndex::PostingCursor::DecodeBlockInto(DecodedBlock* out) {
   }
 }
 
-Status DiskIndex::DropCaches() {
-  XKS_RETURN_NOT_OK(il_pool_->DropAll());
-  return scan_pool_->DropAll();
-}
+Status DiskIndex::DropCaches() { return scan_pool_->DropAll(); }
 
-Status DiskIndex::WarmCaches() {
-  XKS_RETURN_NOT_OK(il_pool_->WarmAll());
-  return scan_pool_->WarmAll();
-}
-
+Status DiskIndex::WarmCaches() { return scan_pool_->WarmAll(); }
 
 Result<std::unique_ptr<DiskIndexUpdater>> DiskIndexUpdater::Open(
     const std::string& path_prefix, const DiskIndexOptions& options) {
@@ -512,15 +577,11 @@ Result<std::unique_ptr<DiskIndexUpdater>> DiskIndexUpdater::Open(
   }
   std::unique_ptr<DiskIndexUpdater> updater(new DiskIndexUpdater());
   updater->options_ = options;
-  XKS_ASSIGN_OR_RETURN(updater->il_store_,
-                       FilePageStore::Open(path_prefix + ".il"));
   XKS_ASSIGN_OR_RETURN(updater->scan_store_,
                        FilePageStore::Open(path_prefix + ".scan"));
   XKS_ASSIGN_OR_RETURN(updater->dict_store_,
                        FilePageStore::Open(path_prefix + ".dict"));
   if (options.store_decorator) {
-    updater->il_store_ =
-        options.store_decorator(std::move(updater->il_store_), "il");
     updater->scan_store_ =
         options.store_decorator(std::move(updater->scan_store_), "scan");
     updater->dict_store_ =
@@ -531,35 +592,26 @@ Result<std::unique_ptr<DiskIndexUpdater>> DiskIndexUpdater::Open(
   // files until this updater's own batch commits.
   XKS_ASSIGN_OR_RETURN(updater->wal_,
                        OpenWalFile(path_prefix, options, /*create=*/true));
-  PageStore* const targets[] = {updater->il_store_.get(),
-                                updater->scan_store_.get(),
-                                updater->dict_store_.get()};
-  XKS_ASSIGN_OR_RETURN(
-      const WalRecoveryStats stats,
-      updater->wal_->Recover([&targets](uint8_t id) -> PageStore* {
-        return id <= kWalStoreDict ? targets[id] : nullptr;
-      }));
+  PageStore* const scan = updater->scan_store_.get();
+  PageStore* const dict = updater->dict_store_.get();
+  XKS_ASSIGN_OR_RETURN(const WalRecoveryStats stats,
+                       updater->wal_->Recover([scan, dict](uint8_t id) {
+                         return WalTarget(id, scan, dict);
+                       }));
   RecordRecovery(stats);
   updater->recovered_batches_ = stats.batches_applied;
-  updater->il_staged_ =
-      std::make_unique<StagedPageStore>(updater->il_store_.get());
   updater->scan_staged_ =
       std::make_unique<StagedPageStore>(updater->scan_store_.get());
   updater->dict_staged_ =
       std::make_unique<StagedPageStore>(updater->dict_store_.get());
-  updater->il_pool_ = std::make_unique<BufferPool>(updater->il_staged_.get(),
-                                                   options.il_pool_pages);
   updater->scan_pool_ = std::make_unique<BufferPool>(
       updater->scan_staged_.get(), options.scan_pool_pages);
-  XKS_ASSIGN_OR_RETURN(BPlusTreeMut il_tree,
-                       BPlusTreeMut::Open(updater->il_pool_.get()));
-  updater->il_tree_ = std::make_unique<BPlusTreeMut>(std::move(il_tree));
   XKS_ASSIGN_OR_RETURN(BPlusTreeMut scan_tree,
                        BPlusTreeMut::Open(updater->scan_pool_.get()));
   updater->scan_tree_ = std::make_unique<BPlusTreeMut>(std::move(scan_tree));
 
   XKS_ASSIGN_OR_RETURN(IndexMeta meta,
-                       DecodeIndexMeta(updater->il_tree_->metadata()));
+                       DecodeIndexMeta(updater->scan_tree_->metadata()));
   updater->codec_.emplace(std::move(meta.table));
   updater->delta_compress_ = meta.delta_compress;
   updater->compress_dewey_ = meta.compress_dewey;
@@ -630,9 +682,7 @@ Status DiskIndexUpdater::AddPosting(std::string_view keyword,
       if (edit->second) return Status::OK();  // added earlier this batch
       edits.erase(edit);  // re-adding cancels the pending remove
     } else {
-      std::string key;
-      DiskIndex::EncodeIlKey(*codec_, it->second.id, id, &key);
-      XKS_ASSIGN_OR_RETURN(const bool present, il_tree_->Contains(key));
+      XKS_ASSIGN_OR_RETURN(const bool present, Contains(it->second.id, id));
       if (present) return Status::OK();
       edits.emplace(id, true);
     }
@@ -659,9 +709,7 @@ Status DiskIndexUpdater::RemovePosting(std::string_view keyword,
     if (!edit->second) return Status::NotFound("key not present");
     edits.erase(edit);  // removing cancels the pending add
   } else {
-    std::string key;
-    DiskIndex::EncodeIlKey(*codec_, it->second.id, id, &key);
-    XKS_ASSIGN_OR_RETURN(const bool present, il_tree_->Contains(key));
+    XKS_ASSIGN_OR_RETURN(const bool present, Contains(it->second.id, id));
     if (!present) return Status::NotFound("key not present");
     edits.emplace(id, false);
   }
@@ -672,19 +720,39 @@ Status DiskIndexUpdater::RemovePosting(std::string_view keyword,
   return Status::OK();
 }
 
+Result<bool> DiskIndexUpdater::Contains(uint32_t term, const DeweyId& id) {
+  // The tree changes only in Finish, so the last block read stays valid
+  // for the whole batch: an id between its first and last entry is
+  // answered from it. (Batches arrive sorted, so most ids are.)
+  bool cached = block_term_ == term &&
+                id.view().Compare(block_reader_.first()) >= 0;
+  DeweyView floor;
+  if (cached) {
+    XKS_ASSIGN_OR_RETURN(cached, block_reader_.Ceil(id.view(), &floor));
+  }
+  if (!cached) {
+    // The block hosting id is the last one whose first id <= id; an id
+    // before the term's first block is absent.
+    block_term_.reset();
+    DiskIndex::EncodeBlockKey(*codec_, term, id, &probe_key_);
+    XKS_ASSIGN_OR_RETURN(
+        const bool found,
+        scan_tree_->FindFloor(probe_key_, &block_key_, &block_));
+    if (!found || !HasTermPrefix(block_key_, term)) return false;
+    XKS_RETURN_NOT_OK(block_reader_.Reset(
+        reinterpret_cast<const uint8_t*>(block_.data()), block_.size()));
+    block_term_ = term;
+  }
+  XKS_ASSIGN_OR_RETURN(const bool any, block_reader_.Floor(id.view(), &floor));
+  return any && floor.Compare(id.view()) == 0;
+}
+
 Status DiskIndexUpdater::ApplyPending() {
-  std::vector<BPlusTreeMut::Edit> il_edits;
   BlockEdits block_edits;
   for (const auto& [term, edits] : pending_) {
-    for (const auto& [id, add] : edits) {
-      BPlusTreeMut::Edit& edit = il_edits.emplace_back();
-      DiskIndex::EncodeIlKey(*codec_, term, id, &edit.key);
-      edit.erase = !add;
-    }
     XKS_RETURN_NOT_OK(MergeScanBlocks(term, edits, &block_edits));
   }
   pending_.clear();
-  XKS_RETURN_NOT_OK(il_tree_->Apply(il_edits));
   std::vector<BPlusTreeMut::Edit> scan_edits;
   scan_edits.reserve(block_edits.size());
   for (auto& [key, payload] : block_edits) {
@@ -705,7 +773,7 @@ Status DiskIndexUpdater::MergeScanBlocks(uint32_t term,
   while (edit != edits.end()) {
     // The hosting block is the last one whose first id <= the edit's id;
     // ids before every block join the term's first block.
-    DiskIndex::EncodeIlKey(*codec_, term, edit->first, &probe);
+    DiskIndex::EncodeBlockKey(*codec_, term, edit->first, &probe);
     XKS_ASSIGN_OR_RETURN(bool found,
                          scan_tree_->FindFloor(probe, &block_key, &payload));
     if (!found || !HasTermPrefix(block_key, term)) {
@@ -725,10 +793,9 @@ Status DiskIndexUpdater::MergeScanBlocks(uint32_t term,
             std::string_view(next_key).substr(4), &next_first));
         end = edits.lower_bound(next_first);
       }
-      size_t pos = 0;
-      XKS_RETURN_NOT_OK(
-          DecodeBlock(reinterpret_cast<const uint8_t*>(payload.data()),
-                      payload.size(), &pos, ~size_t{0}, nullptr, 0, &block));
+      XKS_RETURN_NOT_OK(ScanBlockReader::DecodeAll(
+          reinterpret_cast<const uint8_t*>(payload.data()), payload.size(),
+          &block));
       // Deleted now; a new block under the same key overwrites this.
       (*out)[block_key] = std::nullopt;
     }
@@ -759,43 +826,29 @@ void DiskIndexUpdater::EncodeScanBlocks(uint32_t term,
                                         BlockEdits* out) const {
   const size_t n = run.count();
   if (n == 0) return;
-  // One delta stream over the whole run; starts[k] is entry k's offset.
-  // A block cut at entry a re-encodes a in full and reuses the stream's
-  // bytes for the rest, whose deltas stay within the block.
-  DeltaBlockEncoder encoder(delta_compress_);
-  std::vector<size_t> starts;
-  starts.reserve(n + 1);
-  for (size_t k = 0; k < n; ++k) {
-    starts.push_back(encoder.SizeBytes());
-    encoder.Append(run.entry(k));
-  }
-  starts.push_back(encoder.SizeBytes());
-  const std::vector<uint8_t> stream = encoder.Finish();
-
   // The fewest blocks within the budget, each cut once it holds an even
   // share of the bytes (a lone entry above the budget gets its own).
+  ScanBlockBuilder builder(delta_compress_);
+  for (size_t k = 0; k < n; ++k) builder.Append(run.entry(k));
+  const size_t total = builder.SizeBytes();
   const size_t budget = std::max<size_t>(1, options_.scan_block_bytes);
-  const size_t blocks = (stream.size() + budget - 1) / budget;
-  const size_t target = (stream.size() + blocks - 1) / blocks;
-  std::vector<uint8_t> head;
+  const size_t blocks = (total + budget - 1) / budget;
+  const size_t target = (total + blocks - 1) / blocks;
+  builder = ScanBlockBuilder(delta_compress_);
   DeweyId first;
   std::string key;
   size_t a = 0;
   while (a < n) {
-    encoder.Append(run.entry(a));
-    head = encoder.Finish();
-    // Bytes of the block holding entries [a, b).
-    auto size = [&](size_t b) {
-      return head.size() + starts[b] - starts[a + 1];
-    };
+    builder.Append(run.entry(a));
     size_t b = a + 1;
-    while (b < n && size(b) < target && size(b + 1) <= budget) ++b;
-    std::string payload(head.begin(), head.end());
-    payload.append(stream.begin() + static_cast<long>(starts[a + 1]),
-                   stream.begin() + static_cast<long>(starts[b]));
+    while (b < n && builder.SizeBytes() < target &&
+           builder.SizeBytes() + builder.AppendCost(run.entry(b)) <= budget) {
+      builder.Append(run.entry(b++));
+    }
     first.AssignFrom(run.entry(a));
-    DiskIndex::EncodeIlKey(*codec_, term, first, &key);
-    (*out)[key] = std::move(payload);
+    DiskIndex::EncodeBlockKey(*codec_, term, first, &key);
+    std::string& payload = (*out)[key].emplace();
+    builder.FinishTo(&payload);
     a = b;
   }
 }
@@ -819,15 +872,13 @@ Status DiskIndexUpdater::Finish() {
   const LevelTable& table = codec_->level_table();
   const std::vector<uint8_t> meta = EncodeIndexMeta(
       table, compress_dewey_, delta_compress_, total_postings_, tokenizer_);
-  il_tree_->SetMetadata(meta);
   scan_tree_->SetMetadata(meta);
-  XKS_RETURN_NOT_OK(il_tree_->Flush());
   XKS_RETURN_NOT_OK(scan_tree_->Flush());
 
   // Rewrite the dictionary from scratch when it changed (it is small and
   // the bulk builder wants sorted keys anyway). The rebuild goes through
   // the dict overlay (emptied first — the bulk builder wants a fresh
-  // store), so like the tree flushes above it is part of the staged
+  // store), so like the tree flush above it is part of the staged
   // batch, not an in-place file rewrite.
   if (DictChanged()) {
     std::vector<std::string> terms;
@@ -855,8 +906,7 @@ Status DiskIndexUpdater::CommitBatch() {
   const struct {
     uint8_t id;
     StagedPageStore* staged;
-  } stores[] = {{kWalStoreIl, il_staged_.get()},
-                {kWalStoreScan, scan_staged_.get()},
+  } stores[] = {{kWalStoreScan, scan_staged_.get()},
                 {kWalStoreDict, dict_staged_.get()}};
   for (const auto& entry : stores) {
     // A store the batch left alone (the dictionary, most batches) logs
@@ -877,11 +927,11 @@ Status DiskIndexUpdater::CommitBatch() {
   XKS_RETURN_NOT_OK(wal_->Commit());
   // Apply by replaying the log into the real files — the exact code path
   // crash recovery takes, so every successful Finish exercises it.
-  PageStore* const targets[] = {il_staged_->inner(), scan_staged_->inner(),
-                                dict_staged_->inner()};
+  PageStore* const scan = scan_staged_->inner();
+  PageStore* const dict = dict_staged_->inner();
   XKS_ASSIGN_OR_RETURN(const WalRecoveryStats stats,
-                       wal_->Recover([&targets](uint8_t id) -> PageStore* {
-                         return id <= kWalStoreDict ? targets[id] : nullptr;
+                       wal_->Recover([scan, dict](uint8_t id) {
+                         return WalTarget(id, scan, dict);
                        }));
   if (stats.batches_applied != 1) {
     return Status::Internal("batch apply replayed " +

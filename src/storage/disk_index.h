@@ -22,6 +22,7 @@
 #include "storage/bptree_mut.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
+#include "storage/scan_block.h"
 #include "storage/wal.h"
 
 namespace xksearch {
@@ -31,9 +32,8 @@ struct DiskIndexOptions {
   /// Back the index by MemPageStore instead of files. Page-level behaviour
   /// (buffer pool, "disk accesses") is identical; only persistence differs.
   bool in_memory = false;
-  /// Buffer-pool frames for the Indexed Lookup tree.
-  size_t il_pool_pages = 8192;
-  /// Buffer-pool frames for the Scan/Stack tree.
+  /// Buffer-pool frames for the scan tree, which serves both the lm/rm
+  /// probes and the sequential cursors.
   size_t scan_pool_pages = 8192;
   /// Target payload bytes per posting block in the scan layout.
   size_t scan_block_bytes = 3600;
@@ -41,14 +41,15 @@ struct DiskIndexOptions {
   /// means less mutex contention between concurrent queries; 1 gives the
   /// old single-LRU behaviour (useful for deterministic cache tests).
   size_t pool_shards = 0;
-  /// Level-table Dewey compression for IL keys (paper Section 4); when
-  /// false a fixed 32-bit-per-component codec is used (ablation X2).
+  /// Level-table Dewey compression for the scan blocks' (term, first id)
+  /// keys (paper Section 4); when false a fixed 32-bit-per-component codec
+  /// is used (ablation X2). Block payloads are delta-coded either way.
   bool compress_dewey = true;
   /// Prefix-delta compression inside posting blocks (ablation X2).
   bool delta_compress = true;
   /// Test hook: wraps each page store the index creates (Build, Open and
-  /// the updater) before any pool or tree touches it. `name` is "il",
-  /// "scan", "dict" or "wal". Fault-injection tests interpose
+  /// the updater) before any pool or tree touches it. `name` is "scan",
+  /// "dict" or "wal". Fault-injection tests interpose
   /// FaultInjectingPageStore here; returning the store unchanged is
   /// always valid.
   std::function<std::unique_ptr<PageStore>(std::unique_ptr<PageStore>,
@@ -58,13 +59,18 @@ struct DiskIndexOptions {
 
 /// \brief The XKSearch on-disk index (paper Section 4).
 ///
-/// Holds the two B+tree organizations the paper describes:
-///  * the **Indexed Lookup tree**: one B+tree whose composite keys are
-///    (keyword, Dewey id) — keywords primary, Dewey numbers secondary —
-///    so lm/rm match operations are single tree probes;
-///  * the **Scan tree**: keyword lists chopped into delta-compressed
-///    blocks keyed by (keyword, block#), read sequentially by the Scan
-///    Eager and Stack algorithms.
+/// One B+tree serves every algorithm: the **scan tree**, whose keys are
+/// (keyword, first Dewey id of a block) — keywords primary, Dewey numbers
+/// secondary — and whose values are delta-compressed posting blocks with
+/// a restart point every kScanRestartInterval entries (scan_block.h).
+///  * The Scan Eager and Stack algorithms read a list's blocks in order
+///    through a PostingCursor.
+///  * An Indexed Lookup lm/rm probe is a floor descent to the block that
+///    hosts the target, a binary search over that block's restart heads
+///    (compared in place) and a search of one decoded group — the same
+///    cost class as the paper's one descent of a (keyword, Dewey) B+tree,
+///    without storing every posting a second time. rm past a block's last
+///    entry is the next block's first id, read from its key.
 ///
 /// The keyword dictionary (the paper's frequency table) is loaded into an
 /// in-memory hash table at open, mirroring XKSearch's initializer.
@@ -72,8 +78,8 @@ struct DiskIndexOptions {
 /// All read operations (FindTerm, RightMatch, LeftMatch, OpenPostings
 /// and the cursors they return) are safe to call from any number of
 /// threads concurrently, each thread passing its own MatchProbe to the
-/// lm/rm probes: the trees and dictionary are immutable after
-/// open and the buffer pools are sharded and thread-safe. Each call
+/// lm/rm probes: the tree and dictionary are immutable after
+/// open and the buffer pool is sharded and thread-safe. Each call
 /// charges its page accesses to the per-query stats object it is given,
 /// so accounting never crosses queries. DropCaches/WarmCaches are safe
 /// too, though DropCaches fails while any query holds a pinned page.
@@ -97,14 +103,17 @@ class DiskIndex {
   using TermDict =
       std::unordered_map<std::string, TermInfo, KeywordHash, std::equal_to<>>;
 
-  /// Builds both layouts (plus the dictionary) from an in-memory index.
-  /// In file mode this writes `<prefix>.il`, `<prefix>.scan` and
-  /// `<prefix>.dict`.
+  /// Builds the scan tree and the dictionary from an in-memory index. In
+  /// file mode this writes `<prefix>.scan` and `<prefix>.dict`, plus an
+  /// empty `<prefix>.il` that only keeps tools which size the files of
+  /// the former two-tree layout working.
   static Result<std::unique_ptr<DiskIndex>> Build(
       const InvertedIndex& src, const std::string& path_prefix,
       const DiskIndexOptions& options = {});
 
-  /// Opens a previously built file-backed index.
+  /// Opens a previously built file-backed index. An index of an older
+  /// format (such as the two-tree layout) is refused with NotSupported:
+  /// rebuild it.
   static Result<std::unique_ptr<DiskIndex>> Open(
       const std::string& path_prefix, const DiskIndexOptions& options = {});
 
@@ -114,13 +123,32 @@ class DiskIndex {
   /// Dictionary lookup; nullptr if the keyword does not occur.
   const TermInfo* FindTerm(std::string_view keyword) const;
 
-  /// \brief Caller-owned scratch of the lm/rm probes: the composite probe
-  /// key is encoded into `key`, whose capacity the next probe reuses, so a
-  /// warm probe allocates nothing. One per caller thread (DiskKeywordList
-  /// holds one per query and per chunk clone), like
-  /// PackedDeweyList::Probe.
-  struct MatchProbe {
-    std::string key;
+  /// \brief Caller-owned state of the lm/rm probes: the probe key scratch
+  /// and the last block a probe landed in — its payload, its reader (with
+  /// the last decoded group), and the first id of the block after it once
+  /// known.
+  ///
+  /// A probe whose target the cached block hosts is answered without a
+  /// tree descent, so Indexed Lookup Eager's nondecreasing probes walk a
+  /// block at the cost of one descent; any other target (another term, a
+  /// smaller id) descends afresh. Buffers keep their capacity, so a warm
+  /// probe allocates nothing. One per caller thread (DiskKeywordList holds
+  /// one per query and per chunk clone), like PackedDeweyList::Probe.
+  class MatchProbe {
+   private:
+    friend class DiskIndex;
+    enum class Next : uint8_t { kUnknown, kNone, kKnown };
+
+    std::string key_;
+    uint64_t owner_ = 0;  // DiskIndex::instance_ of the cached block; 0: none
+    uint32_t term_ = 0;
+    /// No block of the term precedes the cached one.
+    bool first_block_ = false;
+    Next next_ = Next::kUnknown;
+    DeweyId next_first_;
+    std::string block_key_;
+    std::string payload_;
+    ScanBlockReader reader_;
   };
 
   /// Right match rm(v, S): smallest id in the term's list that is >= v,
@@ -162,9 +190,6 @@ class DiskIndex {
     const DiskIndex* index_;
     uint32_t term_;
     BPlusTree::Cursor cursor_;
-    /// Raw block payload scratch (copied out of the pinned page, then
-    /// immediately batch-decoded into decoded_).
-    std::vector<uint8_t> block_;
     /// The current block, fully decoded; decoded_pos_ is the next
     /// unconsumed entry.
     DecodedBlock decoded_;
@@ -214,9 +239,9 @@ class DiskIndex {
                                          DeweyId* prev, bool* prev_valid,
                                          QueryStats* stats = nullptr) const;
 
-  /// Evicts everything from both buffer pools (cold-cache experiments).
+  /// Evicts everything from the buffer pool (cold-cache experiments).
   Status DropCaches();
-  /// Loads as much as fits into both pools (hot-cache experiments).
+  /// Loads as much as fits into the pool (hot-cache experiments).
   Status WarmCaches();
 
   const DeweyCodec& codec() const { return *codec_; }
@@ -225,9 +250,10 @@ class DiskIndex {
   const TokenizerOptions& tokenizer() const { return tokenizer_; }
   size_t term_count() const { return dict_.size(); }
   uint64_t total_postings() const { return total_postings_; }
-  PageId il_page_count() const { return il_store_->page_count(); }
+  /// Always 0: there is no Indexed Lookup tree any more. Kept for the
+  /// benchmark's `il_pages` sample; delete together with that caller.
+  PageId il_page_count() const { return 0; }
   PageId scan_page_count() const { return scan_store_->page_count(); }
-  BufferPool* il_pool() const { return il_pool_.get(); }
   BufferPool* scan_pool() const { return scan_pool_.get(); }
 
  private:
@@ -235,20 +261,28 @@ class DiskIndex {
 
   DiskIndex() = default;
 
-  static void EncodeIlKey(const DeweyCodec& codec, uint32_t term,
-                          const DeweyId& id, std::string* out);
-  /// Decodes the match `cursor` landed on into `out`; false when it is
-  /// off the end or on another term's key.
-  Result<bool> MatchAt(const BPlusTree::Cursor& cursor, uint32_t term,
-                       DeweyId* out, QueryStats* stats) const;
+  /// The scan-tree key of (term, id): the big-endian term id, then the
+  /// level-table encoding of `id`, so byte order is (term, Dewey) order.
+  static void EncodeBlockKey(const DeweyCodec& codec, uint32_t term,
+                             const DeweyId& id, std::string* out);
+  /// rm(v) when `right`, else lm(v): the body of RightMatch/LeftMatch.
+  Result<bool> Match(uint32_t term, const DeweyId& v, bool right,
+                     MatchProbe* probe, DeweyId* out, QueryStats* stats) const;
+  /// True when the probe's cached block hosts `v` for `term`.
+  Result<bool> Hosts(uint32_t term, DeweyView v, MatchProbe* probe) const;
+  /// Descends to the block hosting `v` (the term's first block when `v`
+  /// precedes it) and caches it in `probe`, with the next block's first id
+  /// when `v` follows the block's last entry. False when the term has no
+  /// block at all.
+  Result<bool> Locate(uint32_t term, const DeweyId& v, MatchProbe* probe,
+                      QueryStats* stats) const;
   Status InitTreesAndDict(const DiskIndexOptions& options);
 
-  std::unique_ptr<PageStore> il_store_;
+  /// Process-unique id of this open index, tagging MatchProbe caches.
+  uint64_t instance_ = 0;
   std::unique_ptr<PageStore> scan_store_;
   std::unique_ptr<PageStore> dict_store_;
-  std::unique_ptr<BufferPool> il_pool_;
   std::unique_ptr<BufferPool> scan_pool_;
-  std::optional<BPlusTree> il_tree_;
   std::optional<BPlusTree> scan_tree_;
   std::optional<DeweyCodec> codec_;
   TermDict dict_;
@@ -259,18 +293,18 @@ class DiskIndex {
 /// \brief Incremental maintenance of a file-backed index: add or remove
 /// individual postings without rebuilding.
 ///
-/// AddPosting/RemovePosting check presence with a read-only Indexed
-/// Lookup probe and record the edit in a per-term sorted pending map (an
-/// add and a remove of one posting cancel); frequencies and
-/// total_postings() change at once. Finish() applies the whole batch in
-/// one sorted pass through the mutable B+tree on both layouts: each
-/// touched Indexed Lookup leaf is merged once (BPlusTreeMut::Apply), and
-/// each touched scan-layout block — keyed by its first Dewey id — is
-/// decoded once by the batch kernel, merged with its edits, encoded once,
+/// AddPosting/RemovePosting check presence with the probes' block search
+/// (a floor lookup of the hosting block in the mutable scan tree, then a
+/// restart-head search inside it) and record the edit in a per-term
+/// sorted pending map (an add and a remove of one posting cancel);
+/// frequencies and total_postings() change at once. Finish() applies the
+/// whole batch in one sorted pass: each touched block — keyed by its first
+/// Dewey id — is decoded once, merged with its edits, encoded once,
 /// re-keyed when its first id changes and split into blocks of at most
-/// scan_block_bytes; the block puts and deletes go through the same
-/// Apply. The dictionary (with any newly assigned term ids) is rewritten
-/// only when some term's (id, frequency) differs from what Open loaded.
+/// scan_block_bytes; the block puts and deletes go through one
+/// BPlusTreeMut::Apply. The dictionary (with any newly assigned term ids)
+/// is rewritten only when some term's (id, frequency) differs from what
+/// Open loaded.
 ///
 /// Constraint inherited from the paper's Section 4 compression: a new
 /// posting's Dewey id must fit the level table computed at build time
@@ -280,9 +314,10 @@ class DiskIndex {
 ///
 /// **Crash consistency**: the whole batch — every AddPosting/RemovePosting
 /// between Open and Finish — is staged in memory (StagedPageStore
-/// overlays under the buffer pools), written to `<prefix>.wal` as
-/// checksummed page-image frames, made durable by the commit frame's
-/// single fsync, and only then replayed into the il/scan/dict files. A crash at any point
+/// overlays under the scan pool and the dictionary), written to
+/// `<prefix>.wal` as checksummed page-image frames, made durable by the
+/// commit frame's single fsync, and only then replayed into the scan and
+/// dict files. A crash at any point
 /// leaves the files either exactly pre-batch (commit frame not durable:
 /// recovery discards the torn log) or exactly post-batch (commit frame
 /// durable: recovery replays it idempotently) — never a hybrid.
@@ -310,7 +345,7 @@ class DiskIndexUpdater {
   /// Removes one posting; NotFound if it is not in the index.
   Status RemovePosting(std::string_view keyword, const DeweyId& id);
 
-  /// Applies the batch to both trees, flushes them and rewrites the
+  /// Applies the batch to the scan tree, flushes it and rewrites the
   /// dictionary if it changed. The updater must not be used afterwards.
   Status Finish();
 
@@ -333,8 +368,10 @@ class DiskIndexUpdater {
   /// absent), the first time the batch touches the keyword.
   void Touch(std::string_view keyword,
              const std::optional<DiskIndex::TermInfo>& loaded);
-  /// Applies every pending edit to both trees.
+  /// Applies every pending edit to the scan tree.
   Status ApplyPending();
+  /// True when `id` is a posting of `term` in the (staged) scan tree.
+  Result<bool> Contains(uint32_t term, const DeweyId& id);
   /// Merges one term's edits into the scan blocks that host them and
   /// records the resulting block puts and deletes in `out`.
   Status MergeScanBlocks(uint32_t term, const TermEdits& edits,
@@ -351,18 +388,21 @@ class DiskIndexUpdater {
   Status CommitBatch();
 
   DiskIndexOptions options_;
-  std::unique_ptr<PageStore> il_store_;
   std::unique_ptr<PageStore> scan_store_;
   std::unique_ptr<PageStore> dict_store_;
-  std::unique_ptr<StagedPageStore> il_staged_;
   std::unique_ptr<StagedPageStore> scan_staged_;
   std::unique_ptr<StagedPageStore> dict_staged_;
   std::unique_ptr<Wal> wal_;
-  std::unique_ptr<BufferPool> il_pool_;
   std::unique_ptr<BufferPool> scan_pool_;
-  std::unique_ptr<BPlusTreeMut> il_tree_;
   std::unique_ptr<BPlusTreeMut> scan_tree_;
   std::optional<DeweyCodec> codec_;
+  /// Presence-check state: the probe key scratch and the last block read,
+  /// of term block_term_ (nullopt: none), with its reader.
+  std::string probe_key_;
+  std::string block_key_;
+  std::string block_;
+  std::optional<uint32_t> block_term_;
+  ScanBlockReader block_reader_;
   bool delta_compress_ = true;
   bool compress_dewey_ = true;
   TokenizerOptions tokenizer_;

@@ -104,7 +104,8 @@ TEST_F(BufferPoolTest, AllPinnedExhaustsPool) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   Result<PageRef> c = pool.Fetch(2);
-  EXPECT_TRUE(c.status().IsInternal());
+  EXPECT_TRUE(c.status().IsResourceExhausted()) << c.status().ToString();
+  EXPECT_EQ(pool.total_exhausted(), 1u);
 }
 
 TEST_F(BufferPoolTest, StatsChargedPerFetch) {

@@ -64,7 +64,7 @@ class CrashRecoverySweep : public ::testing::Test {
 
   // Builds the pre-batch index and the batch with its post-batch oracle.
   // The split batch shrinks the scan blocks and adds dense runs, so its
-  // apply splits nodes of both trees several ways and re-keys blocks.
+  // apply splits scan-tree nodes several ways and re-keys blocks.
   void Prepare(bool split_batch) {
     base_prefix_ = testing_util::UniqueTempPrefix("crash_base");
     work_prefix_ = testing_util::UniqueTempPrefix("crash_work");
@@ -154,7 +154,7 @@ class CrashRecoverySweep : public ::testing::Test {
 
   // Fresh pre-batch copy of the index under the work prefix.
   void ResetWorkFiles() {
-    for (const char* suffix : {".il", ".scan", ".dict"}) {
+    for (const char* suffix : {".scan", ".dict"}) {
       CopyFile(base_prefix_ + suffix, work_prefix_ + suffix);
     }
     std::remove((work_prefix_ + ".wal").c_str());
@@ -211,7 +211,6 @@ class CrashRecoverySweep : public ::testing::Test {
           << keyword;
       state[keyword] = std::move(ids);
     }
-    EXPECT_EQ((*index)->il_pool()->DebugTotalPins(), 0u);
     EXPECT_EQ((*index)->scan_pool()->DebugTotalPins(), 0u);
     return state;
   }
@@ -338,7 +337,7 @@ TEST_F(CrashRecoverySweep, EverySyncPointRecoversToABatchBoundary) {
   SweepCrashPoints(/*sync_points=*/true);
 }
 
-// The batch whose apply splits leaves of both trees several ways and
+// The batch whose apply splits scan-tree leaves several ways and
 // re-keys scan blocks: every kill point of that apply path must still
 // land exactly pre- or post-batch.
 class CrashRecoverySplitSweep : public CrashRecoverySweep {
@@ -346,14 +345,13 @@ class CrashRecoverySplitSweep : public CrashRecoverySweep {
   void SetUp() override { Prepare(/*split_batch=*/true); }
 };
 
-TEST_F(CrashRecoverySplitSweep, FaultFreeBatchSplitsBothTrees) {
+TEST_F(CrashRecoverySplitSweep, FaultFreeBatchSplitsScanLeaves) {
   ResetWorkFiles();
-  PageId il_before = 0, scan_before = 0;
+  PageId scan_before = 0;
   {
     Result<std::unique_ptr<DiskIndex>> index =
         DiskIndex::Open(work_prefix_, options_);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
-    il_before = (*index)->il_page_count();
     scan_before = (*index)->scan_page_count();
   }
   auto schedule = std::make_shared<CrashSchedule>();
@@ -361,11 +359,10 @@ TEST_F(CrashRecoverySplitSweep, FaultFreeBatchSplitsBothTrees) {
   EXPECT_EQ(Classify(ReadRecoveredState()), Side::kPost);
   CheckQueries(post_);
   // Pages are never recycled, so page growth counts new nodes: the
-  // dense runs need several new leaves in each tree.
+  // dense runs need several new leaves.
   Result<std::unique_ptr<DiskIndex>> index =
       DiskIndex::Open(work_prefix_, options_);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_GE((*index)->il_page_count(), il_before + 3);
   EXPECT_GE((*index)->scan_page_count(), scan_before + 3);
 }
 

@@ -58,7 +58,7 @@ class DiskIndexUpdaterTest : public ::testing::Test {
     DeweyId id;
     while (cursor->Next(&id)) out.push_back(id);
     XKS_EXPECT_OK(cursor->status());
-    // The Indexed Lookup layout must agree with the scan layout.
+    // The lm/rm probe must agree with the sequential cursor.
     DiskIndex::MatchProbe scratch;
     DeweyId got;
     DeweyId probe({0});
@@ -155,6 +155,77 @@ TEST_F(DiskIndexUpdaterTest, OutOfRangeIdRejected) {
   // Such an id was never stored, so removing it finds nothing.
   EXPECT_TRUE((*updater)->RemovePosting("apple", Id("0.999999")).IsNotFound());
   EXPECT_EQ((*updater)->Frequency("apple"), 2u);
+}
+
+TEST(DiskIndexUpdaterPresenceTest, ChecksAcrossBlockBoundaries) {
+  // A list over many small blocks of several restart groups: every stored
+  // posting must read as present and every id between, before and after
+  // them as absent, whichever block the previous check left cached.
+  const std::string prefix = testing_util::UniqueTempPrefix("presence_idx");
+  InvertedIndex source;
+  std::vector<DeweyId> stored;
+  for (uint32_t i = 0; i < 1200; ++i) {
+    stored.push_back(DeweyId({0, i / 40, (i % 40) * 2 + 1}));
+    source.AddPosting("kw", stored.back());
+  }
+  source.AddPosting("other", DeweyId({0, 0, 0}));
+  source.AddPosting("other", DeweyId({0, 63, 127}));
+  DiskIndexOptions options;
+  options.scan_block_bytes = 300;
+  ASSERT_TRUE(DiskIndex::Build(source, prefix, options).ok());
+  {
+    Result<std::unique_ptr<DiskIndex>> index = DiskIndex::Open(prefix);
+    ASSERT_TRUE(index.ok());
+    Result<std::vector<DiskIndex::ScanBlockRef>> refs =
+        (*index)->ScanBlockRefs((*index)->FindTerm("kw")->id);
+    ASSERT_TRUE(refs.ok());
+    ASSERT_GT(refs->size(), 10u);
+  }
+  std::vector<DeweyId> absent = {DeweyId({0, 0, 0}), DeweyId({0, 30, 80}),
+                                 DeweyId({0, 63, 127})};
+  for (const DeweyId& id : stored) {
+    absent.push_back(id.Parent().Child(id.back() - 1));
+    absent.push_back(id.Child(0));
+  }
+  std::vector<DeweyId> shuffled = stored;
+  Rng rng(77);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
+  }
+  {
+    Result<std::unique_ptr<DiskIndexUpdater>> updater =
+        DiskIndexUpdater::Open(prefix, options);
+    ASSERT_TRUE(updater.ok()) << updater.status().ToString();
+    for (const auto* ids : {&stored, &shuffled}) {
+      for (const DeweyId& id : *ids) {
+        XKS_ASSERT_OK((*updater)->AddPosting("kw", id));  // already there
+      }
+    }
+    EXPECT_EQ((*updater)->Frequency("kw"), stored.size());
+    for (const DeweyId& id : absent) {
+      EXPECT_TRUE((*updater)->RemovePosting("kw", id).IsNotFound())
+          << id.ToString();
+    }
+    // A present posting, then an absent one in the same block.
+    XKS_ASSERT_OK((*updater)->RemovePosting("kw", stored[500]));
+    EXPECT_TRUE(
+        (*updater)->RemovePosting("kw", stored[500].Child(0)).IsNotFound());
+    EXPECT_EQ((*updater)->Frequency("kw"), stored.size() - 1);
+    XKS_ASSERT_OK((*updater)->Finish());
+  }
+  Result<std::unique_ptr<DiskIndex>> index = DiskIndex::Open(prefix);
+  ASSERT_TRUE(index.ok());
+  Result<DiskIndex::PostingCursor> cursor =
+      (*index)->OpenPostings((*index)->FindTerm("kw")->id);
+  ASSERT_TRUE(cursor.ok());
+  std::vector<DeweyId> got;
+  DeweyId id;
+  while (cursor->Next(&id)) got.push_back(id);
+  stored.erase(stored.begin() + 500);
+  EXPECT_EQ(got, stored);
+  for (const char* suffix : {".il", ".scan", ".dict", ".wal"}) {
+    std::remove((prefix + suffix).c_str());
+  }
 }
 
 TEST_F(DiskIndexUpdaterTest, ManyUpdatesSplitBlocksAndStayConsistent) {
@@ -308,7 +379,7 @@ TEST_F(DiskIndexUpdaterTest, WalFileSurvivesFinish) {
 }
 
 TEST_F(DiskIndexUpdaterTest, CommittedBatchSurvivesApplyFailure) {
-  // Kill the il store on its first write AFTER the commit fsync: the
+  // Kill the scan store on its first write AFTER the commit fsync: the
   // batch is durable in the WAL but the apply pass dies. Finish reports
   // the error; the next updater Open replays the committed batch and
   // reports it through recovered_batches().
@@ -316,10 +387,10 @@ TEST_F(DiskIndexUpdaterTest, CommittedBatchSurvivesApplyFailure) {
     DiskIndexOptions options;
     options.store_decorator = [](std::unique_ptr<PageStore> store,
                                  std::string_view name) -> std::unique_ptr<PageStore> {
-      if (name != "il") return store;
+      if (name != "scan") return store;
       auto wrapped =
           std::make_unique<FaultInjectingPageStore>(std::move(store), 1);
-      // The inner il store is only written during the apply pass (all
+      // The inner scan store is only written during the apply pass (all
       // earlier writes land in the overlay), so "first write" = first
       // post-commit apply operation.
       wrapped->FailNthWrite(1);
@@ -347,33 +418,33 @@ TEST_F(DiskIndexUpdaterTest, CommittedBatchSurvivesApplyFailure) {
 TEST_F(DiskIndexUpdaterTest, ProbeReadErrorIsReturnedAndCountsNothing) {
   // A read fault during the presence probe must surface, not read as
   // "absent": otherwise an existing posting would be counted again.
-  FaultInjectingPageStore* il = nullptr;
+  FaultInjectingPageStore* scan = nullptr;
   DiskIndexOptions options;
-  options.store_decorator = [&il](std::unique_ptr<PageStore> store,
-                                  std::string_view name)
+  options.store_decorator = [&scan](std::unique_ptr<PageStore> store,
+                                    std::string_view name)
       -> std::unique_ptr<PageStore> {
-    if (name != "il") return store;
+    if (name != "scan") return store;
     auto wrapped =
         std::make_unique<FaultInjectingPageStore>(std::move(store), 1);
-    il = wrapped.get();
+    scan = wrapped.get();
     return wrapped;
   };
   Result<std::unique_ptr<DiskIndexUpdater>> updater =
       DiskIndexUpdater::Open(prefix_, options);
   ASSERT_TRUE(updater.ok()) << updater.status().ToString();
-  ASSERT_NE(il, nullptr);
+  ASSERT_NE(scan, nullptr);
   const uint64_t total = (*updater)->total_postings();
-  il->Arm();
-  il->FailNthRead(1);
+  scan->Arm();
+  scan->FailNthRead(1);
   EXPECT_TRUE((*updater)->AddPosting("apple", Id("0.0.1")).IsIoError());
   EXPECT_EQ((*updater)->Frequency("apple"), 2u);
   EXPECT_EQ((*updater)->total_postings(), total);
-  il->ClearFaults();
-  il->FailNthRead(1);
+  scan->ClearFaults();
+  scan->FailNthRead(1);
   EXPECT_TRUE((*updater)->RemovePosting("apple", Id("0.0.1")).IsIoError());
   EXPECT_EQ((*updater)->Frequency("apple"), 2u);
   EXPECT_EQ((*updater)->total_postings(), total);
-  il->Disarm();
+  scan->Disarm();
   // The faults were transient: the posting is still there, once.
   XKS_ASSERT_OK((*updater)->AddPosting("apple", Id("0.0.1")));
   EXPECT_EQ((*updater)->Frequency("apple"), 2u);
@@ -390,13 +461,13 @@ TEST_F(DiskIndexUpdaterTest, UnchangedDictionaryIsNotRewritten) {
   };
   const std::string dict_before = read_file(prefix_ + ".dict");
   {
-    // First run: the apply step dies on its first il write after the
+    // First run: the apply step dies on its first scan write after the
     // commit, so the log keeps the committed batch for inspection.
     DiskIndexOptions options;
     options.store_decorator = [](std::unique_ptr<PageStore> store,
                                  std::string_view name)
         -> std::unique_ptr<PageStore> {
-      if (name != "il") return store;
+      if (name != "scan") return store;
       auto wrapped =
           std::make_unique<FaultInjectingPageStore>(std::move(store), 1);
       wrapped->FailNthWrite(1);
@@ -415,13 +486,15 @@ TEST_F(DiskIndexUpdaterTest, UnchangedDictionaryIsNotRewritten) {
     EXPECT_TRUE((*updater)->Finish().IsIoError());
   }
   {
-    // Replay the log by hand, noting which stores its frames name.
-    std::vector<std::unique_ptr<PageStore>> targets;
-    for (const char* suffix : {".il", ".scan", ".dict"}) {
+    // Replay the log by hand, noting which stores its frames name (WAL
+    // store ids: 1 = scan, 2 = dict).
+    std::map<uint8_t, std::unique_ptr<PageStore>> targets;
+    for (const auto& [id, suffix] :
+         {std::pair<uint8_t, const char*>{1, ".scan"}, {2, ".dict"}}) {
       Result<std::unique_ptr<FilePageStore>> store =
           FilePageStore::Open(prefix_ + suffix);
       ASSERT_TRUE(store.ok()) << store.status().ToString();
-      targets.push_back(store.MoveValueUnsafe());
+      targets[id] = store.MoveValueUnsafe();
     }
     Result<std::unique_ptr<FilePageStore>> log_store =
         FilePageStore::Open(prefix_ + ".wal");
@@ -432,11 +505,12 @@ TEST_F(DiskIndexUpdaterTest, UnchangedDictionaryIsNotRewritten) {
     Result<WalRecoveryStats> stats =
         (*wal)->Recover([&](uint8_t id) -> PageStore* {
           logged.insert(id);
-          return id < targets.size() ? targets[id].get() : nullptr;
+          auto it = targets.find(id);
+          return it == targets.end() ? nullptr : it->second.get();
         });
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->batches_applied, 1u);
-    EXPECT_EQ(logged, (std::set<uint8_t>{0, 1}))  // il and scan only
+    EXPECT_EQ(logged, (std::set<uint8_t>{1}))  // scan only
         << "the unchanged dictionary was logged";
   }
   EXPECT_EQ(read_file(prefix_ + ".dict"), dict_before);
@@ -720,12 +794,11 @@ class DiskIndexUpdaterParityTest : public ::testing::Test {
 TEST_F(DiskIndexUpdaterParityTest, RandomBatchesMatchAFreshBuild) {
   for (int round = 0; round < 6; ++round) {
     SCOPED_TRACE("batch " + std::to_string(round));
-    size_t il_pages = 0, k1_blocks = 0;
+    size_t k1_blocks = 0;
     if (round == 2) {
       Result<std::unique_ptr<DiskIndex>> before =
           DiskIndex::Open(prefix_, options_);
       ASSERT_TRUE(before.ok());
-      il_pages = (*before)->il_page_count();
       Result<std::vector<DiskIndex::ScanBlockRef>> refs =
           (*before)->ScanBlockRefs((*before)->FindTerm("k1")->id);
       ASSERT_TRUE(refs.ok());
@@ -734,12 +807,10 @@ TEST_F(DiskIndexUpdaterParityTest, RandomBatchesMatchAFreshBuild) {
     ASSERT_NO_FATAL_FAILURE(RunBatch(round));
     ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshBuild());
     if (round == 2) {
-      // The dense run split one IL leaf and one scan block more than
-      // twice (pages are never recycled, so new pages are new nodes).
+      // The dense run split one scan block more than twice.
       Result<std::unique_ptr<DiskIndex>> after =
           DiskIndex::Open(prefix_, options_);
       ASSERT_TRUE(after.ok());
-      EXPECT_GE((*after)->il_page_count(), il_pages + 3);
       Result<std::vector<DiskIndex::ScanBlockRef>> refs =
           (*after)->ScanBlockRefs((*after)->FindTerm("k1")->id);
       ASSERT_TRUE(refs.ok());

@@ -396,8 +396,7 @@ struct FaultyEngine {
     }
   }
   uint64_t TotalPins() {
-    return engine->disk_index()->il_pool()->DebugTotalPins() +
-           engine->disk_index()->scan_pool()->DebugTotalPins();
+    return engine->disk_index()->scan_pool()->DebugTotalPins();
   }
 };
 
@@ -407,9 +406,8 @@ void BuildFaultyEngine(FaultyEngine* fe) {
   XKSearch::BuildOptions build;
   build.build_disk_index = true;
   build.disk.in_memory = true;
-  // Tiny single-shard pools: every query touches the store.
-  build.disk.il_pool_pages = 2;
-  build.disk.scan_pool_pages = 2;
+  // A tiny single-shard pool: every query touches the store.
+  build.disk.scan_pool_pages = 4;
   build.disk.pool_shards = 1;
   build.disk.store_decorator = [fe](std::unique_ptr<PageStore> inner,
                                     std::string_view /*name*/) {

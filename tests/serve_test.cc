@@ -621,7 +621,7 @@ TEST(QueryServiceTest, MetricsReportRendersEverySection) {
         << report;
   }
   // No disk index behind this engine: the pool gauge lines are omitted.
-  EXPECT_EQ(report.find("il_pool:"), std::string::npos);
+  EXPECT_EQ(report.find("scan_pool:"), std::string::npos);
 }
 
 TEST(QueryServiceTest, ServesDiskSearcherBackend) {
@@ -665,7 +665,7 @@ TEST(QueryServiceTest, ServesDiskSearcherBackend) {
   // A disk backend adds the buffer-pool gauge lines to the report (an
   // in-memory engine omits them, see MetricsReportRendersEverySection).
   const std::string report = service.MetricsReport();
-  for (const char* needle : {"il_pool:", "scan_pool:"}) {
+  for (const char* needle : {"scan_pool:", "exhausted="}) {
     EXPECT_NE(report.find(needle), std::string::npos)
         << "missing \"" << needle << "\" in:\n"
         << report;

@@ -338,8 +338,7 @@ class ShardedDiskTest : public ::testing::Test {
     options.shards = shards;
     options.build.build_disk_index = true;
     options.build.disk.in_memory = true;
-    options.build.disk.il_pool_pages = 4;
-    options.build.disk.scan_pool_pages = 4;
+    options.build.disk.scan_pool_pages = 8;
     options.store_decorator = [this](std::unique_ptr<PageStore> inner,
                                      size_t shard, std::string_view /*name*/) {
       auto wrapped =
@@ -362,8 +361,6 @@ class ShardedDiskTest : public ::testing::Test {
     for (uint32_t s = 0; s < collection_->shard_count(); ++s) {
       const XKSearch* engine = collection_->shard_engine(s);
       if (engine == nullptr || engine->disk_index() == nullptr) continue;
-      EXPECT_EQ(engine->disk_index()->il_pool()->DebugTotalPins(), 0u)
-          << "shard " << s;
       EXPECT_EQ(engine->disk_index()->scan_pool()->DebugTotalPins(), 0u)
           << "shard " << s;
     }

@@ -46,11 +46,12 @@ if [ "$run_slow" -eq 1 ]; then
   echo "==> [parallel-slca] chunked intra-query stage (release build)"
   ctest --test-dir build/release -R 'ParallelSlca' --output-on-failure
   # The match path: the lm/rm steps of Indexed Lookup and Scan Eager
-  # (vector, packed and chunked), the level-table codec and its bit I/O
+  # (vector, packed and chunked), the disk index's block probe and its
+  # restart-indexed block format, the level-table codec and its bit I/O
   # (including the on-disk key bytes), and the match-loop allocation test.
   echo "==> [match-path] SLCA match step and key codec stage (release build)"
   ctest --test-dir build/release \
-    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest)' \
+    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DiskIndexTest|DiskIndexProbeTest|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest)' \
     --output-on-failure
   # Concurrent serving: single-flight coalescing and the result cache
   # (round trips, budget, concurrent insert/lookup/clear) as one visible
