@@ -81,6 +81,7 @@ std::string MetricsRegistry::ReportText(const Gauges& gauges) const {
      << " bytes=" << gauges.cache.bytes << " hits=" << gauges.cache.hits
      << " misses=" << gauges.cache.misses
      << " evictions=" << gauges.cache.evictions
+     << " admission_rejects=" << gauges.cache.admission_rejects
      << " hit_ratio=" << gauges.cache.HitRatio() << "\n";
   if (const PoolGauges& pool = gauges.scan_pool; pool.present) {
     os << "scan_pool:          hits=" << pool.hits

@@ -149,6 +149,19 @@ constexpr size_t kDecodeRun = 256;
 /// after use rather than pinned to the thread.
 constexpr size_t kKeepScratchBytes = 64 << 10;
 
+/// TinyLFU's sample size per entry a shard can hold: its counters are
+/// halved every 10 x capacity additions.
+constexpr uint64_t kSamplesPerEntry = 10;
+
+/// Odd multipliers that spread a key's hash over the sketch's four rows.
+constexpr std::array<uint64_t, 4> kRowSeeds = {
+    0x9e3779b97f4a7c15ull, 0xc2b2ae3d27d4eb4full, 0x165667b19e3779f9ull,
+    0xd6e8feb86659fd93ull};
+
+constexpr int kCounterBits = 4;
+constexpr uint32_t kCounterMax = (1u << kCounterBits) - 1;
+constexpr size_t kCountersPerWord = 64 / kCounterBits;
+
 }  // namespace
 
 QueryCacheKey::QueryCacheKey(const std::vector<std::string>& keywords,
@@ -174,27 +187,81 @@ std::vector<std::string> QueryCacheKey::keywords() const {
   return words;
 }
 
+QueryCache::FrequencySketch::FrequencySketch(size_t width,
+                                             uint64_t sample_size)
+    : table_(kRowSeeds.size() * width / kCountersPerWord),
+      words_per_row_(width / kCountersPerWord),
+      index_shift_(64 - std::countr_zero(std::max<size_t>(width, 1))),
+      sample_size_(sample_size) {}
+
+std::pair<size_t, int> QueryCache::FrequencySketch::Slot(size_t hash,
+                                                          int row) const {
+  const uint64_t counter = (hash * kRowSeeds[row]) >> index_shift_;
+  return {row * words_per_row_ + counter / kCountersPerWord,
+          static_cast<int>(counter % kCountersPerWord) * kCounterBits};
+}
+
+void QueryCache::FrequencySketch::Add(size_t hash) {
+  if (table_.empty()) return;
+  for (int row = 0; row < static_cast<int>(kRowSeeds.size()); ++row) {
+    const auto [word, bit] = Slot(hash, row);
+    if (((table_[word] >> bit) & kCounterMax) != kCounterMax) {
+      table_[word] += uint64_t{1} << bit;
+    }
+  }
+  if (++additions_ < sample_size_) return;
+  // Halve every counter: shift each word, then clear the bit each
+  // counter took from the one above it.
+  for (uint64_t& word : table_) word = (word >> 1) & 0x7777777777777777ull;
+  additions_ /= 2;
+}
+
+uint32_t QueryCache::FrequencySketch::Estimate(size_t hash) const {
+  if (table_.empty()) return 0;
+  uint32_t estimate = kCounterMax;
+  for (int row = 0; row < static_cast<int>(kRowSeeds.size()); ++row) {
+    const auto [word, bit] = Slot(hash, row);
+    estimate = std::min(
+        estimate, static_cast<uint32_t>((table_[word] >> bit) & kCounterMax));
+  }
+  return estimate;
+}
+
 QueryCache::QueryCache(const Options& options) {
   const size_t shard_count = std::bit_ceil(std::max<size_t>(1, options.shards));
   shard_mask_ = shard_count - 1;
-  shard_budget_bytes_ =
-      std::max<size_t>(1, options.capacity_bytes / shard_count);
+  const size_t slice = options.capacity_bytes / shard_count;
+  // Every entry is charged at least EntryCharge(0), which bounds the
+  // entries a slice can hold. Each sketch row is about that wide, and a
+  // slice too small for any entry gets no sketch.
+  const size_t max_entries = slice / EntryCharge(0);
+  const size_t width =
+      max_entries == 0
+          ? 0
+          : std::max(kCountersPerWord, std::bit_floor(max_entries));
+  const size_t table_bytes = kRowSeeds.size() * width * kCounterBits / 8;
+  const size_t sketch_charge = width == 0 ? 0 : HeapBytes(table_bytes);
+  shard_budget_bytes_ = slice - sketch_charge;
+  sketch_bytes_ = sketch_charge * shard_count;
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(
+        std::make_unique<Shard>(width, kSamplesPerEntry * max_entries));
   }
 }
 
-QueryCache::Shard& QueryCache::ShardFor(const QueryCacheKey& key) {
+QueryCache::Shard& QueryCache::ShardFor(size_t hash) {
   // Re-scramble the map hash so shard choice and bucket choice within a
   // shard use different bits.
-  const uint64_t h = QueryCacheKeyHash()(key) * 0x9e3779b97f4a7c15ull;
+  const uint64_t h = hash * 0x9e3779b97f4a7c15ull;
   return *shards_[(h >> 32) & shard_mask_];
 }
 
 bool QueryCache::Lookup(const QueryCacheKey& key, std::string* encoded) {
-  Shard& shard = ShardFor(key);
+  const size_t hash = QueryCacheKeyHash()(key);
+  Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
+  shard.sketch.Add(hash);
   auto it = shard.map.find(key.bytes());
   if (it == shard.map.end()) {
     ++misses_;
@@ -300,7 +367,8 @@ void QueryCache::Insert(const QueryCacheKey& key, const SearchResult& result) {
   write.Bytes(key.bytes());
   EncodeResult(result, &write);
 
-  Shard& shard = ShardFor(key);
+  const size_t hash = QueryCacheKeyHash()(key);
+  Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key.bytes());
   if (it != shard.map.end()) {
@@ -308,18 +376,35 @@ void QueryCache::Insert(const QueryCacheKey& key, const SearchResult& result) {
     shard.bytes -= EntryCharge(old->size);
     shard.map.erase(it);
     shard.lru.erase(old);
+  } else if (!Admit(shard, hash, charge)) {
+    ++admission_rejects_;
+    return;
   }
-  shard.lru.push_front(std::move(entry));
-  shard.map.emplace(shard.lru.front().key(), shard.lru.begin());
-  shard.bytes += charge;
-  ++insertions_;
-  while (shard.bytes > shard_budget_bytes_ && shard.lru.size() > 1) {
+  // Admit() passed the victims this evicts; charge <= budget, so the
+  // loop ends by the time the shard is empty.
+  while (shard.bytes + charge > shard_budget_bytes_) {
     const Entry& victim = shard.lru.back();
     shard.bytes -= EntryCharge(victim.size);
     shard.map.erase(victim.key());
     shard.lru.pop_back();
     ++evictions_;
   }
+  shard.lru.push_front(std::move(entry));
+  shard.map.emplace(shard.lru.front().key(), shard.lru.begin());
+  shard.bytes += charge;
+  ++insertions_;
+}
+
+bool QueryCache::Admit(const Shard& shard, size_t hash, size_t charge) const {
+  const uint32_t candidate = shard.sketch.Estimate(hash);
+  size_t bytes = shard.bytes;
+  for (auto victim = shard.lru.rbegin(); bytes + charge > shard_budget_bytes_;
+       ++victim) {
+    const size_t victim_hash = QueryCacheKeyHash()(victim->key());
+    if (candidate <= shard.sketch.Estimate(victim_hash)) return false;
+    bytes -= EntryCharge(victim->size);
+  }
+  return true;
 }
 
 void QueryCache::Clear() {
@@ -338,6 +423,8 @@ QueryCache::Stats QueryCache::GetStats() const {
   stats.insertions = insertions_;
   stats.evictions = evictions_;
   stats.oversize_rejects = oversize_rejects_;
+  stats.admission_rejects = admission_rejects_;
+  stats.sketch_bytes = sketch_bytes_;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     stats.entries += shard->lru.size();

@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -55,7 +56,8 @@ struct QueryCacheKeyHash {
   }
 };
 
-/// \brief Sharded LRU cache of complete query results with a byte budget.
+/// \brief Sharded cache of complete query results with a byte budget:
+/// TinyLFU admission in front of LRU eviction.
 ///
 /// The paper's hot-cache experiments (Figures 8-10) show index lookup
 /// cost dominating SLCA computation; a result cache removes both for
@@ -65,6 +67,15 @@ struct QueryCacheKeyHash {
 /// of the byte budget and evicts from its own LRU tail, so one hot shard
 /// cannot starve the others.
 ///
+/// Admission (TinyLFU; Einziger, Friedman and Manes, ACM TOS 2017): each
+/// shard counts its lookups, hits and misses alike, in a count-min
+/// sketch whose counters are halved periodically, so the counts follow
+/// recent popularity. A new key enters a shard that has room. Into a
+/// full shard it enters only if the sketch counts it strictly more
+/// often than every LRU-tail entry that would be evicted to make room;
+/// otherwise it is dropped, and one-hit queries cannot flush popular
+/// answers. The sketch's bytes are charged against the budget.
+///
 /// Invalidation: the engines are immutable after build, so entries never
 /// go stale today; Clear() is the hook index updates will call (see
 /// DESIGN.md "Serving layer").
@@ -73,21 +84,27 @@ class QueryCache {
   struct Options {
     /// Number of independent shards; rounded up to a power of two.
     size_t shards = 8;
-    /// Total budget across all shards; entries above a shard's slice are
-    /// never admitted.
+    /// Total budget across all shards, the sketches included; entries
+    /// above a shard's slice are never admitted.
     size_t capacity_bytes = 8u << 20;
   };
 
-  /// Counter snapshot. hits/misses/insertions/evictions are cumulative;
-  /// entries/bytes are current occupancy.
+  /// Counter snapshot. hits/misses/insertions/evictions and the rejects
+  /// are cumulative; entries/bytes are current occupancy, and
+  /// sketch_bytes is the fixed charge of the shards' sketches.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
+    /// Inserts refused because the entry can never fit a shard.
     uint64_t oversize_rejects = 0;
+    /// Inserts refused because a full shard's sketch counted a victim
+    /// at least as often as the new key.
+    uint64_t admission_rejects = 0;
     uint64_t entries = 0;
     uint64_t bytes = 0;
+    uint64_t sketch_bytes = 0;
 
     double HitRatio() const {
       const uint64_t total = hits + misses;
@@ -101,9 +118,10 @@ class QueryCache {
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
-  /// Copies the entry's encoded result into `*encoded` and refreshes its
-  /// recency; false on miss. Only the copy runs under the shard mutex:
-  /// Decode runs after every lock is released.
+  /// Counts the lookup in the shard's sketch, then copies the entry's
+  /// encoded result into `*encoded` and refreshes its recency; false on
+  /// miss. Only the copy runs under the shard mutex: Decode runs after
+  /// every lock is released.
   bool Lookup(const QueryCacheKey& key, std::string* encoded);
 
   /// Decodes a result copied out by Lookup.
@@ -112,14 +130,19 @@ class QueryCache {
   /// Lookup plus Decode: the cached result, or nullopt on miss.
   std::optional<SearchResult> Lookup(const QueryCacheKey& key);
 
-  /// Inserts (or replaces) the entry, then evicts from the shard's LRU
-  /// tail until the shard is back under budget. Entries larger than one
-  /// shard's whole budget or 4 GiB are rejected, as are results with an
-  /// id deeper than DecodeBlock accepts. Encodes the result once, straight into the
-  /// entry's exactly-sized buffer.
+  /// Inserts (or replaces) the entry, evicting from the shard's LRU tail
+  /// to make room. A new key that does not fit is admitted only past
+  /// victims it outcounts (see the class comment); a replacement is
+  /// always admitted. Entries larger than one shard's whole budget or
+  /// 4 GiB are rejected, as are results with an id deeper than
+  /// DecodeBlock accepts. Encodes the result once, straight into the
+  /// entry's exactly-sized buffer. Does not count in the sketch: the
+  /// Lookup that missed already did.
   void Insert(const QueryCacheKey& key, const SearchResult& result);
 
   /// Drops every entry (the invalidation hook for future index updates).
+  /// The sketches keep their counts: an index update does not change
+  /// which queries are popular.
   void Clear();
 
   Stats GetStats() const;
@@ -148,7 +171,36 @@ class QueryCache {
       return {data.get() + key_bytes, size - key_bytes};
     }
   };
+  /// Count-min sketch of one shard's lookups: four rows of saturating
+  /// 4-bit counters, sixteen to a word. Stores counts, no keys. When the
+  /// addition count reaches the sample size, every counter and the
+  /// addition count itself are halved (TinyLFU's reset).
+  class FrequencySketch {
+   public:
+    /// `width` counters per row: a power of two of at least 16, or 0 for
+    /// a sketch that counts nothing.
+    FrequencySketch(size_t width, uint64_t sample_size);
+
+    void Add(size_t hash);
+    /// The smallest of the key's four counters: never below its true
+    /// (halved) count while that stays under 15.
+    uint32_t Estimate(size_t hash) const;
+
+   private:
+    /// Word and bit offset of the key's counter in `row`.
+    std::pair<size_t, int> Slot(size_t hash, int row) const;
+
+    std::vector<uint64_t> table_;
+    size_t words_per_row_ = 0;
+    int index_shift_ = 0;
+    uint64_t sample_size_ = 0;
+    uint64_t additions_ = 0;
+  };
+
   struct Shard {
+    Shard(size_t sketch_width, uint64_t sample_size)
+        : sketch(sketch_width, sample_size) {}
+
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
     // Keys view into their entry's bytes; list nodes never move.
@@ -156,20 +208,27 @@ class QueryCache {
                        QueryCacheKeyHash>
         map;
     size_t bytes = 0;
+    FrequencySketch sketch;
   };
 
   static size_t EntryCharge(size_t encoded_bytes);
 
-  Shard& ShardFor(const QueryCacheKey& key);
+  Shard& ShardFor(size_t hash);
+
+  /// Whether a new key of `hash` and `charge` bytes enters `shard`.
+  bool Admit(const Shard& shard, size_t hash, size_t charge) const;
 
   size_t shard_mask_;
+  /// A shard's slice of the budget left to entries after its sketch.
   size_t shard_budget_bytes_;
+  size_t sketch_bytes_;
   std::vector<std::unique_ptr<Shard>> shards_;
   RelaxedCounter hits_;
   RelaxedCounter misses_;
   RelaxedCounter insertions_;
   RelaxedCounter evictions_;
   RelaxedCounter oversize_rejects_;
+  RelaxedCounter admission_rejects_;
 };
 
 }  // namespace serve

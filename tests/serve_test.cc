@@ -1,8 +1,10 @@
 // The serving layer: thread pool admission/lifecycle, the sharded result
 // cache, deadlines, and the QueryService facade under concurrency.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <future>
 #include <mutex>
@@ -181,7 +183,7 @@ TEST(QueryCacheTest, HitMissAndLruEviction) {
   options.shards = 1;  // deterministic eviction order
   const QueryCacheKey key_a{{"alpha"}, SearchOptions()};
   const SearchResult value = MakeResult({DeweyId({0, 1}), DeweyId({0, 2})});
-  // Budget for roughly three entries of this shape.
+  // Budget for three entries of this shape beside the sketch.
   options.capacity_bytes = 3 * QueryCache::ApproxEntryBytes(key_a, value) + 64;
   QueryCache cache(options);
 
@@ -197,22 +199,191 @@ TEST(QueryCacheTest, HitMissAndLruEviction) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 0u);
 
-  // Fill past budget; key_a stays hot via the lookup above plus one more
-  // touch, so the LRU tail (the oldest untouched key) is evicted first.
-  for (int i = 0; i < 4; ++i) {
-    cache.Insert(QueryCacheKey{{"filler" + std::to_string(i)}, SearchOptions()},
-                 value);
+  // Keys as long as key_a, so each entry is charged the same.
+  auto filler = [](int i) {
+    return QueryCacheKey{{"fill" + std::to_string(i)}, SearchOptions()};
+  };
+  // The shard has room, so fillers never looked up are admitted; key_a
+  // is touched after each, leaving the oldest filler at the LRU tail.
+  for (int i = 0; i < 2; ++i) {
+    cache.Insert(filler(i), value);
     (void)cache.Lookup(key_a);
   }
+  // Now full: a key never looked up does not outcount the tail, however
+  // often it is inserted (inserts do not count).
+  for (int i = 0; i < 3; ++i) cache.Insert(filler(2), value);
   stats = cache.GetStats();
-  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.admission_rejects, 3u);
+  EXPECT_FALSE(cache.Lookup(filler(2)).has_value());
+
+  // A key looked up more often than the tail evicts exactly the tail.
+  const QueryCacheKey popular{{"bravo"}, SearchOptions()};
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(cache.Lookup(popular).has_value());
+  cache.Insert(popular, value);
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_TRUE(cache.Lookup(popular).has_value());
   EXPECT_TRUE(cache.Lookup(key_a).has_value());
+  EXPECT_TRUE(cache.Lookup(filler(1)).has_value());
+  EXPECT_FALSE(cache.Lookup(filler(0)).has_value());
 
   cache.Clear();
   stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_FALSE(cache.Lookup(key_a).has_value());
+}
+
+/// Looks `key` up and inserts it on a miss, as QueryService does for
+/// each request.
+void MissThenInsert(QueryCache* cache, const QueryCacheKey& key,
+                    const SearchResult& value) {
+  if (!cache->Lookup(key).has_value()) cache->Insert(key, value);
+}
+
+TEST(QueryCacheTest, PopularKeySurvivesOneShotInserts) {
+  QueryCache::Options options;
+  options.shards = 1;
+  const QueryCacheKey hot{{"hot"}, SearchOptions()};
+  const SearchResult value = MakeResult({DeweyId({0, 1}), DeweyId({0, 2})});
+  // Four entries, sized by the longest one-shot key. Six one-shot
+  // inserts pass between two rounds of lookups of the hot key, so plain
+  // LRU would flush it every round.
+  const QueryCacheKey longest{{"once999"}, SearchOptions()};
+  options.capacity_bytes =
+      4 * QueryCache::ApproxEntryBytes(longest, value) + 64;
+  QueryCache cache(options);
+  for (int i = 0; i < 3; ++i) MissThenInsert(&cache, hot, value);
+  int one_shot = 0;
+  for (int round = 0; round < 30; ++round) {
+    for (int i = 0; i < 6; ++i) {
+      MissThenInsert(&cache,
+                     QueryCacheKey{{"once" + std::to_string(one_shot++)},
+                                   SearchOptions()},
+                     value);
+    }
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(cache.Lookup(hot).has_value()) << "round " << round;
+    }
+  }
+  const QueryCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 4u);
+  EXPECT_GT(stats.admission_rejects, 0u);
+  EXPECT_EQ(stats.insertions + stats.admission_rejects, 1u + 180u);
+}
+
+TEST(QueryCacheTest, HalvingLetsANewlyPopularKeyIn) {
+  QueryCache::Options options;
+  options.shards = 1;
+  const QueryCacheKey old_key{{"old"}, SearchOptions()};
+  const QueryCacheKey new_key{{"new"}, SearchOptions()};
+  const SearchResult value = MakeResult({DeweyId({0, 1})});
+  const size_t entry = QueryCache::ApproxEntryBytes(old_key, value);
+  // One entry: every admission is decided against the other key.
+  options.capacity_bytes = entry + entry / 2;
+  QueryCache cache(options);
+  for (int i = 0; i < 15; ++i) MissThenInsert(&cache, old_key, value);
+  ASSERT_TRUE(cache.Lookup(old_key).has_value());
+
+  // The old key is never looked up again. Its counts only fall, by the
+  // periodic halving; without it, both keys would stall at the
+  // saturated count of 15 and the tie would refuse the new key forever.
+  int attempts = 0;
+  while (!cache.Lookup(new_key).has_value() && attempts < 1000) {
+    cache.Insert(new_key, value);
+    ++attempts;
+  }
+  ASSERT_LT(attempts, 1000);
+  const QueryCache::Stats stats = cache.GetStats();
+  EXPECT_GT(stats.admission_rejects, 0u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_FALSE(cache.Lookup(old_key).has_value());
+}
+
+TEST(QueryCacheTest, AdmitsEveryKeyWhileTheShardHasRoom) {
+  QueryCache::Options options;
+  options.shards = 1;
+  options.capacity_bytes = 64u << 10;
+  QueryCache cache(options);
+  const SearchResult value = MakeResult({DeweyId({0, 1})});
+  // Keys never looked up and keys looked up many times alike.
+  for (int i = 0; i < 100; ++i) {
+    const QueryCacheKey key({"k" + std::to_string(i)}, SearchOptions());
+    for (int j = 0; j < i % 4; ++j) (void)cache.Lookup(key);
+    cache.Insert(key, value);
+  }
+  const QueryCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.insertions, 100u);
+  EXPECT_EQ(stats.entries, 100u);
+  EXPECT_EQ(stats.admission_rejects, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(QueryCacheTest, SketchAndEntriesStayWithinBudget) {
+  const SearchResult value = MakeResult({DeweyId({0, 1, 2})});
+  for (size_t shards : {1, 8}) {
+    for (size_t capacity : {size_t{1}, size_t{144}, size_t{600}, size_t{4096},
+                            size_t{64} << 10, size_t{1} << 20}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, " << capacity
+                                      << " bytes");
+      QueryCache::Options options;
+      options.shards = shards;
+      options.capacity_bytes = capacity;
+      QueryCache cache(options);
+      const uint64_t sketch_bytes = cache.GetStats().sketch_bytes;
+      EXPECT_LE(sketch_bytes, capacity);
+      Rng rng(capacity + shards);
+      for (int i = 0; i < 3000; ++i) {
+        const QueryCacheKey key({"k" + std::to_string(rng.Uniform(500))},
+                                SearchOptions());
+        MissThenInsert(&cache, key, value);
+        const QueryCache::Stats stats = cache.GetStats();
+        ASSERT_LE(stats.bytes + stats.sketch_bytes, capacity) << i;
+        ASSERT_EQ(stats.sketch_bytes, sketch_bytes);
+      }
+      // The sketch is charged whenever a slice can hold any entry.
+      if (cache.GetStats().entries > 0) {
+        EXPECT_GT(sketch_bytes, 0u);
+      }
+    }
+  }
+}
+
+TEST(QueryCacheTest, ClearKeepsTheSketchCounts) {
+  QueryCache::Options options;
+  options.shards = 1;
+  const QueryCacheKey hot{{"hot"}, SearchOptions()};
+  const SearchResult value = MakeResult({DeweyId({0, 1})});
+  options.capacity_bytes = 3 * QueryCache::ApproxEntryBytes(hot, value) + 64;
+  QueryCache cache(options);
+  for (int i = 0; i < 5; ++i) MissThenInsert(&cache, hot, value);
+  const uint64_t sketch_bytes = cache.GetStats().sketch_bytes;
+
+  cache.Clear();
+  QueryCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.sketch_bytes, sketch_bytes);
+
+  // Refill with keys looked up once each; the shard had room.
+  for (int i = 0; i < 3; ++i) {
+    MissThenInsert(&cache, QueryCacheKey{{"f" + std::to_string(i)},
+                                         SearchOptions()},
+                   value);
+  }
+  ASSERT_EQ(cache.GetStats().entries, 3u);
+  // A key with no counts is refused; the hot key's counts from before
+  // Clear() still admit it without a new lookup.
+  cache.Insert(QueryCacheKey{{"unseen"}, SearchOptions()}, value);
+  cache.Insert(hot, value);
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.admission_rejects, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_TRUE(cache.Lookup(hot).has_value());
 }
 
 TEST(QueryCacheTest, RejectsEntriesAboveShardBudget) {
@@ -355,11 +526,15 @@ TEST(QueryCacheTest, StaysWithinBudgetUnderMixedInserts) {
     cache.Insert(key, MakeResult(std::move(nodes)));
     if (rng.Uniform(4) == 0) (void)cache.Lookup(key);
     const QueryCache::Stats stats = cache.GetStats();
-    ASSERT_LE(stats.bytes, options.capacity_bytes) << "after insert " << i;
+    ASSERT_LE(stats.bytes + stats.sketch_bytes, options.capacity_bytes)
+        << "after insert " << i;
   }
   const QueryCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.insertions + stats.oversize_rejects, 10000u);
+  EXPECT_EQ(stats.insertions + stats.oversize_rejects +
+                stats.admission_rejects,
+            10000u);
   EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.admission_rejects, 0u);
 }
 
 TEST(QueryCacheTest, HoldsAThousandTypicalAnswersPerMiB) {
@@ -384,7 +559,7 @@ TEST(QueryCacheTest, HoldsAThousandTypicalAnswersPerMiB) {
   const QueryCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, kAnswers);
   EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_LE(stats.bytes, options.capacity_bytes);
+  EXPECT_LE(stats.bytes + stats.sketch_bytes, options.capacity_bytes);
 }
 
 TEST(QueryCacheConcurrencyTest, EveryHitEqualsWhatWasInserted) {
@@ -431,7 +606,61 @@ TEST(QueryCacheConcurrencyTest, EveryHitEqualsWhatWasInserted) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_GT(hits.load(), 0u);
   EXPECT_EQ(wrong.load(), 0u);
-  EXPECT_LE(cache.GetStats().bytes, options.capacity_bytes);
+  const QueryCache::Stats stats = cache.GetStats();
+  EXPECT_LE(stats.bytes + stats.sketch_bytes, options.capacity_bytes);
+}
+
+TEST(QueryCacheConcurrencyTest, HotKeysStayCachedWhileColdInsertsRace) {
+  QueryCache::Options options;
+  options.shards = 2;
+  options.capacity_bytes = 8u << 10;
+  QueryCache cache(options);
+  auto answer = [](const std::string& word) {
+    SearchResult result = MakeResult({DeweyId({0, 1, 2}), DeweyId({0, 3})});
+    result.keywords = {word};
+    return result;
+  };
+  constexpr uint32_t kHotKeys = 4;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 3000;
+  std::atomic<uint64_t> hot_lookups{0};
+  std::atomic<uint64_t> hot_hits{0};
+  std::atomic<uint64_t> inserts{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(200 + t);
+      for (int op = 0; op < kOps; ++op) {
+        // Half the lookups go to a few hot keys; the rest are cold keys
+        // that each thread asks for once.
+        const bool hot = rng.Uniform(2) == 0;
+        const std::string word =
+            hot ? "hot" + std::to_string(rng.Uniform(kHotKeys))
+                : "cold" + std::to_string(t) + "." + std::to_string(op);
+        const QueryCacheKey key({word}, SearchOptions());
+        std::optional<SearchResult> hit = cache.Lookup(key);
+        if (hot) ++hot_lookups;
+        if (!hit.has_value()) {
+          cache.Insert(key, answer(word));
+          ++inserts;
+          continue;
+        }
+        if (hot) ++hot_hits;
+        if (hit->keywords != answer(word).keywords) ++wrong;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  const QueryCache::Stats stats = cache.GetStats();
+  EXPECT_LE(stats.bytes + stats.sketch_bytes, options.capacity_bytes);
+  EXPECT_EQ(stats.hits + stats.misses, uint64_t{kThreads * kOps});
+  EXPECT_EQ(stats.insertions + stats.admission_rejects, inserts.load());
+  EXPECT_GT(stats.admission_rejects, 0u);
+  // Cold keys never hit. A hot key misses until it outcounts the LRU
+  // tail, and after that only if it is evicted.
+  EXPECT_GT(hot_hits.load(), hot_lookups.load() * 9 / 10);
 }
 
 TEST(LatencyHistogramTest, PercentilesAreOrderedAndBucketed) {
@@ -614,14 +843,68 @@ TEST(QueryServiceTest, MetricsReportRendersEverySection) {
   const std::string report = service.MetricsReport();
   for (const char* needle :
        {"requests:", "completed:", "cache_hits:", "rejected:", "latency_us:",
-        "queue_wait_us:", "queue_depth:", "cache:", "hit_ratio=", "engine:",
-        "match_ops="}) {
+        "queue_wait_us:", "queue_depth:", "cache:", "admission_rejects=",
+        "hit_ratio=", "engine:", "match_ops="}) {
     EXPECT_NE(report.find(needle), std::string::npos)
         << "missing \"" << needle << "\" in:\n"
         << report;
   }
   // No disk index behind this engine: the pool gauge lines are omitted.
   EXPECT_EQ(report.find("scan_pool:"), std::string::npos);
+}
+
+TEST(QueryServiceTest, ZipfStreamThroughASmallCacheMatchesTheEngine) {
+  std::unique_ptr<XKSearch> system = BuildCorpus();
+  std::vector<std::vector<std::string>> pool;
+  for (int i = 0; i < 10; ++i) {
+    const std::string word = "t" + std::to_string(i);
+    pool.push_back({"carol", word});
+    pool.push_back({"bravo", word});
+    pool.push_back({word, "t" + std::to_string(i + 10)});
+  }
+  std::vector<SearchResult> expected;
+  size_t largest = 0;
+  for (const auto& query : pool) {
+    Result<SearchResult> direct = system->Search(query);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    largest = std::max(largest,
+                       QueryCache::ApproxEntryBytes(
+                           QueryCacheKey(direct->keywords, SearchOptions()),
+                           *direct));
+    expected.push_back(std::move(*direct));
+  }
+
+  QueryServiceOptions options;
+  options.pool.workers = 2;
+  options.cache.shards = 1;
+  // A few answers of the 30: the stream must refuse, evict and hit.
+  options.cache.capacity_bytes = 4 * largest;
+  QueryService service(system.get(), options);
+
+  // Zipf(0.8) ranks over the pool.
+  std::vector<double> cdf;
+  double total = 0;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i + 1), 0.8);
+    cdf.push_back(total);
+  }
+  Rng rng(23);
+  for (int r = 0; r < 600; ++r) {
+    const size_t q = static_cast<size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), rng.UniformDouble() * total) -
+        cdf.begin());
+    Result<QueryResponse> response = service.Search(pool[q]);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->result.nodes, expected[q].nodes) << "request " << r;
+    EXPECT_EQ(response->result.stats.match_ops, expected[q].stats.match_ops)
+        << "request " << r;
+  }
+  const QueryCache::Stats stats = service.cache_stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.admission_rejects, 0u);
+  EXPECT_EQ(service.metrics().cache_hits, stats.hits);
+  EXPECT_LE(stats.bytes + stats.sketch_bytes, options.cache.capacity_bytes);
 }
 
 TEST(QueryServiceTest, ServesDiskSearcherBackend) {

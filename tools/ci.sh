@@ -54,8 +54,9 @@ if [ "$run_slow" -eq 1 ]; then
     -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DiskIndexTest|DiskIndexProbeTest|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest)' \
     --output-on-failure
   # Concurrent serving: single-flight coalescing and the result cache
-  # (round trips, budget, concurrent insert/lookup/clear) as one visible
-  # line, plus a short xk_fuzz concurrent-client parity smoke (the full
+  # (round trips, budget and sketch charge, TinyLFU admission and
+  # halving, concurrent insert/lookup/clear with hot and cold keys) as
+  # one visible line, plus a short xk_fuzz concurrent-client parity smoke (the full
   # soak rides in -L slow as xk_fuzz_long_batched).
   echo "==> [single-flight] single-flight and concurrent-client stage (release build)"
   ctest --test-dir build/release -R '(SingleFlight|QueryCache)' \
