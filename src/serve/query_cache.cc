@@ -342,7 +342,7 @@ Status QueryCache::Decode(std::string_view encoded, SearchResult* out) {
                                     kDecodeRun, carry, carry_len, &block));
       if (block.empty()) return Malformed();
     }
-    out->nodes.push_back(DeweyId::FromView(block.entry(used++)));
+    out->nodes.emplace_back().AssignFrom(block.entry(used++));
     carry = out->nodes.back().components().data();
     carry_len = out->nodes.back().depth();
   }

@@ -235,9 +235,8 @@ Result<SearchResult> ShardedCollection::SearchShard(
   size_t kept = 0;
   for (DeweyId& node : rebased.nodes) {
     if (node.depth() < 2) continue;  // the synthetic shard root
-    std::vector<uint32_t> components = node.components();
-    components[1] = docs[components[1]];
-    rebased.nodes[kept++] = DeweyId(std::move(components));
+    node.set_component(1, docs[node.component(1)]);
+    rebased.nodes[kept++] = std::move(node);
   }
   rebased.nodes.resize(kept);
   return rebased;

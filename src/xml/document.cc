@@ -65,13 +65,14 @@ Document Document::Clone() const {
 
 DeweyId Document::DeweyOf(NodeId n) const {
   assert(n < nodes_.size());
-  std::vector<uint32_t> comps(nodes_[n].level + 1);
+  DeweyId id;
+  for (uint32_t i = 0; i <= nodes_[n].level; ++i) id.Append(0);
   NodeId cur = n;
-  for (size_t i = comps.size(); i-- > 0;) {
-    comps[i] = nodes_[cur].ordinal;
+  for (size_t i = id.depth(); i-- > 0;) {
+    id.set_component(i, nodes_[cur].ordinal);
     cur = nodes_[cur].parent;
   }
-  return DeweyId(std::move(comps));
+  return id;
 }
 
 Result<NodeId> Document::FindByDewey(const DeweyId& id) const {

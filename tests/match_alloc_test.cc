@@ -11,7 +11,8 @@
 // through QueryService over an in-memory engine, which must probe the
 // packed lists in place rather than decode them. The result cache is
 // checked the same way: inserting a longer answer costs no more
-// allocations, and a hit allocates only the ids it returns.
+// allocations, and a hit allocates only its two vectors, plus one block
+// per returned id too deep to be held inline.
 
 #include <atomic>
 #include <cstdlib>
@@ -287,13 +288,18 @@ TEST(ServedMatchAllocationTest, CacheMissRequestProbesPackedListsInPlace) {
 
 // A result-cache answer of n nodes over a few levels, so its delta
 // stream has shared prefixes and multi-byte components.
-SearchResult MakeAnswer(size_t n) {
+// `n` answer ids of `depth` components each (depth >= 4), distinct and
+// in document order.
+SearchResult MakeAnswer(size_t n, size_t depth) {
   SearchResult answer;
   answer.algorithm = SlcaAlgorithm::kScanEager;
   answer.keywords = {"alpha", "bravo"};
   for (size_t i = 0; i < n; ++i) {
     const uint32_t k = static_cast<uint32_t>(i);
-    answer.nodes.push_back(DeweyId({0, k / 64, k % 64, 1000 + k}));
+    DeweyId id({0, k / 64, k % 64});
+    while (id.depth() + 1 < depth) id.Append(1);
+    id.Append(1000 + k);
+    answer.nodes.push_back(std::move(id));
   }
   return answer;
 }
@@ -305,13 +311,13 @@ struct CacheAllocations {
 
 // Allocations of one QueryCache::Insert and of one warm hit (the thread's
 // copy and decode buffers already grown by an earlier hit).
-CacheAllocations CountCacheAllocations(size_t n) {
+CacheAllocations CountCacheAllocations(size_t n, size_t depth) {
   serve::QueryCache::Options options;
   options.shards = 1;
   options.capacity_bytes = 64u << 20;
   serve::QueryCache cache(options);
   const serve::QueryCacheKey key({"alpha", "bravo"}, SearchOptions());
-  const SearchResult answer = MakeAnswer(n);
+  const SearchResult answer = MakeAnswer(n, depth);
   CacheAllocations counted;
 
   uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -330,16 +336,30 @@ CacheAllocations CountCacheAllocations(size_t n) {
   return counted;
 }
 
+constexpr size_t kShallow = 4;
+constexpr size_t kDeep = DeweyId::kInlineCapacity + 1;
+
 TEST(ResultCacheAllocationTest, InsertEncodesOnceAndHitAllocatesOnlyTheIds) {
-  const CacheAllocations small = CountCacheAllocations(kSmallS1);
-  const CacheAllocations large = CountCacheAllocations(kLargeS1);
+  const CacheAllocations small = CountCacheAllocations(kSmallS1, kShallow);
+  const CacheAllocations large = CountCacheAllocations(kLargeS1, kShallow);
   // Insert: the entry's byte string, list node and map node, whatever
   // the answer's size.
   EXPECT_NEAR(static_cast<double>(small.insert),
               static_cast<double>(large.insert), 4)
       << kSmallS1 << "-node answer: " << small.insert << " allocations; "
       << kLargeS1 << "-node answer: " << large.insert;
-  // Hit: one per returned id, plus the node and keyword vectors.
+  // Hit: the node and keyword vectors only; ids within the inline
+  // capacity are decoded into the node vector without a heap block.
+  EXPECT_EQ(small.hit, 2u);
+  EXPECT_EQ(large.hit, 2u);
+}
+
+TEST(ResultCacheAllocationTest, HitAllocatesOneBlockPerIdDeeperThanInline) {
+  const CacheAllocations small = CountCacheAllocations(kSmallS1, kDeep);
+  const CacheAllocations large = CountCacheAllocations(kLargeS1, kDeep);
+  EXPECT_NEAR(static_cast<double>(small.insert),
+              static_cast<double>(large.insert), 4);
+  // Hit: the node and keyword vectors, plus one block per deep id.
   EXPECT_EQ(small.hit, kSmallS1 + 2);
   EXPECT_EQ(large.hit, kLargeS1 + 2);
 }

@@ -48,10 +48,11 @@ if [ "$run_slow" -eq 1 ]; then
   # The match path: the lm/rm steps of Indexed Lookup and Scan Eager
   # (vector, packed and chunked), the disk index's block probe and its
   # restart-indexed block format, the level-table codec and its bit I/O
-  # (including the on-disk key bytes), and the match-loop allocation test.
+  # (including the on-disk key bytes), the match-loop and result-cache-hit
+  # allocation tests, and the inline/heap storage of DeweyId itself.
   echo "==> [match-path] SLCA match step and key codec stage (release build)"
   ctest --test-dir build/release \
-    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DiskIndexTest|DiskIndexProbeTest|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest)' \
+    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DiskIndexTest|DiskIndexProbeTest|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest|DeweyIdTest|ResultCacheAllocationTest)' \
     --output-on-failure
   # Concurrent serving: single-flight coalescing and the result cache
   # (round trips, budget and sketch charge, TinyLFU admission and
