@@ -142,6 +142,17 @@ Result<IndexMeta> DecodeIndexMeta(const std::vector<uint8_t>& blob) {
   return meta;
 }
 
+// True when `b`, the bounds of an earlier target in the same list, also
+// answer `v`: floor <= v < ceil, with an absent bound open-ended. No list
+// entry lies strictly between the floor and the ceiling, so lm(v) is the
+// floor and rm(v) the ceiling, or both the floor when v equals it.
+bool Covers(const ScanBlockReader::Bounds& b, DeweyView v, bool* exact) {
+  const int at_floor = b.has_floor ? b.floor.Compare(v) : -1;
+  if (at_floor > 0) return false;
+  *exact = at_floor == 0;
+  return *exact || !b.has_ceil || b.ceil.Compare(v) > 0;
+}
+
 }  // namespace
 
 void DiskIndex::EncodeBlockKey(const DeweyCodec& codec, uint32_t term,
@@ -329,24 +340,21 @@ Result<bool> DiskIndex::LeftMatch(uint32_t term, const DeweyId& v,
 Result<bool> DiskIndex::Match(uint32_t term, const DeweyId& v, bool right,
                               MatchProbe* probe, DeweyId* out,
                               QueryStats* stats) const {
-  XKS_ASSIGN_OR_RETURN(bool hosted, Hosts(term, v.view(), probe));
-  if (!hosted) {
-    XKS_ASSIGN_OR_RETURN(const bool any, Locate(term, v, probe, stats));
+  const ScanBlockReader::Bounds& b = probe->bounds_;
+  bool exact = false;
+  if (!probe->bounds_valid_ || probe->owner_ != instance_ ||
+      probe->term_ != term || !Covers(b, v.view(), &exact)) {
+    XKS_ASSIGN_OR_RETURN(const bool any, Seek(term, v, probe, stats));
     if (!any) return false;
+    exact = b.exact;
   }
   DeweyView match;
-  if (right) {
-    XKS_ASSIGN_OR_RETURN(const bool in_block,
-                         probe->reader_.Ceil(v.view(), &match));
-    if (!in_block) {
-      // v follows the block's last entry, so Locate read the next key.
-      if (probe->next_ != MatchProbe::Next::kKnown) return false;
-      match = probe->next_first_.view();
-    }
+  if (exact) {
+    match = b.floor;
+  } else if (right ? b.has_ceil : b.has_floor) {
+    match = right ? b.ceil : b.floor;
   } else {
-    XKS_ASSIGN_OR_RETURN(const bool found,
-                         probe->reader_.Floor(v.view(), &match));
-    if (!found) return false;
+    return false;
   }
   // One posting per returned match, as a leaf entry of an Indexed Lookup
   // tree would be charged; the in-block search is positioning work.
@@ -355,24 +363,34 @@ Result<bool> DiskIndex::Match(uint32_t term, const DeweyId& v, bool right,
   return true;
 }
 
-Result<bool> DiskIndex::Hosts(uint32_t term, DeweyView v,
-                              MatchProbe* probe) const {
-  if (probe->owner_ != instance_ || probe->term_ != term) return false;
-  if (!probe->first_block_ && v.Compare(probe->reader_.first()) < 0) {
-    return false;
+Result<bool> DiskIndex::Seek(uint32_t term, const DeweyId& v,
+                             MatchProbe* probe, QueryStats* stats) const {
+  probe->bounds_valid_ = false;
+  // The cached block hosts v from its first entry (or from the start of
+  // the list, for the term's first block) up to the next block's first
+  // id; while that id is unknown, only up to its own last entry.
+  bool hosted = probe->owner_ == instance_ && probe->term_ == term &&
+                (probe->first_block_ ||
+                 v.view().Compare(probe->reader_.first()) >= 0) &&
+                (probe->next_ != MatchProbe::Next::kKnown ||
+                 v.view().Compare(probe->next_first_.view()) < 0);
+  if (hosted) {
+    XKS_RETURN_NOT_OK(probe->reader_.Seek(v.view(), &probe->bounds_));
+    hosted = probe->bounds_.has_ceil ||
+             probe->next_ != MatchProbe::Next::kUnknown;
   }
-  switch (probe->next_) {
-    case MatchProbe::Next::kNone:
-      return true;
-    case MatchProbe::Next::kKnown:
-      return v.Compare(probe->next_first_.view()) < 0;
-    case MatchProbe::Next::kUnknown:
-      break;
+  if (!hosted) {
+    XKS_ASSIGN_OR_RETURN(const bool any, Locate(term, v, probe, stats));
+    if (!any) return false;
   }
-  // Without the next block's first id the block hosts v only up to its
-  // own last entry.
-  DeweyView ceil;
-  return probe->reader_.Ceil(v, &ceil);
+  // Past the block's last entry, rm(v) is the next block's first id.
+  if (!probe->bounds_.has_ceil &&
+      probe->next_ == MatchProbe::Next::kKnown) {
+    probe->bounds_.has_ceil = true;
+    probe->bounds_.ceil = probe->next_first_.view();
+  }
+  probe->bounds_valid_ = true;
+  return true;
 }
 
 Result<bool> DiskIndex::Locate(uint32_t term, const DeweyId& v,
@@ -409,10 +427,10 @@ Result<bool> DiskIndex::Locate(uint32_t term, const DeweyId& v,
     probe->next_ = MatchProbe::Next::kUnknown;
   }
   probe->first_block_ = probe->first_block_ || first_block;
-  if (probe->next_ != MatchProbe::Next::kUnknown || first_block) return true;
-  DeweyView ceil;
-  XKS_ASSIGN_OR_RETURN(const bool within, probe->reader_.Ceil(v.view(), &ceil));
-  if (within) return true;
+  XKS_RETURN_NOT_OK(probe->reader_.Seek(v.view(), &probe->bounds_));
+  if (probe->bounds_.has_ceil || probe->next_ != MatchProbe::Next::kUnknown) {
+    return true;
+  }
   // v follows the block's last entry: rm(v) is the next block's first id,
   // and every probe below it stays in this block.
   XKS_RETURN_NOT_OK(cursor.Next());
@@ -724,27 +742,23 @@ Result<bool> DiskIndexUpdater::Contains(uint32_t term, const DeweyId& id) {
   // The tree changes only in Finish, so the last block read stays valid
   // for the whole batch: an id between its first and last entry is
   // answered from it. (Batches arrive sorted, so most ids are.)
-  bool cached = block_term_ == term &&
-                id.view().Compare(block_reader_.first()) >= 0;
-  DeweyView floor;
-  if (cached) {
-    XKS_ASSIGN_OR_RETURN(cached, block_reader_.Ceil(id.view(), &floor));
+  ScanBlockReader::Bounds bounds;
+  if (block_term_ == term && id.view().Compare(block_reader_.first()) >= 0) {
+    XKS_RETURN_NOT_OK(block_reader_.Seek(id.view(), &bounds));
+    if (bounds.has_ceil) return bounds.exact;
   }
-  if (!cached) {
-    // The block hosting id is the last one whose first id <= id; an id
-    // before the term's first block is absent.
-    block_term_.reset();
-    DiskIndex::EncodeBlockKey(*codec_, term, id, &probe_key_);
-    XKS_ASSIGN_OR_RETURN(
-        const bool found,
-        scan_tree_->FindFloor(probe_key_, &block_key_, &block_));
-    if (!found || !HasTermPrefix(block_key_, term)) return false;
-    XKS_RETURN_NOT_OK(block_reader_.Reset(
-        reinterpret_cast<const uint8_t*>(block_.data()), block_.size()));
-    block_term_ = term;
-  }
-  XKS_ASSIGN_OR_RETURN(const bool any, block_reader_.Floor(id.view(), &floor));
-  return any && floor.Compare(id.view()) == 0;
+  // The block hosting id is the last one whose first id <= id; an id
+  // before the term's first block is absent.
+  block_term_.reset();
+  DiskIndex::EncodeBlockKey(*codec_, term, id, &probe_key_);
+  XKS_ASSIGN_OR_RETURN(const bool found,
+                       scan_tree_->FindFloor(probe_key_, &block_key_, &block_));
+  if (!found || !HasTermPrefix(block_key_, term)) return false;
+  XKS_RETURN_NOT_OK(block_reader_.Reset(
+      reinterpret_cast<const uint8_t*>(block_.data()), block_.size()));
+  block_term_ = term;
+  XKS_RETURN_NOT_OK(block_reader_.Seek(id.view(), &bounds));
+  return bounds.exact;
 }
 
 Status DiskIndexUpdater::ApplyPending() {

@@ -66,11 +66,16 @@ struct DiskIndexOptions {
 ///  * The Scan Eager and Stack algorithms read a list's blocks in order
 ///    through a PostingCursor.
 ///  * An Indexed Lookup lm/rm probe is a floor descent to the block that
-///    hosts the target, a binary search over that block's restart heads
-///    (compared in place) and a search of one decoded group — the same
-///    cost class as the paper's one descent of a (keyword, Dewey) B+tree,
-///    without storing every posting a second time. rm past a block's last
-///    entry is the next block's first id, read from its key.
+///    hosts the target, a search over that block's restart heads
+///    (compared in place) and a decode of one group from its head up to
+///    the target, which yields the target's floor and ceiling together
+///    (ScanBlockReader::Seek) — the same cost class as the paper's one
+///    descent of a (keyword, Dewey) B+tree, without storing every
+///    posting a second time. rm past a block's last entry is the next
+///    block's first id, read from its key. The caller's
+///    MatchProbe keeps the block and the last answer, so later probes of
+///    the same block skip the descent and the rm after an lm skips the
+///    search.
 ///
 /// The keyword dictionary (the paper's frequency table) is loaded into an
 /// in-memory hash table at open, mirroring XKSearch's initializer.
@@ -123,17 +128,21 @@ class DiskIndex {
   /// Dictionary lookup; nullptr if the keyword does not occur.
   const TermInfo* FindTerm(std::string_view keyword) const;
 
-  /// \brief Caller-owned state of the lm/rm probes: the probe key scratch
-  /// and the last block a probe landed in — its payload, its reader (with
-  /// the last decoded group), and the first id of the block after it once
-  /// known.
+  /// \brief Caller-owned state of the lm/rm probes: the probe key scratch,
+  /// the last block a probe landed in — its payload, its reader (with its
+  /// cursor), and the first id of the block after it once known — and the
+  /// floor and ceiling the last search found.
   ///
-  /// A probe whose target the cached block hosts is answered without a
-  /// tree descent, so Indexed Lookup Eager's nondecreasing probes walk a
-  /// block at the cost of one descent; any other target (another term, a
-  /// smaller id) descends afresh. Buffers keep their capacity, so a warm
-  /// probe allocates nothing. One per caller thread (DiskKeywordList holds
-  /// one per query and per chunk clone), like PackedDeweyList::Probe.
+  /// A target between that floor and ceiling is answered from them with
+  /// no search at all, so Indexed Lookup Eager's rm after lm on the same
+  /// target is free. A target the cached block hosts is answered by one
+  /// in-block search that continues from the reader's cursor, without a
+  /// tree descent, so nondecreasing probes walk a block at the cost of one
+  /// descent; any other target (another term, a smaller id) descends
+  /// afresh. No page stays pinned between calls. Buffers keep their
+  /// capacity, so a warm probe allocates nothing. One per caller thread
+  /// (DiskKeywordList holds one per query and per chunk clone), like
+  /// PackedDeweyList::Probe.
   class MatchProbe {
    private:
     friend class DiskIndex;
@@ -149,6 +158,9 @@ class DiskIndex {
     std::string block_key_;
     std::string payload_;
     ScanBlockReader reader_;
+    /// The last search's answer: views into reader_ or next_first_.
+    ScanBlockReader::Bounds bounds_;
+    bool bounds_valid_ = false;
   };
 
   /// Right match rm(v, S): smallest id in the term's list that is >= v,
@@ -268,12 +280,15 @@ class DiskIndex {
   /// rm(v) when `right`, else lm(v): the body of RightMatch/LeftMatch.
   Result<bool> Match(uint32_t term, const DeweyId& v, bool right,
                      MatchProbe* probe, DeweyId* out, QueryStats* stats) const;
-  /// True when the probe's cached block hosts `v` for `term`.
-  Result<bool> Hosts(uint32_t term, DeweyView v, MatchProbe* probe) const;
+  /// Fills the probe's bounds with v's floor and ceiling in the term's
+  /// list: one search of the cached block when it hosts v, else a descent
+  /// (Locate) first. False when the term has no block at all.
+  Result<bool> Seek(uint32_t term, const DeweyId& v, MatchProbe* probe,
+                    QueryStats* stats) const;
   /// Descends to the block hosting `v` (the term's first block when `v`
-  /// precedes it) and caches it in `probe`, with the next block's first id
-  /// when `v` follows the block's last entry. False when the term has no
-  /// block at all.
+  /// precedes it), caches it in `probe` and searches it for v, reading
+  /// the next block's first id when `v` follows the block's last entry.
+  /// False when the term has no block at all.
   Result<bool> Locate(uint32_t term, const DeweyId& v, MatchProbe* probe,
                       QueryStats* stats) const;
   Status InitTreesAndDict(const DiskIndexOptions& options);
@@ -294,8 +309,8 @@ class DiskIndex {
 /// individual postings without rebuilding.
 ///
 /// AddPosting/RemovePosting check presence with the probes' block search
-/// (a floor lookup of the hosting block in the mutable scan tree, then a
-/// restart-head search inside it) and record the edit in a per-term
+/// (a floor lookup of the hosting block in the mutable scan tree, then
+/// ScanBlockReader::Seek inside it) and record the edit in a per-term
 /// sorted pending map (an add and a remove of one posting cancel);
 /// frequencies and total_postings() change at once. Finish() applies the
 /// whole batch in one sorted pass: each touched block — keyed by its first

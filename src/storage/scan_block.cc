@@ -1,5 +1,6 @@
 #include "storage/scan_block.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bitio.h"
@@ -39,6 +40,16 @@ Status ParseTrailer(const uint8_t* data, size_t size, size_t* entries_size,
   *entries_size = entries;
   *restarts = r;
   return Status::OK();
+}
+
+// GetVarint32 with the one-byte case inline: nearly every shared count,
+// added count and component of a posting fits one byte.
+bool ReadVarint(const uint8_t* data, size_t end, size_t* pos, uint32_t* v) {
+  if (*pos < end && data[*pos] < 0x80) {
+    *v = data[(*pos)++];
+    return true;
+  }
+  return GetVarint32(data, end, pos, v);
 }
 
 size_t VarintBytes(uint32_t v) {
@@ -95,14 +106,11 @@ void ScanBlockBuilder::FinishTo(std::string* out) {
 
 Status ScanBlockReader::Reset(const uint8_t* data, size_t size) {
   data_ = data;
-  group_valid_ = false;
-  first_.Clear();
+  cursor_valid_ = false;
+  first_.depth = 0;
   XKS_RETURN_NOT_OK(ParseTrailer(data, size, &entries_size_, &restarts_));
   size_t pos = 0;
-  XKS_RETURN_NOT_OK(
-      DecodeBlock(data_, GroupEnd(0), &pos, 1, nullptr, 0, &first_));
-  if (first_.empty()) return Status::Corruption("empty scan block");
-  return Status::OK();
+  return DecodeEntry(GroupEnd(0), &pos, DeweyView(), &first_);
 }
 
 size_t ScanBlockReader::RestartOffset(size_t r) const {
@@ -113,17 +121,41 @@ size_t ScanBlockReader::GroupEnd(size_t r) const {
   return r + 1 < restarts_ ? RestartOffset(r + 1) : entries_size_;
 }
 
+Status ScanBlockReader::DecodeEntry(size_t end, size_t* pos, DeweyView prev,
+                                    Entry* out) const {
+  uint32_t shared = 0, added = 0;
+  if (!ReadVarint(data_, end, pos, &shared) ||
+      !ReadVarint(data_, end, pos, &added)) {
+    return Status::Corruption("truncated scan block entry");
+  }
+  if (shared > prev.depth() || shared + added == 0 ||
+      added > kMaxComponentsPerEntry) {
+    return Status::Corruption("bad scan block entry header");
+  }
+  const size_t depth = shared + added;
+  if (out->components.size() < depth) out->components.resize(depth);
+  uint32_t* dst = out->components.data();
+  std::copy_n(prev.data(), shared, dst);
+  for (size_t i = shared; i < depth; ++i) {
+    if (!ReadVarint(data_, end, pos, &dst[i])) {
+      return Status::Corruption("truncated scan block entry");
+    }
+  }
+  out->depth = depth;
+  return Status::OK();
+}
+
 Result<int> ScanBlockReader::CompareHead(size_t r, DeweyView v) const {
   const size_t end = GroupEnd(r);
   size_t pos = RestartOffset(r);
   uint32_t shared = 0, added = 0;
-  if (!GetVarint32(data_, end, &pos, &shared) ||
-      !GetVarint32(data_, end, &pos, &added) || shared != 0 || added == 0) {
+  if (!ReadVarint(data_, end, &pos, &shared) ||
+      !ReadVarint(data_, end, &pos, &added) || shared != 0 || added == 0) {
     return Status::Corruption("bad scan block restart head");
   }
   for (size_t i = 0; i < added; ++i) {
     uint32_t c = 0;
-    if (!GetVarint32(data_, end, &pos, &c)) {
+    if (!ReadVarint(data_, end, &pos, &c)) {
       return Status::Corruption("truncated scan block restart head");
     }
     // A head longer than v that agrees on all of v follows it.
@@ -133,9 +165,8 @@ Result<int> ScanBlockReader::CompareHead(size_t r, DeweyView v) const {
   return added == v.depth() ? 0 : -1;
 }
 
-Result<size_t> ScanBlockReader::FloorGroup(DeweyView v) const {
-  // Binary search for the first head > v; the group before it hosts v.
-  size_t lo = 0, hi = restarts_;
+Result<size_t> ScanBlockReader::FirstHeadAfter(DeweyView v, size_t lo,
+                                               size_t hi) const {
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
     XKS_ASSIGN_OR_RETURN(const int cmp, CompareHead(mid, v));
@@ -145,74 +176,117 @@ Result<size_t> ScanBlockReader::FloorGroup(DeweyView v) const {
       hi = mid;
     }
   }
-  return lo == 0 ? restarts_ : lo - 1;
+  return lo;
 }
 
-Status ScanBlockReader::LoadGroup(size_t g) {
-  if (group_valid_ && group_index_ == g) return Status::OK();
-  group_valid_ = false;
-  group_.Clear();
-  size_t pos = RestartOffset(g);
-  const size_t end = GroupEnd(g);
-  XKS_RETURN_NOT_OK(
-      DecodeBlock(data_, end, &pos, ~size_t{0}, nullptr, 0, &group_));
-  if (pos != end || group_.empty()) {
-    return Status::Corruption("scan block restart group overruns");
+Result<size_t> ScanBlockReader::GallopGroup(DeweyView v, size_t known) const {
+  // Compare the heads 1, 2, 4, ... past the last one known to be <= v,
+  // then binary-search the last stride. Nondecreasing targets mostly
+  // stay in the group or move to the next one.
+  size_t hi = restarts_;
+  for (size_t step = 1; known + step < restarts_; step *= 2) {
+    XKS_ASSIGN_OR_RETURN(const int cmp, CompareHead(known + step, v));
+    if (cmp > 0) {
+      hi = known + step;
+      break;
+    }
+    known += step;
   }
-  group_index_ = g;
-  group_valid_ = true;
+  XKS_ASSIGN_OR_RETURN(const size_t after, FirstHeadAfter(v, known + 1, hi));
+  return after - 1;
+}
+
+Status ScanBlockReader::StartGroup(size_t g) {
+  cursor_valid_ = false;
+  group_ = g;
+  pos_ = RestartOffset(g);
+  end_ = GroupEnd(g);
+  cur_ = 0;
+  has_prev_ = false;
+  XKS_RETURN_NOT_OK(DecodeEntry(end_, &pos_, DeweyView(), &cur()));
+  cursor_valid_ = true;
   return Status::OK();
 }
 
-Result<bool> ScanBlockReader::Floor(DeweyView v, DeweyView* out) {
-  XKS_ASSIGN_OR_RETURN(const size_t g, FloorGroup(v));
-  if (g == restarts_) return false;
-  XKS_RETURN_NOT_OK(LoadGroup(g));
-  // Last entry <= v; the group's head is <= v, so one exists.
-  size_t lo = 1, hi = group_.count();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (group_.entry(mid).Compare(v) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+Result<bool> ScanBlockReader::Advance() {
+  if (pos_ >= end_) return false;
+  // Decode into the other buffer, which then becomes the cursor.
+  const Status status = DecodeEntry(end_, &pos_, cur().view(), &prev());
+  if (!status.ok()) {
+    cursor_valid_ = false;
+    return status;
   }
-  *out = group_.entry(lo - 1);
+  cur_ ^= 1;
+  has_prev_ = true;
   return true;
 }
 
-Result<bool> ScanBlockReader::Ceil(DeweyView v, DeweyView* out) {
-  XKS_ASSIGN_OR_RETURN(const size_t g, FloorGroup(v));
-  if (g == restarts_) {
-    *out = first();
-    return true;
-  }
-  XKS_RETURN_NOT_OK(LoadGroup(g));
-  // First entry >= v in the group, else the next group's head.
-  size_t lo = 0, hi = group_.count();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (group_.entry(mid).Compare(v) < 0) {
-      lo = mid + 1;
+Status ScanBlockReader::Seek(DeweyView v, Bounds* out) {
+  *out = Bounds();
+  // Pick the group hosting v (the last whose head is <= v) and whether
+  // the cursor can continue from where it stands.
+  int c = 1;          // the cursor's entry against v
+  int prev_cmp = -1;  // the entry before it against v
+  bool resume = false;
+  size_t g = restarts_;  // restarts_ until the group is known
+  size_t search_end = restarts_;
+  if (cursor_valid_) {
+    c = cur().view().Compare(v);
+    if (has_prev_ && c > 0) prev_cmp = prev().view().Compare(v);
+    if (c <= 0) {
+      XKS_ASSIGN_OR_RETURN(g, GallopGroup(v, group_));
+      resume = g == group_;
+    } else if (has_prev_ && prev_cmp <= 0) {
+      g = group_;
+      resume = true;
     } else {
-      hi = mid;
+      search_end = group_ + 1;  // v is below the cursor
     }
   }
-  if (lo < group_.count()) {
-    *out = group_.entry(lo);
-    return true;
+  if (g == restarts_) {
+    XKS_ASSIGN_OR_RETURN(const size_t after, FirstHeadAfter(v, 0, search_end));
+    if (after == 0) {
+      out->has_ceil = true;
+      out->ceil = first();
+      return Status::OK();
+    }
+    g = after - 1;
   }
-  if (g + 1 == restarts_) return false;
-  next_head_.Clear();
+  if (!resume) {
+    XKS_RETURN_NOT_OK(StartGroup(g));
+    c = cur().view().Compare(v);
+  }
+  // Step forward to the first entry >= v, or to the group's last entry.
+  while (c < 0) {
+    XKS_ASSIGN_OR_RETURN(const bool more, Advance());
+    if (!more) break;
+    prev_cmp = c;
+    c = cur().view().Compare(v);
+  }
+  if (c == 0) {
+    out->exact = out->has_floor = out->has_ceil = true;
+    out->floor = out->ceil = cur().view();
+    return Status::OK();
+  }
+  if (c > 0) {
+    // The group's head is <= v, so the cursor moved past an entry.
+    if (!has_prev_) return Status::Corruption("scan block head mismatch");
+    out->has_floor = out->has_ceil = true;
+    out->floor = prev().view();
+    out->exact = prev_cmp == 0;
+    out->ceil = out->exact ? out->floor : cur().view();
+    return Status::OK();
+  }
+  // Past the group's last entry: the ceiling is the next head, if any.
+  out->has_floor = true;
+  out->floor = cur().view();
+  if (g + 1 == restarts_) return Status::OK();
   size_t pos = RestartOffset(g + 1);
   XKS_RETURN_NOT_OK(
-      DecodeBlock(data_, GroupEnd(g + 1), &pos, 1, nullptr, 0, &next_head_));
-  if (next_head_.empty()) {
-    return Status::Corruption("truncated scan block restart head");
-  }
-  *out = next_head_.entry(0);
-  return true;
+      DecodeEntry(GroupEnd(g + 1), &pos, DeweyView(), &next_head_));
+  out->has_ceil = true;
+  out->ceil = next_head_.view();
+  return Status::OK();
 }
 
 Status ScanBlockReader::DecodeAll(const uint8_t* data, size_t size,

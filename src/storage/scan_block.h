@@ -59,54 +59,93 @@ class ScanBlockBuilder {
 /// \brief Random access into one scan block payload through its restart
 /// points: the in-block half of an lm/rm probe.
 ///
-/// Reset parses the trailer and decodes the first entry. A floor or
-/// ceiling search binary-searches the restart heads, comparing each one
-/// in place against the target (a head is stored in full, so nothing is
-/// decoded into an arena), then decodes one group of at most
-/// kScanRestartInterval entries. The last decoded group stays cached, so
-/// searches that land in it again decode nothing. The payload is not
+/// Reset parses the trailer and decodes the first entry. Seek answers
+/// both halves of a match step at once: it finds the group hosting the
+/// target among the restart heads, each compared in place (a head is
+/// stored in full), then decodes that group forward from its head, one
+/// entry at a time, until it passes the target. Only the entry passed
+/// last and the one before it are kept. That cursor stays for the next
+/// Seek: a target at or after it continues from there, galloping forward
+/// over the following heads first when it may lie in a later group, so
+/// nondecreasing targets decode each entry of a group at most once and
+/// stop at the target rather than at the group's end. The payload is not
 /// copied: it must outlive the reader (or the next Reset). Every buffer
 /// keeps its capacity across Reset.
 class ScanBlockReader {
  public:
+  /// Where a target falls in the block. The views point into the
+  /// reader's own buffers and stay valid until the next Seek or Reset.
+  struct Bounds {
+    /// Greatest entry <= the target; absent when it precedes the block.
+    bool has_floor = false;
+    DeweyView floor;
+    /// Smallest entry >= the target; absent when it follows the block's
+    /// last entry.
+    bool has_ceil = false;
+    DeweyView ceil;
+    /// The target is an entry: floor and ceil both view it.
+    bool exact = false;
+  };
+
   /// Parses `data[0, size)`; Corruption when the trailer or the first
   /// entry is malformed.
   Status Reset(const uint8_t* data, size_t size);
 
   size_t restart_count() const { return restarts_; }
   /// The block's first entry.
-  DeweyView first() const { return first_.entry(0); }
+  DeweyView first() const { return first_.view(); }
 
-  /// Greatest entry <= v into `*out`; false when v precedes the block.
-  /// `*out` views the reader's own arenas (valid until the next call).
-  Result<bool> Floor(DeweyView v, DeweyView* out);
-  /// Smallest entry >= v into `*out`; false when v follows the block.
-  Result<bool> Ceil(DeweyView v, DeweyView* out);
+  /// Floor and ceiling of `v` within the block, in one search.
+  Status Seek(DeweyView v, Bounds* out);
 
   /// Appends every entry of `data[0, size)`, trailer skipped, to `out`.
   static Status DecodeAll(const uint8_t* data, size_t size,
                           DecodedBlock* out);
 
  private:
+  /// One decoded entry; its buffer only grows.
+  struct Entry {
+    std::vector<uint32_t> components;
+    size_t depth = 0;
+    DeweyView view() const { return DeweyView(components.data(), depth); }
+  };
+
+  /// Decodes the entry at `data_[*pos, end)` into `out`, taking its shared
+  /// prefix from `prev` (which must not be `out`).
+  Status DecodeEntry(size_t end, size_t* pos, DeweyView prev,
+                     Entry* out) const;
   /// Three-way comparison of restart r's head with v, read in place.
   Result<int> CompareHead(size_t r, DeweyView v) const;
-  /// Index of the last head <= v; restart_count() when v < first().
-  Result<size_t> FloorGroup(DeweyView v) const;
-  /// Decodes group `g` into group_ unless it is already there.
-  Status LoadGroup(size_t g);
+  /// First restart in [lo, hi) whose head is > v; hi when there is none.
+  Result<size_t> FirstHeadAfter(DeweyView v, size_t lo, size_t hi) const;
+  /// Index of the last head <= v, given that head `known` is <= v.
+  Result<size_t> GallopGroup(DeweyView v, size_t known) const;
+  /// Puts the cursor on group g's head.
+  Status StartGroup(size_t g);
+  /// Moves the cursor to the next entry of its group; false at its end.
+  Result<bool> Advance();
   size_t RestartOffset(size_t r) const;
   /// End of restart r's group in the entry region.
   size_t GroupEnd(size_t r) const;
 
+  Entry& cur() { return entries_[cur_]; }
+  Entry& prev() { return entries_[cur_ ^ 1]; }
+
   const uint8_t* data_ = nullptr;
   size_t entries_size_ = 0;
   size_t restarts_ = 0;
-  DecodedBlock first_;
-  DecodedBlock group_;
-  /// The head after group_, when a ceiling search crosses into it.
-  DecodedBlock next_head_;
-  size_t group_index_ = 0;
-  bool group_valid_ = false;
+  Entry first_;
+  /// The cursor: group group_, entry cur() (and the one before it, prev(),
+  /// when has_prev_), and the offset of the entry after it, up to end_.
+  Entry entries_[2];
+  size_t cur_ = 0;
+  bool has_prev_ = false;
+  bool cursor_valid_ = false;
+  size_t group_ = 0;
+  size_t pos_ = 0;
+  size_t end_ = 0;
+  /// The head after the cursor's group, when a ceiling crosses into it.
+  Entry next_head_;
 };
 
 }  // namespace xksearch

@@ -356,6 +356,76 @@ TEST_P(DiskIndexProbeTest, ProbeChargesOnePostingPerMatch) {
   EXPECT_EQ(stats.postings_read, 3u);
 }
 
+// lm (right = false) or rm of `v` through `probe`, as an owned id.
+std::optional<DeweyId> ProbeMatch(const DiskIndex& index, uint32_t term,
+                                  const DeweyId& v, bool right,
+                                  DiskIndex::MatchProbe* probe) {
+  DeweyId got;
+  Result<bool> found = right ? index.RightMatch(term, v, probe, &got)
+                             : index.LeftMatch(term, v, probe, &got);
+  EXPECT_TRUE(found.ok()) << found.status().ToString();
+  if (!found.ok() || !*found) return std::nullopt;
+  return got;
+}
+
+TEST_P(DiskIndexProbeTest, RandomWalkAgreesWithFreshProbes) {
+  // Targets: every restart head, every group's last entry and the id
+  // one past it, and random ids in and around both lists.
+  std::vector<DeweyId> pool;
+  for (const std::vector<DeweyId>* list : {&alpha_, &beta_}) {
+    const uint32_t term = list == &alpha_ ? alpha_id_ : beta_id_;
+    const std::vector<DeweyId> heads = Heads(term, *list);
+    for (const DeweyId& head : heads) {
+      pool.push_back(head);
+      auto it = std::lower_bound(list->begin(), list->end(), head);
+      if (it != list->begin()) {
+        pool.push_back(*(it - 1));
+        pool.push_back((it - 1)->Child(0));
+      }
+    }
+    pool.push_back(list->back());
+    pool.push_back(list->back().Child(0));
+  }
+  Rng rng(GetParam() ? 77 : 78);
+  for (int i = 0; i < 400; ++i) {
+    pool.push_back(DeweyId({0, static_cast<uint32_t>(rng.Uniform(62)),
+                            static_cast<uint32_t>(rng.Uniform(101)),
+                            static_cast<uint32_t>(rng.Uniform(4))}));
+  }
+  std::sort(pool.begin(), pool.end());
+
+  DiskIndex::MatchProbe probe;
+  for (int run = 0; run < 300; ++run) {
+    // Each run picks a term and a start anywhere in the pool, so runs
+    // move back to earlier groups and blocks and switch terms.
+    const bool alpha = rng.Uniform(3) != 0;
+    const uint32_t term = alpha ? alpha_id_ : beta_id_;
+    const std::vector<DeweyId>& list = alpha ? alpha_ : beta_;
+    size_t pos = rng.Uniform(pool.size());
+    const size_t length = 1 + rng.Uniform(40);
+    for (size_t step = 0; step < length && pos < pool.size(); ++step) {
+      const DeweyId& v = pool[pos];
+      SCOPED_TRACE("run " + std::to_string(run) + " probe " + v.ToString());
+      // Mostly lm then rm, as MatchStep issues them; sometimes rm first,
+      // sometimes the same target twice.
+      const bool rm_first = rng.Uniform(4) == 0;
+      const int repeats = rng.Uniform(5) == 0 ? 2 : 1;
+      for (int r = 0; r < repeats; ++r) {
+        for (const bool right : {rm_first, !rm_first}) {
+          DiskIndex::MatchProbe fresh;
+          const std::optional<DeweyId> want =
+              right ? OracleRm(list, v) : OracleLm(list, v);
+          EXPECT_EQ(ProbeMatch(*index_, term, v, right, &fresh), want);
+          EXPECT_EQ(ProbeMatch(*index_, term, v, right, &probe), want);
+        }
+      }
+      if (HasFailure()) return;
+      // Nondecreasing: stay on this target or move up to a few ahead.
+      pos += rng.Uniform(4);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(DeltaOnOff, DiskIndexProbeTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "delta" : "full";
@@ -382,16 +452,24 @@ TEST(DiskIndexTest, ScanBlockPayloadGoldenBytes) {
   XKS_ASSERT_OK(reader.Reset(want.data(), want.size()));
   ASSERT_EQ(reader.restart_count(), 2u);
   EXPECT_EQ(Own(reader.first()), DeweyId({0, 0}));
-  DeweyView got;
-  // Past the first group's last entry: the second restart's head.
-  Result<bool> ceil = reader.Ceil(DeweyId({0, 31, 4}).view(), &got);
-  ASSERT_TRUE(ceil.ok());
-  ASSERT_TRUE(*ceil);
-  EXPECT_EQ(Own(got), DeweyId({0, 32}));
-  Result<bool> floor = reader.Floor(DeweyId({0, 40}).view(), &got);
-  ASSERT_TRUE(floor.ok());
-  ASSERT_TRUE(*floor);
-  EXPECT_EQ(Own(got), DeweyId({0, 32}));
+  ScanBlockReader::Bounds bounds;
+  // Past the first group's last entry: the ceiling is the second
+  // restart's head.
+  XKS_ASSERT_OK(reader.Seek(DeweyId({0, 31, 4}).view(), &bounds));
+  ASSERT_TRUE(bounds.has_floor && bounds.has_ceil);
+  EXPECT_FALSE(bounds.exact);
+  EXPECT_EQ(Own(bounds.floor), DeweyId({0, 31}));
+  EXPECT_EQ(Own(bounds.ceil), DeweyId({0, 32}));
+  // Past the block's last entry: a floor and no ceiling.
+  XKS_ASSERT_OK(reader.Seek(DeweyId({0, 40}).view(), &bounds));
+  ASSERT_TRUE(bounds.has_floor);
+  EXPECT_FALSE(bounds.has_ceil);
+  EXPECT_EQ(Own(bounds.floor), DeweyId({0, 32}));
+  // An entry is its own floor and ceiling.
+  XKS_ASSERT_OK(reader.Seek(DeweyId({0, 17}).view(), &bounds));
+  ASSERT_TRUE(bounds.exact);
+  EXPECT_EQ(Own(bounds.floor), DeweyId({0, 17}));
+  EXPECT_EQ(Own(bounds.ceil), DeweyId({0, 17}));
   DecodedBlock all;
   XKS_ASSERT_OK(ScanBlockReader::DecodeAll(want.data(), want.size(), &all));
   ASSERT_EQ(all.count(), 33u);
@@ -439,8 +517,8 @@ TEST(DiskIndexTest, MalformedScanBlockTrailersAreCorruption) {
     // other restart heads.
     Status status = reader.Reset(bad[i].data(), bad[i].size());
     if (status.ok()) {
-      DeweyView got;
-      status = reader.Ceil(DeweyId({0, 39}).view(), &got).status();
+      ScanBlockReader::Bounds bounds;
+      status = reader.Seek(DeweyId({0, 39}).view(), &bounds);
     }
     EXPECT_TRUE(status.IsCorruption()) << status.ToString();
   }

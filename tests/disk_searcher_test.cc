@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "gen/dblp_generator.h"
 #include "gen/random_tree.h"
 #include "gen/school.h"
 #include "gtest/gtest.h"
@@ -211,6 +212,93 @@ TEST(DiskSearcherSnippetTest, PersistRequiresFileBackedIndex) {
   EXPECT_TRUE(XKSearch::BuildFromDocument(BuildSchoolDocument(), build)
                   .status()
                   .IsInvalidArgument());
+}
+
+// Table 1 counters of disk Indexed Lookup Eager and kAuto queries on a
+// multi-block index, cold (pool dropped) and then warm. The values are
+// those of the two-search block probe that the single floor-and-ceiling
+// search replaced, which descends for the same targets; any change in
+// when a probe descends, or in what it charges, shows up here.
+struct GoldenCounters {
+  std::vector<std::string> keywords;
+  AlgorithmChoice algorithm;
+  SlcaAlgorithm ran;
+  uint64_t results, match_ops, dewey_comparisons, postings_read;
+  uint64_t cold_page_reads, cold_page_hits, warm_page_reads, warm_page_hits;
+};
+
+std::string Describe(const std::vector<std::string>& keywords,
+                     const QueryStats& cold, const QueryStats& warm) {
+  std::string out;
+  for (const std::string& k : keywords) out += k + " ";
+  return out + "cold{" + cold.ToString() + "} warm{" + warm.ToString() + "}";
+}
+
+TEST(DiskProbeCountersTest, IndexedLookupAndAutoCountersArePinned) {
+  DblpOptions gen;
+  gen.papers = 12000;
+  gen.seed = 2405;
+  gen.plants = {{"pten", 10},       {"phundred", 100}, {"pthousand", 1000},
+                {"pbig", 10000},    {"pbigger", 11000}};
+  Result<Document> doc = GenerateDblp(gen);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  XKSearch::BuildOptions build;
+  build.build_disk_index = true;
+  build.disk.in_memory = true;
+  build.disk.pool_shards = 1;
+  Result<std::unique_ptr<XKSearch>> system =
+      XKSearch::BuildFromDocument(std::move(doc).ValueOrDie(), build);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  DiskIndex* disk = (*system)->disk_index();
+  ASSERT_GT(disk->scan_page_count(), 40u);
+
+  using A = AlgorithmChoice;
+  using S = SlcaAlgorithm;
+  const std::vector<GoldenCounters> golden = {
+      // clang-format off
+      {{"pten", "pbig"}, A::kIndexedLookupEager, S::kIndexedLookupEager,
+       10, 20, 20, 30, 10, 12, 0, 22},
+      {{"phundred", "pbig", "pbigger"}, A::kIndexedLookupEager,
+       S::kIndexedLookupEager, 91, 400, 299, 500, 33, 63, 0, 96},
+      {{"pthousand", "pbig", "pbigger"}, A::kIndexedLookupEager,
+       S::kIndexedLookupEager, 763, 4000, 3779, 4999, 35, 79, 0, 114},
+      {{"pthousand", "pbigger"}, A::kAuto, S::kIndexedLookupEager,
+       916, 2000, 3779, 3000, 20, 33, 0, 53},
+      {{"phundred", "pthousand", "pbig"}, A::kAuto, S::kIndexedLookupEager,
+       80, 400, 299, 500, 20, 38, 0, 58},
+      {{"pbig", "pbigger"}, A::kAuto, S::kScanEager,
+       9175, 20000, 151040, 21000, 34, 4, 0, 38},
+      // clang-format on
+  };
+  for (const GoldenCounters& want : golden) {
+    SearchOptions options;
+    options.algorithm = want.algorithm;
+    options.use_disk_index = true;
+    XKS_ASSERT_OK(disk->DropCaches());
+    Result<SearchResult> cold = (*system)->Search(want.keywords, options);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    Result<SearchResult> warm = (*system)->Search(want.keywords, options);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    SCOPED_TRACE(Describe(want.keywords, cold->stats, warm->stats));
+    options.use_disk_index = false;
+    Result<SearchResult> memory = (*system)->Search(want.keywords, options);
+    ASSERT_TRUE(memory.ok());
+    EXPECT_EQ(Strings(cold->nodes), Strings(memory->nodes));
+    EXPECT_EQ(Strings(warm->nodes), Strings(memory->nodes));
+    EXPECT_EQ(cold->algorithm, want.ran);
+    EXPECT_EQ(cold->stats.results, want.results);
+    EXPECT_EQ(cold->stats.match_ops, want.match_ops);
+    EXPECT_EQ(cold->stats.dewey_comparisons, want.dewey_comparisons);
+    EXPECT_EQ(cold->stats.postings_read, want.postings_read);
+    EXPECT_EQ(cold->stats.page_reads, want.cold_page_reads);
+    EXPECT_EQ(cold->stats.page_hits, want.cold_page_hits);
+    // A warm run repeats every counter except where the pages came from.
+    EXPECT_EQ(warm->stats.match_ops, want.match_ops);
+    EXPECT_EQ(warm->stats.dewey_comparisons, want.dewey_comparisons);
+    EXPECT_EQ(warm->stats.postings_read, want.postings_read);
+    EXPECT_EQ(warm->stats.page_reads, want.warm_page_reads);
+    EXPECT_EQ(warm->stats.page_hits, want.warm_page_hits);
+  }
 }
 
 }  // namespace

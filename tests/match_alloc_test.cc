@@ -16,9 +16,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <new>
 #include <optional>
+#include <span>
 #include <utility>
 #include <string>
 #include <tuple>
@@ -86,16 +88,30 @@ enum class Layout { kVector, kPacked, kDisk };
 // Three lists over kGroups subtrees 0.g: S1 holds n/kGroups leaves
 // 0.g.i.1 per group, S2 and S3 one leaf each under 0.g.0. Every S1 node
 // costs one match step per other list; the SLCAs are the kGroups nodes
-// 0.g.0 whatever n is.
-std::vector<std::vector<DeweyId>> MakeLists(size_t s1_size) {
+// 0.g.0 whatever n is. `deep` moves every subtree under a chain of
+// kDeepPad extra components, so every posting and every SLCA is deeper
+// than DeweyId::kInlineCapacity and lives in a heap block.
+constexpr size_t kDeepPad = DeweyId::kInlineCapacity - 2;
+
+std::vector<std::vector<DeweyId>> MakeLists(size_t s1_size, bool deep) {
   std::vector<std::vector<DeweyId>> lists(3);
+  const std::vector<uint32_t> pad(deep ? kDeepPad : 0, 5);
+  auto id = [&pad](std::initializer_list<uint32_t> tail) {
+    std::vector<uint32_t> c = {0};
+    c.insert(c.end(), pad.begin(), pad.end());
+    c.insert(c.end(), tail.begin(), tail.end());
+    return DeweyId(std::span<const uint32_t>(c));
+  };
   const uint32_t per_group = static_cast<uint32_t>(s1_size / kGroups);
   for (uint32_t g = 0; g < kGroups; ++g) {
     for (uint32_t i = 0; i < per_group; ++i) {
-      lists[0].push_back(DeweyId({0, g, i, 1}));
+      lists[0].push_back(id({g, i, 1}));
     }
-    lists[1].push_back(DeweyId({0, g, 0, 2}));
-    lists[2].push_back(DeweyId({0, g, 0, 3}));
+    lists[1].push_back(id({g, 0, 2}));
+    lists[2].push_back(id({g, 0, 3}));
+  }
+  if (deep) {
+    EXPECT_GT(lists[0][0].depth(), DeweyId::kInlineCapacity);
   }
   return lists;
 }
@@ -106,17 +122,19 @@ struct RunResult {
   uint64_t results = 0;
 };
 
-class MatchAllocationTest
-    : public ::testing::TestWithParam<std::tuple<SlcaAlgorithm, Layout, bool>> {
+using MatchCase = std::tuple<SlcaAlgorithm, Layout, bool, bool>;
+
+class MatchAllocationTest : public ::testing::TestWithParam<MatchCase> {
  protected:
   SlcaAlgorithm algorithm() const { return std::get<0>(GetParam()); }
   Layout layout() const { return std::get<1>(GetParam()); }
   bool chunked() const { return std::get<2>(GetParam()); }
+  bool deep() const { return std::get<3>(GetParam()); }
 
   // Builds the lists outside the counted region, then counts the
   // allocations of one ComputeSlca (or chunked ComputeSlcaParallel) call.
   RunResult Run(size_t s1_size, serve::ThreadPool* pool) {
-    const std::vector<std::vector<DeweyId>> ids = MakeLists(s1_size);
+    const std::vector<std::vector<DeweyId>> ids = MakeLists(s1_size, deep());
     std::vector<PackedDeweyList> packed(ids.size());
     std::unique_ptr<DiskIndex> disk;
     if (layout() == Layout::kDisk) {
@@ -199,9 +217,7 @@ TEST_P(MatchAllocationTest, AllocationsDoNotGrowWithMatchOps) {
       << " for " << large.match_ops;
 }
 
-std::string CaseName(
-    const ::testing::TestParamInfo<std::tuple<SlcaAlgorithm, Layout, bool>>&
-        info) {
+std::string CaseName(const ::testing::TestParamInfo<MatchCase>& info) {
   std::string name = ToString(std::get<0>(info.param));
   switch (std::get<1>(info.param)) {
     case Layout::kVector:
@@ -215,6 +231,7 @@ std::string CaseName(
       break;
   }
   name += std::get<2>(info.param) ? "Chunked" : "Sequential";
+  if (std::get<3>(info.param)) name += "Deep";
   return name;
 }
 
@@ -223,17 +240,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(SlcaAlgorithm::kIndexedLookupEager,
                                          SlcaAlgorithm::kScanEager),
                        ::testing::Values(Layout::kVector, Layout::kPacked),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(false)),
     CaseName);
 
 // Sequential only on disk: chunk planning reads one key per scan block
-// of S1 (ScanBlockRefs), which grows with the list, as it should.
+// of S1 (ScanBlockRefs), which grows with the list, as it should. The
+// deep cases hold every probe target and answer in heap blocks, so any
+// probe state that copied one per step would show here.
 INSTANTIATE_TEST_SUITE_P(
     WarmDiskIndex, MatchAllocationTest,
     ::testing::Combine(::testing::Values(SlcaAlgorithm::kIndexedLookupEager,
                                          SlcaAlgorithm::kScanEager),
                        ::testing::Values(Layout::kDisk),
-                       ::testing::Values(false)),
+                       ::testing::Values(false), ::testing::Bool()),
     CaseName);
 
 // One <g> subtree per group: `alpha_size / kGroups` <s>alpha</s> leaves

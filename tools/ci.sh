@@ -46,13 +46,14 @@ if [ "$run_slow" -eq 1 ]; then
   echo "==> [parallel-slca] chunked intra-query stage (release build)"
   ctest --test-dir build/release -R 'ParallelSlca' --output-on-failure
   # The match path: the lm/rm steps of Indexed Lookup and Scan Eager
-  # (vector, packed and chunked), the disk index's block probe and its
+  # (vector, packed and chunked), the disk index's block probe, its pinned
+  # Table 1 and page counters, and its
   # restart-indexed block format, the level-table codec and its bit I/O
   # (including the on-disk key bytes), the match-loop and result-cache-hit
   # allocation tests, and the inline/heap storage of DeweyId itself.
   echo "==> [match-path] SLCA match step and key codec stage (release build)"
   ctest --test-dir build/release \
-    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DiskIndexTest|DiskIndexProbeTest|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest|DeweyIdTest|ResultCacheAllocationTest)' \
+    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DiskIndexTest|DiskIndexProbeTest|DiskProbeCountersTest|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest|DeweyIdTest|ResultCacheAllocationTest)' \
     --output-on-failure
   # Concurrent serving: single-flight coalescing and the result cache
   # (round trips, budget and sketch charge, TinyLFU admission and
