@@ -61,9 +61,10 @@ struct RunResult {
 
 RunResult RunOnce(const XKSearch& system,
                   const std::vector<std::string>& query,
-                  const SearchOptions& options, const Config& config) {
+                  const SearchOptions& options,
+                  const ParallelExecOptions& exec, const Config& config) {
   for (size_t i = 0; i < config.warmup_rounds; ++i) {
-    const Result<SearchResult> r = system.Search(query, options);
+    const Result<SearchResult> r = system.Search(query, options, exec);
     if (!r.ok()) {
       std::fprintf(stderr, "warmup: %s\n", r.status().ToString().c_str());
       std::exit(1);
@@ -75,7 +76,7 @@ RunResult RunOnce(const XKSearch& system,
       std::chrono::milliseconds(config.duration_ms);
   Clock::time_point now;
   do {
-    const Result<SearchResult> r = system.Search(query, options);
+    const Result<SearchResult> r = system.Search(query, options, exec);
     if (!r.ok()) {
       std::fprintf(stderr, "query: %s\n", r.status().ToString().c_str());
       std::exit(1);
@@ -192,17 +193,18 @@ int Main(int argc, char** argv) {
         options.use_disk_index = disk;
         std::unique_ptr<serve::ThreadPool> pool;
         std::unique_ptr<ConcurrencyBudget> budget;
+        ParallelExecOptions exec;
         if (threads > 1) {
           serve::ThreadPool::Options pool_options;
           pool_options.workers = threads - 1;
           pool = std::make_unique<serve::ThreadPool>(pool_options);
           budget = std::make_unique<ConcurrencyBudget>(threads - 1);
-          options.slca_exec.pool = pool.get();
-          options.slca_exec.budget = budget.get();
-          options.slca_exec.max_chunks = threads;
-          options.slca_exec.min_chunk_elements = config.min_chunk_elements;
+          exec.pool = pool.get();
+          exec.budget = budget.get();
+          exec.max_chunks = threads;
+          exec.min_chunk_elements = config.min_chunk_elements;
         }
-        const RunResult r = RunOnce(**built, query, options, config);
+        const RunResult r = RunOnce(**built, query, options, exec, config);
         if (base_ms == 0) base_ms = r.avg_ms;
         const double speedup = r.avg_ms > 0 ? base_ms / r.avg_ms : 0;
         // Chunk tasks that actually ran on the pool. Zero at threads>1

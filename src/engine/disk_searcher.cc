@@ -38,12 +38,13 @@ Result<std::string> DiskSearcher::Snippet(const DeweyId& id,
 
 Result<SearchResult> DiskSearcher::Search(
     const std::vector<std::string>& keywords,
-    const SearchOptions& options) const {
+    const SearchOptions& options, const ParallelExecOptions& exec) const {
   std::vector<DeweyId> nodes;
   XKS_ASSIGN_OR_RETURN(
       SearchResult result,
-      SearchStreaming(keywords, options,
-                      [&](const DeweyId& id) { nodes.push_back(id); }));
+      SearchStreaming(
+          keywords, options,
+          [&](const DeweyId& id) { nodes.push_back(id); }, exec));
   if (options.semantics != Semantics::kSlca) {
     std::sort(nodes.begin(), nodes.end());
   }
@@ -53,7 +54,7 @@ Result<SearchResult> DiskSearcher::Search(
 
 Result<SearchResult> DiskSearcher::SearchStreaming(
     const std::vector<std::string>& keywords, const SearchOptions& options,
-    const ResultCallback& emit) const {
+    const ResultCallback& emit, const ParallelExecOptions& exec) const {
   SearchResult result;
   // No locking: the sharded buffer pools are thread-safe, and every
   // page access below is charged to this query's own stats object.
@@ -73,7 +74,7 @@ Result<SearchResult> DiskSearcher::SearchStreaming(
     switch (options.semantics) {
       case Semantics::kSlca:
         status = ComputeSlcaParallel(result.algorithm, lists, slca_options,
-                                     options.slca_exec, &result.stats, emit);
+                                     exec, &result.stats, emit);
         break;
       case Semantics::kElca:
         status = ElcaStack(lists, slca_options, &result.stats, emit);

@@ -47,12 +47,13 @@ class DiskSearcher {
   /// parallel: the underlying buffer pools are sharded and thread-safe,
   /// and each query tallies disk accesses into its own result stats.
   Result<SearchResult> Search(const std::vector<std::string>& keywords,
-                              const SearchOptions& options = {}) const;
+                              const SearchOptions& options = {},
+                              const ParallelExecOptions& exec = {}) const;
 
   /// Streaming variant.
   Result<SearchResult> SearchStreaming(
       const std::vector<std::string>& keywords, const SearchOptions& options,
-      const ResultCallback& emit) const;
+      const ResultCallback& emit, const ParallelExecOptions& exec = {}) const;
 
   uint64_t Frequency(std::string_view keyword) const;
 

@@ -13,9 +13,6 @@ struct Term {
   std::string keyword;
   uint64_t frequency;
   std::unique_ptr<KeywordList> list;
-  /// Vector-layout escape hatch only: the decoded postings the adapter
-  /// points into.
-  std::unique_ptr<std::vector<DeweyId>> owned;
 };
 
 Result<std::vector<std::string>> Normalize(
@@ -50,9 +47,6 @@ PreparedQuery Assemble(std::vector<Term> terms) {
     if (term.frequency == 0) query.missing = true;
     query.keywords.push_back(std::move(term.keyword));
     query.lists.push_back(std::move(term.list));
-    if (term.owned != nullptr) {
-      query.materialized.push_back(std::move(term.owned));
-    }
   }
   query.pointers.reserve(query.lists.size());
   for (const auto& list : query.lists) query.pointers.push_back(list.get());
@@ -64,8 +58,7 @@ PreparedQuery Assemble(std::vector<Term> terms) {
 Result<PreparedQuery> PrepareQuery(const InvertedIndex& index,
                                    const std::vector<std::string>& keywords,
                                    const TokenizerOptions& tokenizer,
-                                   QueryStats* stats,
-                                   bool use_packed_lists) {
+                                   QueryStats* stats) {
   XKS_ASSIGN_OR_RETURN(std::vector<std::string> normalized,
                        Normalize(keywords, tokenizer));
   std::vector<Term> terms;
@@ -73,16 +66,10 @@ Result<PreparedQuery> PrepareQuery(const InvertedIndex& index,
     const PackedDeweyList* list = index.Find(kw);
     Term term;
     term.frequency = list == nullptr ? 0 : list->size();
-    if (list == nullptr) {
-      term.list = std::unique_ptr<KeywordList>(new EmptyKeywordList());
-    } else if (use_packed_lists) {
-      term.list =
-          std::unique_ptr<KeywordList>(new PackedKeywordList(list, stats));
-    } else {
-      term.owned = std::make_unique<std::vector<DeweyId>>(list->Materialize());
-      term.list = std::unique_ptr<KeywordList>(
-          new VectorKeywordList(term.owned.get(), stats));
-    }
+    term.list = list == nullptr
+                    ? std::unique_ptr<KeywordList>(new EmptyKeywordList())
+                    : std::unique_ptr<KeywordList>(
+                          new PackedKeywordList(list, stats));
     term.keyword = std::move(kw);
     terms.push_back(std::move(term));
   }

@@ -28,12 +28,6 @@ struct PreparedQuery {
   /// Matching list adapters, same order. Missing keywords get an
   /// EmptyKeywordList so the algorithms still see k lists.
   std::vector<std::unique_ptr<KeywordList>> lists;
-  /// Backing storage for the vector-layout escape hatch: the packed
-  /// index postings decoded into owning vectors the VectorKeywordList
-  /// adapters point into. Empty on the default packed path. unique_ptr
-  /// elements keep the vectors' addresses stable while this struct is
-  /// built and moved.
-  std::vector<std::unique_ptr<std::vector<DeweyId>>> materialized;
   /// Frequency extremes, for algorithm auto-selection.
   uint64_t min_frequency = 0;
   uint64_t max_frequency = 0;
@@ -47,17 +41,13 @@ struct PreparedQuery {
   const std::vector<KeywordList*>& list_pointers() const { return pointers; }
 };
 
-/// Prepares a query against the in-memory inverted index. `stats` is
-/// captured by the list adapters and must outlive the execution. With
-/// `use_packed_lists` (the default) the adapters probe the index's
-/// packed posting arenas directly; otherwise each list is materialized
-/// into a per-query `std::vector<DeweyId>` and served by the classic
-/// VectorKeywordList — the differential-testing escape hatch.
+/// Prepares a query against the in-memory inverted index: the list
+/// adapters probe the index's packed posting arenas directly. `stats` is
+/// captured by the adapters and must outlive the execution.
 Result<PreparedQuery> PrepareQuery(const InvertedIndex& index,
                                    const std::vector<std::string>& keywords,
                                    const TokenizerOptions& tokenizer,
-                                   QueryStats* stats,
-                                   bool use_packed_lists = true);
+                                   QueryStats* stats);
 
 /// Prepares a query against a disk index (its dictionary doubles as the
 /// frequency table).

@@ -8,7 +8,6 @@
 
 #include "common/stats.h"
 #include "dewey/dewey_id.h"
-#include "slca/parallel.h"
 #include "slca/slca.h"
 
 namespace xksearch {
@@ -35,7 +34,9 @@ enum class Semantics {
   kAllLca,
 };
 
-/// \brief Per-query options (shared by XKSearch and DiskSearcher).
+/// \brief Per-query options (shared by XKSearch and DiskSearcher): what
+/// the query asks, not where it runs. Chunked execution
+/// (ParallelExecOptions) is a separate argument of the Search calls.
 struct SearchOptions {
   AlgorithmChoice algorithm = AlgorithmChoice::kAuto;
   /// Answer semantics; kElca and kAllLca ignore `algorithm` (kElca is
@@ -44,39 +45,17 @@ struct SearchOptions {
   /// Evaluate against the disk index (if built) instead of the in-memory
   /// lists; "disk accesses" then appear in the returned stats.
   bool use_disk_index = false;
-  /// In-memory layout escape hatch: by default lm/rm probe the packed
-  /// (prefix-truncated, skip-table) posting lists with gallop hints;
-  /// false materializes plain `std::vector<DeweyId>` lists per query and
-  /// runs the classic binary searches over them. Result sets and
-  /// match-operation counts are identical — the knob exists for
-  /// differential testing and layout benchmarks. Ignored on the disk
-  /// path.
-  bool use_packed_lists = true;
   /// Buffer size B for eager delivery (see SlcaOptions::block_size).
   size_t block_size = 1;
   /// kAuto picks Indexed Lookup when max frequency / min frequency is at
   /// least this ratio. The crossover in the paper's Figures 8-13 sits
   /// near equal frequencies, so a small ratio favors IL correctly.
   double auto_ratio_threshold = 8.0;
-  /// Intra-query chunked execution for the eager SLCA algorithms. Pure
-  /// execution config: chunked and sequential runs return the same result
-  /// set and Table-1 counters, so this field is deliberately excluded
-  /// from equality and from the result cache's key — cached results
-  /// remain valid across executor configurations (same reasoning as the
-  /// serving layer's shard_exec).
-  ParallelExecOptions slca_exec;
 
-  /// Memberwise equality over the *semantic* fields: the ones the serving
-  /// layer's result-cache key (serve::QueryCacheKey) encodes, and any new
-  /// semantic field must go into both. slca_exec is intentionally not
-  /// compared.
-  friend bool operator==(const SearchOptions& a, const SearchOptions& b) {
-    return a.algorithm == b.algorithm && a.semantics == b.semantics &&
-           a.use_disk_index == b.use_disk_index &&
-           a.use_packed_lists == b.use_packed_lists &&
-           a.block_size == b.block_size &&
-           a.auto_ratio_threshold == b.auto_ratio_threshold;
-  }
+  /// Every field is part of the query's identity: the serving layer's
+  /// result-cache key (serve::QueryCacheKey) encodes each of them.
+  friend bool operator==(const SearchOptions&,
+                         const SearchOptions&) = default;
 };
 
 /// \brief Result of one keyword search.

@@ -62,13 +62,14 @@ uint64_t XKSearch::Frequency(std::string_view keyword) const {
 }
 
 Result<SearchResult> XKSearch::Search(const std::vector<std::string>& keywords,
-                                      const SearchOptions& options) const {
+                                      const SearchOptions& options,
+                                      const ParallelExecOptions& exec) const {
   std::vector<DeweyId> nodes;
-  SearchOptions opts = options;
   XKS_ASSIGN_OR_RETURN(
       SearchResult result,
-      SearchStreaming(keywords, opts,
-                      [&](const DeweyId& id) { nodes.push_back(id); }));
+      SearchStreaming(
+          keywords, options,
+          [&](const DeweyId& id) { nodes.push_back(id); }, exec));
   if (options.semantics != Semantics::kSlca) {
     // ELCA and All-LCA emission is not in document order; normalize.
     std::sort(nodes.begin(), nodes.end());
@@ -79,7 +80,7 @@ Result<SearchResult> XKSearch::Search(const std::vector<std::string>& keywords,
 
 Result<SearchResult> XKSearch::SearchStreaming(
     const std::vector<std::string>& keywords, const SearchOptions& options,
-    const ResultCallback& emit) const {
+    const ResultCallback& emit, const ParallelExecOptions& exec) const {
   if (options.use_disk_index && disk_ == nullptr) {
     return Status::InvalidArgument(
         "disk index not built; pass build_disk_index at build time");
@@ -99,8 +100,7 @@ Result<SearchResult> XKSearch::SearchStreaming(
     XKS_ASSIGN_OR_RETURN(prepared,
                          PrepareQuery(index_, keywords,
                                       index_options_.tokenizer,
-                                      &result.stats,
-                                      options.use_packed_lists));
+                                      &result.stats));
   }
 
   result.keywords = prepared.keywords;
@@ -115,7 +115,7 @@ Result<SearchResult> XKSearch::SearchStreaming(
     switch (options.semantics) {
       case Semantics::kSlca:
         status = ComputeSlcaParallel(result.algorithm, lists, slca_options,
-                                     options.slca_exec, &result.stats, emit);
+                                     exec, &result.stats, emit);
         break;
       case Semantics::kElca:
         status = ElcaStack(lists, slca_options, &result.stats, emit);

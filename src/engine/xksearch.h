@@ -14,6 +14,7 @@
 #include "slca/elca.h"
 #include "slca/keyword_list.h"
 #include "engine/search_types.h"
+#include "slca/parallel.h"
 #include "slca/slca.h"
 #include "storage/disk_index.h"
 #include "xml/document.h"
@@ -74,15 +75,18 @@ class XKSearch {
   XKSearch& operator=(const XKSearch&) = delete;
 
   /// Runs a keyword search. Keywords are normalized like document tokens;
-  /// a keyword absent from the document yields an empty result.
+  /// a keyword absent from the document yields an empty result. `exec`
+  /// splits eager SLCA queries into chunks on its pool; it changes no
+  /// answer and no `match_ops` or `results` count.
   Result<SearchResult> Search(const std::vector<std::string>& keywords,
-                              const SearchOptions& options = {}) const;
+                              const SearchOptions& options = {},
+                              const ParallelExecOptions& exec = {}) const;
 
   /// Streaming variant: results are delivered through `emit` as soon as
   /// they are confirmed (pipelined, per the paper's eager algorithms).
   Result<SearchResult> SearchStreaming(
       const std::vector<std::string>& keywords, const SearchOptions& options,
-      const ResultCallback& emit) const;
+      const ResultCallback& emit, const ParallelExecOptions& exec = {}) const;
 
   /// Keyword frequency (0 when absent) from the frequency table.
   uint64_t Frequency(std::string_view keyword) const;

@@ -635,13 +635,14 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     // fuzz-sized lists still split.
     auto check_chunked = [&](const std::string& label,
                              const Result<SearchResult>& sequential,
-                             SearchOptions cso, size_t chunks) {
+                             const SearchOptions& so, size_t chunks) {
       if (!sequential.ok() || chunk_pool == nullptr) return;
-      cso.slca_exec.pool = chunk_pool.get();
-      cso.slca_exec.budget = chunk_budget.get();
-      cso.slca_exec.max_chunks = chunks;
-      cso.slca_exec.min_chunk_elements = 1;
-      Result<SearchResult> got = engine.Search(keywords, cso);
+      ParallelExecOptions exec;
+      exec.pool = chunk_pool.get();
+      exec.budget = chunk_budget.get();
+      exec.max_chunks = chunks;
+      exec.min_chunk_elements = 1;
+      Result<SearchResult> got = engine.Search(keywords, so, exec);
       ++report.cases;
       if (!got.ok()) {
         ctx.Diverge(label + " failed: " + got.status().ToString());
@@ -706,13 +707,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
                    *oracle_slca);
     }
 
-    // In-memory paths: all three algorithms, each through both posting
-    // layouts. The packed (prefix-truncated arena) run and the
-    // materialized-vector run share the exact same options, so beyond
-    // both matching the oracle, their match-operation counts — the
-    // algorithm-level lm/rm calls of the paper's Table 1 — must be
-    // identical: the layout may only change how a match is answered,
-    // never how many are asked.
+    // In-memory paths: all three algorithms, sequential and chunked
+    // (the Stack algorithm has no chunk decomposition —
+    // ComputeSlcaParallel falls through to the sequential path, so
+    // re-running it would check nothing).
     for (AlgorithmChoice algorithm : kAlgorithms) {
       SearchOptions so;
       so.algorithm = algorithm;
@@ -720,33 +718,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       const std::string label = AlgorithmLabel(algorithm, false);
       Result<SearchResult> packed = engine.Search(keywords, so);
       ctx.Check(label.c_str(), packed, *oracle_slca);
-      so.use_packed_lists = false;
-      const std::string vec_label = label + "/vector";
-      Result<SearchResult> vec = engine.Search(keywords, so);
-      ctx.Check(vec_label.c_str(), vec, *oracle_slca);
-      if (packed.ok() && vec.ok()) {
-        ++report.cases;
-        const uint64_t packed_ops = packed->stats.match_ops.load();
-        const uint64_t vec_ops = vec->stats.match_ops.load();
-        if (packed_ops != vec_ops) {
-          ctx.Diverge(label + " match_ops=" + std::to_string(packed_ops) +
-                      " but " + vec_label +
-                      " match_ops=" + std::to_string(vec_ops));
-        }
-      }
-      // Chunked parity over both layouts (the Stack algorithm has no
-      // chunk decomposition — ComputeSlcaParallel falls through to the
-      // sequential path, so re-running it would check nothing).
       if (algorithm != AlgorithmChoice::kStack) {
         for (const size_t chunks : options.chunk_counts) {
-          SearchOptions cso;
-          cso.algorithm = algorithm;
-          cso.block_size = so.block_size;
           check_chunked(label + "/chunks=" + std::to_string(chunks), packed,
-                        cso, chunks);
-          cso.use_packed_lists = false;
-          check_chunked(vec_label + "/chunks=" + std::to_string(chunks), vec,
-                        cso, chunks);
+                        so, chunks);
         }
       }
     }
@@ -940,6 +915,12 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     if (!options.with_disk) continue;
 
     // Disk paths (fault-free): same checks through pools + B+trees.
+    // Beyond matching the oracle, a disk run and a packed in-memory run
+    // with the same options must agree on the answer and on the
+    // algorithm-level counters — `match_ops` (the lm/rm calls of the
+    // paper's Table 1) and `results`: the layout may only change how a
+    // match is answered, never how many are asked. Comparison and
+    // posting counts depend on the layout and are not compared.
     for (AlgorithmChoice algorithm : kAlgorithms) {
       SearchOptions so;
       so.algorithm = algorithm;
@@ -947,6 +928,26 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       so.block_size = static_cast<size_t>(rng.UniformInt(1, 4));
       Result<SearchResult> seq = engine.Search(keywords, so);
       ctx.Check(AlgorithmLabel(algorithm, true), seq, *oracle_slca);
+      SearchOptions mem = so;
+      mem.use_disk_index = false;
+      const Result<SearchResult> packed = engine.Search(keywords, mem);
+      if (seq.ok() && packed.ok()) {
+        ++report.cases;
+        const uint64_t disk_ops = seq->stats.match_ops.load();
+        const uint64_t packed_ops = packed->stats.match_ops.load();
+        const uint64_t disk_results = seq->stats.results.load();
+        const uint64_t packed_results = packed->stats.results.load();
+        if (seq->nodes != packed->nodes || disk_ops != packed_ops ||
+            disk_results != packed_results) {
+          ctx.Diverge(std::string(AlgorithmLabel(algorithm, true)) +
+                      " vs packed: nodes " + IdsToString(seq->nodes) +
+                      " vs " + IdsToString(packed->nodes) + ", match_ops " +
+                      std::to_string(disk_ops) + " vs " +
+                      std::to_string(packed_ops) + ", results " +
+                      std::to_string(disk_results) + " vs " +
+                      std::to_string(packed_results));
+        }
+      }
       if (algorithm != AlgorithmChoice::kStack) {
         for (const size_t chunks : options.chunk_counts) {
           check_chunked(std::string(AlgorithmLabel(algorithm, true)) +
@@ -1027,15 +1028,15 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
                                     options.faults_per_round);
         w->Arm();
       }
-      SearchOptions cso = so;
-      cso.slca_exec.pool = chunk_pool.get();
-      cso.slca_exec.budget = chunk_budget.get();
-      cso.slca_exec.max_chunks = fault_chunks;
-      cso.slca_exec.min_chunk_elements = 1;
+      ParallelExecOptions exec;
+      exec.pool = chunk_pool.get();
+      exec.budget = chunk_budget.get();
+      exec.max_chunks = fault_chunks;
+      exec.min_chunk_elements = 1;
       const std::string fault_label =
           std::string(AlgorithmLabel(algorithm, true)) + "/chunks=" +
           std::to_string(fault_chunks) + " under faults";
-      Result<SearchResult> chunked = engine.Search(keywords, cso);
+      Result<SearchResult> chunked = engine.Search(keywords, so, exec);
       ++report.cases;
       if (chunked.ok()) {
         ++report.fault_survivals;
@@ -1061,7 +1062,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         ctx.Diverge(fault_label + " leaked pins: " +
                     std::to_string(chunk_pins));
       }
-      ctx.Check("disk/chunked-recovery", engine.Search(keywords, cso),
+      ctx.Check("disk/chunked-recovery", engine.Search(keywords, so, exec),
                 *oracle_slca);
     }
   }

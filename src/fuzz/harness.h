@@ -65,7 +65,7 @@ struct FuzzOptions {
   /// touches the filesystem).
   size_t crash_rounds = 0;
   /// Chunk counts for the intra-query parallel SLCA check: each eager
-  /// query (both layouts + disk) is re-run chunked at every count on a
+  /// query (in memory and on disk) is re-run chunked at every count on a
   /// shared pool with min_chunk_elements forced to 1, and must reproduce
   /// the sequential run's exact result sequence plus its match_ops and
   /// results counters. With with_faults, chunked fault rounds assert the

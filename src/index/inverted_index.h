@@ -59,8 +59,8 @@ class InvertedIndex {
   const PackedDeweyList* Find(std::string_view keyword) const;
 
   /// The keyword list decoded into owning ids (empty for unknown
-  /// keywords). For oracles, tests and the vector-layout escape hatch;
-  /// the query hot path probes the packed list directly.
+  /// keywords). For oracles and tests; the query path probes the packed
+  /// list directly.
   std::vector<DeweyId> Materialize(std::string_view keyword) const;
 
   /// List size, i.e. the keyword frequency; 0 for unknown keywords.

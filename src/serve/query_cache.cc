@@ -76,7 +76,6 @@ void EncodeKey(const std::vector<std::string>& keywords,
   sink->Varint(static_cast<uint64_t>(options.algorithm));
   sink->Varint(static_cast<uint64_t>(options.semantics));
   sink->Varint(options.use_disk_index ? 1 : 0);
-  sink->Varint(options.use_packed_lists ? 1 : 0);
   sink->Varint(options.block_size);
   sink->Varint(std::bit_cast<uint64_t>(options.auto_ratio_threshold));
   for (const std::string& word : keywords) {
@@ -86,7 +85,7 @@ void EncodeKey(const std::vector<std::string>& keywords,
 }
 
 /// Number of SearchOptions varints EncodeKey writes before the keywords.
-constexpr int kKeyOptionFields = 6;
+constexpr int kKeyOptionFields = 5;
 
 /// The result part of an entry. Nodes come last: their count, the
 /// positions of empty ids (DecodeBlock rejects an entry that is

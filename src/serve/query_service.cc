@@ -54,6 +54,15 @@ QueryService::QueryService(const XKSearch* engine, const DiskSearcher* searcher,
                               ? options.slca_chunk.max_extra_workers
                               : options.slca_chunk.workers;
     chunk_budget_ = std::make_unique<ConcurrencyBudget>(tokens);
+    // The shared budget caps the extra workers across every concurrent
+    // query and (for a sharded collection) across the shard x chunk
+    // fan-out.
+    chunk_exec_.pool = chunk_pool_.get();
+    chunk_exec_.budget = chunk_budget_.get();
+    chunk_exec_.max_chunks = options.slca_chunk.max_chunks > 0
+                                 ? options.slca_chunk.max_chunks
+                                 : options.slca_chunk.workers + 1;
+    chunk_exec_.min_chunk_elements = options.slca_chunk.min_chunk_elements;
   }
 }
 
@@ -88,27 +97,14 @@ void QueryService::Shutdown() {
 Result<SearchResult> QueryService::RunQuery(
     const std::vector<std::string>& keywords,
     const SearchOptions& options) const {
-  SearchOptions exec_options = options;
-  if (chunk_pool_ != nullptr) {
-    // Inject the service's chunk executor; the shared budget caps the
-    // extra workers across every concurrent query and (for a sharded
-    // collection) across the shard x chunk fan-out.
-    exec_options.slca_exec.pool = chunk_pool_.get();
-    exec_options.slca_exec.budget = chunk_budget_.get();
-    exec_options.slca_exec.max_chunks =
-        options_.slca_chunk.max_chunks > 0 ? options_.slca_chunk.max_chunks
-                                           : options_.slca_chunk.workers + 1;
-    exec_options.slca_exec.min_chunk_elements =
-        options_.slca_chunk.min_chunk_elements;
-  }
   if (collection_ != nullptr) {
     Result<shard::ShardedResult> sharded =
-        shard_exec_->Search(keywords, exec_options);
+        shard_exec_->Search(keywords, options, chunk_exec_);
     if (!sharded.ok()) return sharded.status();
     return std::move(sharded->result);
   }
-  return engine_ != nullptr ? engine_->Search(keywords, exec_options)
-                            : searcher_->Search(keywords, exec_options);
+  return engine_ != nullptr ? engine_->Search(keywords, options, chunk_exec_)
+                            : searcher_->Search(keywords, options, chunk_exec_);
 }
 
 QueryCacheKey QueryService::MakeCacheKey(

@@ -231,6 +231,8 @@ class QueryService {
   // nothing can touch the chunk pool or its budget.
   std::unique_ptr<ThreadPool> chunk_pool_;
   std::unique_ptr<ConcurrencyBudget> chunk_budget_;
+  /// Points into the two above; sequential when slca_chunk.workers is 0.
+  ParallelExecOptions chunk_exec_;
   // Destroyed (joined) before everything above it, so in-flight tasks
   // never see partially-destroyed cache/metrics.
   ThreadPool pool_;

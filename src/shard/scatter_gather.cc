@@ -29,8 +29,8 @@ ScatterGatherExecutor::ScatterGatherExecutor(
 }
 
 Result<ShardedResult> ScatterGatherExecutor::Search(
-    const std::vector<std::string>& keywords,
-    const SearchOptions& options) const {
+    const std::vector<std::string>& keywords, const SearchOptions& options,
+    const ParallelExecOptions& exec) const {
   Result<ShardedCollection::Plan> plan = collection_->PlanQuery(keywords);
   if (!plan.ok()) return plan.status();
 
@@ -45,9 +45,10 @@ Result<ShardedResult> ScatterGatherExecutor::Search(
     size_t pending = n - 1;
     for (size_t i = 1; i < n; ++i) {
       const uint32_t s = plan->candidates[i];
-      auto task = [this, &keywords, &options, &outcomes, &mu, &done_cv,
-                   &pending, i, s]() {
-        Result<SearchResult> r = collection_->SearchShard(s, keywords, options);
+      auto task = [this, &keywords, &options, &exec, &outcomes, &mu,
+                   &done_cv, &pending, i, s]() {
+        Result<SearchResult> r =
+            collection_->SearchShard(s, keywords, options, exec);
         // Notify while holding the lock: the waiter owns the latch's
         // storage and destroys it as soon as it observes pending == 0,
         // so an unlocked notify could race the condvar's destruction.
@@ -60,12 +61,12 @@ Result<ShardedResult> ScatterGatherExecutor::Search(
       }
     }
     outcomes[0] =
-        collection_->SearchShard(plan->candidates[0], keywords, options);
+        collection_->SearchShard(plan->candidates[0], keywords, options, exec);
     std::unique_lock<std::mutex> lock(mu);
     done_cv.wait(lock, [&pending] { return pending == 0; });
   } else if (n == 1) {
     outcomes[0] =
-        collection_->SearchShard(plan->candidates[0], keywords, options);
+        collection_->SearchShard(plan->candidates[0], keywords, options, exec);
   }
   return collection_->Gather(plan.MoveValueUnsafe(), std::move(outcomes));
 }

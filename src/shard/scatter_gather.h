@@ -49,7 +49,8 @@ class ScatterGatherExecutor {
 
   /// Parallel equivalent of ShardedCollection::Search.
   Result<ShardedResult> Search(const std::vector<std::string>& keywords,
-                               const SearchOptions& options = {}) const;
+                               const SearchOptions& options = {},
+                               const ParallelExecOptions& exec = {}) const;
 
   size_t workers() const { return pool_->workers(); }
 

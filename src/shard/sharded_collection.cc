@@ -218,13 +218,13 @@ Result<ShardedCollection::Plan> ShardedCollection::PlanQuery(
 
 Result<SearchResult> ShardedCollection::SearchShard(
     uint32_t shard, const std::vector<std::string>& keywords,
-    const SearchOptions& options) const {
+    const SearchOptions& options, const ParallelExecOptions& exec) const {
   const XKSearch* engine = shards_[shard].engine.get();
   if (engine == nullptr) {
     return Status::Internal("shard " + std::to_string(shard) +
                             " has no engine (empty shard queried)");
   }
-  Result<SearchResult> result = engine->Search(keywords, options);
+  Result<SearchResult> result = engine->Search(keywords, options, exec);
   if (!result.ok()) return result.status();
   SearchResult rebased = result.MoveValueUnsafe();
   // Re-base shard-local answers [0, pos, rest...] to collection
@@ -307,14 +307,14 @@ Result<ShardedResult> ShardedCollection::Gather(
 }
 
 Result<ShardedResult> ShardedCollection::Search(
-    const std::vector<std::string>& keywords,
-    const SearchOptions& options) const {
+    const std::vector<std::string>& keywords, const SearchOptions& options,
+    const ParallelExecOptions& exec) const {
   Result<Plan> plan = PlanQuery(keywords);
   if (!plan.ok()) return plan.status();
   std::vector<Result<SearchResult>> outcomes;
   outcomes.reserve(plan->candidates.size());
   for (const uint32_t s : plan->candidates) {
-    outcomes.push_back(SearchShard(s, keywords, options));
+    outcomes.push_back(SearchShard(s, keywords, options, exec));
   }
   return Gather(plan.MoveValueUnsafe(), std::move(outcomes));
 }

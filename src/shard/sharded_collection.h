@@ -151,7 +151,8 @@ class ShardedCollection {
   /// coordinates. `shard` must be a candidate (have an engine).
   Result<SearchResult> SearchShard(uint32_t shard,
                                    const std::vector<std::string>& keywords,
-                                   const SearchOptions& options) const;
+                                   const SearchOptions& options,
+                                   const ParallelExecOptions& exec = {}) const;
 
   /// Gathers per-candidate outcomes (same order as plan.candidates) into
   /// the merged response: any shard error fails the whole query (the
@@ -165,7 +166,8 @@ class ShardedCollection {
   /// candidate in turn, Gather. The ScatterGatherExecutor is the
   /// pool-parallel equivalent with identical results.
   Result<ShardedResult> Search(const std::vector<std::string>& keywords,
-                               const SearchOptions& options = {}) const;
+                               const SearchOptions& options = {},
+                               const ParallelExecOptions& exec = {}) const;
 
   /// Maps a collection Dewey number back to (document name, local id).
   struct Resolved {

@@ -193,7 +193,9 @@ class KeywordList {
 };
 
 /// \brief In-memory list over a sorted vector; lm/rm are binary searches
-/// costing O(d log |S|) Dewey component comparisons, as in Table 1.
+/// costing O(d log |S|) Dewey component comparisons, as in Table 1. The
+/// engine does not use it: it is the fixture of the algorithm tests and
+/// the match-step micro benchmarks.
 class VectorKeywordList : public KeywordList {
  public:
   /// `ids` must stay alive and sorted for the lifetime of this object.

@@ -54,10 +54,8 @@ class ConcurrencyBudget {
 
 /// \brief Intra-query execution knobs for the chunked eager algorithms.
 ///
-/// Deliberately kept OUT of SearchOptions equality/hashing (like the
-/// serving layer's shard_exec): chunked and sequential execution produce
-/// the same result set, so cached results stay valid across executor
-/// configurations.
+/// The engines' Search calls take it beside SearchOptions: chunked and
+/// sequential execution produce the same result set.
 struct ParallelExecOptions {
   /// Pool the extra chunk workers run on; nullptr = sequential. The
   /// coordinating thread always executes at least its own chunk, so the

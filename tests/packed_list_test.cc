@@ -8,10 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/xksearch.h"
-#include "gen/random_tree.h"
 #include "gtest/gtest.h"
-#include "index/inverted_index.h"
 #include "slca/keyword_list.h"
 #include "slca/packed_list.h"
 #include "test_util.h"
@@ -323,41 +320,6 @@ TEST(PackedDeweyListTest, SteadyStateSeekDoesNotAllocate) {
   EXPECT_EQ(exact_hits, ids.size());
   EXPECT_GT(cmp, 0u);
   EXPECT_GT(parity, 0);  // keeps the loop observable
-}
-
-// Regression gate for the layout swap: the packed and vector paths must
-// issue the exact same number of lm/rm operations — Table 1's
-// "# operations" is an algorithm property, not a layout property. Runs
-// every algorithm over randomized documents through the real engine.
-TEST(PackedKeywordListTest, MatchOpCountsEqualVectorPath) {
-  Rng rng(5150);
-  for (int round = 0; round < 10; ++round) {
-    RandomTreeOptions tree;
-    tree.node_count = 80 + rng.Uniform(600);
-    tree.vocab_size = 2 + rng.Uniform(6);
-    Document doc = GenerateRandomDocument(&rng, tree);
-    const std::vector<std::string> vocab = RandomTreeVocabulary(tree);
-    Result<std::unique_ptr<XKSearch>> engine =
-        XKSearch::BuildFromDocument(std::move(doc), {});
-    ASSERT_TRUE(engine.ok());
-
-    std::vector<std::string> keywords = {vocab[rng.Uniform(vocab.size())],
-                                         vocab[rng.Uniform(vocab.size())]};
-    for (AlgorithmChoice algorithm :
-         {AlgorithmChoice::kIndexedLookupEager, AlgorithmChoice::kScanEager,
-          AlgorithmChoice::kStack}) {
-      SearchOptions options;
-      options.algorithm = algorithm;
-      Result<SearchResult> packed = (*engine)->Search(keywords, options);
-      options.use_packed_lists = false;
-      Result<SearchResult> vec = (*engine)->Search(keywords, options);
-      ASSERT_TRUE(packed.ok() && vec.ok());
-      EXPECT_EQ(Strings(packed->nodes), Strings(vec->nodes));
-      EXPECT_EQ(packed->stats.match_ops.load(), vec->stats.match_ops.load())
-          << "round=" << round
-          << " algorithm=" << static_cast<int>(algorithm);
-    }
-  }
 }
 
 }  // namespace

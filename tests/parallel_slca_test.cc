@@ -12,7 +12,6 @@
 #include "gen/random_tree.h"
 #include "gtest/gtest.h"
 #include "index/inverted_index.h"
-#include "serve/query_cache.h"
 #include "serve/thread_pool.h"
 #include "slca/keyword_list.h"
 #include "slca/packed_list.h"
@@ -429,8 +428,8 @@ INSTANTIATE_TEST_SUITE_P(
         ParityCase{23, SlcaAlgorithm::kScanEager, Layout::kDisk}),
     ParityName);
 
-// End to end through the engine: SearchOptions::slca_exec must change
-// nothing observable about the answer.
+// End to end through the engine: the ParallelExecOptions argument must
+// change nothing observable about the answer.
 TEST(ParallelSlcaEngineTest, SearchMatchesSequentialOnBothPaths) {
   Rng rng(77);
   RandomTreeOptions tree;
@@ -461,13 +460,14 @@ TEST(ParallelSlcaEngineTest, SearchMatchesSequentialOnBothPaths) {
             (*system)->Search({"w0", "w1"}, options);
         ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
         for (size_t chunks : {2u, 3u, 8u}) {
-          SearchOptions chunked = options;
-          chunked.slca_exec.pool = &pool;
-          chunked.slca_exec.budget = &budget;
-          chunked.slca_exec.max_chunks = chunks;
-          chunked.slca_exec.min_chunk_elements = 1;
+          ParallelExecOptions exec;
+          exec.pool = &pool;
+          exec.budget = &budget;
+          exec.max_chunks = chunks;
+          exec.min_chunk_elements = 1;
           const uint64_t tasks_before = pool.tasks_run();
-          Result<SearchResult> got = (*system)->Search({"w0", "w1"}, chunked);
+          Result<SearchResult> got =
+              (*system)->Search({"w0", "w1"}, options, exec);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           // The engine must have reached the chunked executor: at least
           // one chunk ran on the pool (equality here would mean the
@@ -487,26 +487,6 @@ TEST(ParallelSlcaEngineTest, SearchMatchesSequentialOnBothPaths) {
       }
     }
   }
-}
-
-// slca_exec is execution config, not a semantic option: options that
-// differ only in it must compare equal and give the same result-cache
-// key, so cached results stay valid across executor configurations.
-TEST(ParallelSlcaEngineTest, ExecOptionsAreNotPartOfTheCacheKey) {
-  serve::ThreadPool::Options pool_options;
-  pool_options.workers = 1;
-  serve::ThreadPool pool(pool_options);
-  SearchOptions plain;
-  SearchOptions chunked;
-  chunked.slca_exec.pool = &pool;
-  chunked.slca_exec.max_chunks = 8;
-  chunked.slca_exec.min_chunk_elements = 1;
-  EXPECT_TRUE(plain == chunked);
-  EXPECT_TRUE(serve::QueryCacheKey({"alpha"}, plain) ==
-              serve::QueryCacheKey({"alpha"}, chunked));
-  SearchOptions different = plain;
-  different.block_size = 9;
-  EXPECT_FALSE(plain == different);
 }
 
 }  // namespace

@@ -46,7 +46,8 @@ if [ "$run_slow" -eq 1 ]; then
   echo "==> [parallel-slca] chunked intra-query stage (release build)"
   ctest --test-dir build/release -R 'ParallelSlca' --output-on-failure
   # The match path: the lm/rm steps of Indexed Lookup and Scan Eager
-  # (vector, packed and chunked), the disk index's block probe, its pinned
+  # (packed and chunked, plus the vector list the algorithm tests use as
+  # a fixture), the disk index's block probe, its pinned
   # Table 1 and page counters, and its
   # restart-indexed block format, the level-table codec and its bit I/O
   # (including the on-disk key bytes), the match-loop and result-cache-hit
