@@ -27,9 +27,8 @@ void RunBlockSize(benchmark::State& state) {
 
   SearchOptions options;
   options.algorithm = AlgorithmChoice::kIndexedLookupEager;
-  options.use_disk_index = true;
   options.block_size = block_size;
-  WarmUp(corpus.system());
+  WarmUp(corpus.disk());
 
   double first_result_us = 0;
   size_t timed_queries = 0;
@@ -37,7 +36,7 @@ void RunBlockSize(benchmark::State& state) {
     for (const auto& query : queries) {
       const Clock::time_point start = Clock::now();
       bool first = true;
-      Result<SearchResult> result = corpus.system().SearchStreaming(
+      Result<SearchResult> result = corpus.disk().SearchStreaming(
           query, options, [&](const DeweyId&) {
             if (first) {
               first_result_us += std::chrono::duration<double, std::micro>(

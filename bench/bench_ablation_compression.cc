@@ -16,7 +16,7 @@ namespace {
 
 // A self-contained mid-size corpus (independent of the shared one, so
 // both variants can be built without doubling peak memory).
-std::unique_ptr<XKSearch> BuildVariant(bool compressed) {
+std::unique_ptr<DiskSearcher> BuildVariant(bool compressed) {
   DblpOptions gen;
   gen.papers = 30000;
   gen.seed = 7;
@@ -24,41 +24,42 @@ std::unique_ptr<XKSearch> BuildVariant(bool compressed) {
   Result<Document> doc = GenerateDblp(gen);
   CheckOk(doc.status(), "GenerateDblp");
 
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
-  build.disk.compress_dewey = compressed;
-  build.disk.delta_compress = compressed;
   Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(std::move(*doc), build);
+      XKSearch::BuildFromDocument(std::move(*doc));
   CheckOk(system.status(), "BuildFromDocument");
-  return std::move(*system);
+  DiskIndexOptions disk;
+  disk.in_memory = true;
+  disk.compress_dewey = compressed;
+  disk.delta_compress = compressed;
+  Result<std::unique_ptr<DiskSearcher>> searcher =
+      DiskSearcher::Build(**system, "", disk);
+  CheckOk(searcher.status(), "DiskSearcher::Build");
+  return std::move(*searcher);
 }
 
-XKSearch& Variant(bool compressed) {
-  static XKSearch* on = BuildVariant(true).release();
-  static XKSearch* off = BuildVariant(false).release();
+DiskSearcher& Variant(bool compressed) {
+  static DiskSearcher* on = BuildVariant(true).release();
+  static DiskSearcher* off = BuildVariant(false).release();
   return compressed ? *on : *off;
 }
 
 void RunCompression(benchmark::State& state) {
   const bool compressed = state.range(0) != 0;
-  XKSearch& system = Variant(compressed);
+  DiskSearcher& disk = Variant(compressed);
   const std::vector<std::vector<std::string>> queries = {
       {"rare", "big"}, {"mid", "big"}, {"rare", "mid", "big"}};
 
-  SearchOptions options;
-  options.use_disk_index = true;
+  const SearchOptions options;
 
   BatchResult batch;
   for (auto _ : state) {
-    batch = RunBatchCold(system, queries, options);
+    batch = RunBatchCold(disk, queries, options);
     benchmark::DoNotOptimize(batch.total_results);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(queries.size()));
   state.counters["scan_pages"] =
-      static_cast<double>(system.disk_index()->scan_page_count());
+      static_cast<double>(disk.index()->scan_page_count());
   state.counters["page_reads_per_query"] =
       static_cast<double>(batch.stats.page_reads) /
       static_cast<double>(queries.size());

@@ -29,12 +29,11 @@ void RunThreshold(benchmark::State& state) {
   SearchOptions options;
   options.algorithm = AlgorithmChoice::kAuto;
   options.auto_ratio_threshold = threshold;
-  options.use_disk_index = true;
-  WarmUp(corpus.system());
+  WarmUp(corpus.disk());
 
   BatchResult batch;
   for (auto _ : state) {
-    batch = RunBatch(corpus.system(), queries, options);
+    batch = RunBatch(corpus.disk(), queries, options);
     benchmark::DoNotOptimize(batch.total_results);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -20,13 +20,12 @@ void RunSemantics(benchmark::State& state, Semantics semantics) {
 
   SearchOptions options;
   options.algorithm = AlgorithmChoice::kIndexedLookupEager;
-  options.use_disk_index = true;
   options.semantics = semantics;
-  WarmUp(corpus.system());
+  WarmUp(corpus.disk());
 
   BatchResult batch;
   for (auto _ : state) {
-    batch = RunBatch(corpus.system(), queries, options);
+    batch = RunBatch(corpus.disk(), queries, options);
     benchmark::DoNotOptimize(batch.total_results);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -69,28 +69,31 @@ Corpus::Corpus() : papers_(PapersFromEnv()) {
   Result<Document> doc = GenerateDblp(options);
   CheckOk(doc.status(), "GenerateDblp");
 
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
+  Result<std::unique_ptr<XKSearch>> system =
+      XKSearch::BuildFromDocument(std::move(*doc));
+  CheckOk(system.status(), "XKSearch::BuildFromDocument");
+  system_ = std::move(*system);
   // Default: MemPageStore (page-count behaviour identical to files, no
   // tmp artifacts). XKS_BENCH_FILES=1 switches to real files so cold-run
   // timings include genuine file reads.
+  DiskIndexOptions disk;
+  std::string prefix;
   if (std::getenv("XKS_BENCH_FILES") != nullptr) {
-    build.disk.in_memory = false;
-    build.disk_path_prefix = "/tmp/xks_bench_corpus";
+    prefix = "/tmp/xks_bench_corpus";
   } else {
-    build.disk.in_memory = true;
+    disk.in_memory = true;
   }
-  Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(std::move(*doc), build);
-  CheckOk(system.status(), "XKSearch::BuildFromDocument");
-  system_ = std::move(*system);
+  Result<std::unique_ptr<DiskSearcher>> searcher =
+      DiskSearcher::Build(*system_, prefix, disk);
+  CheckOk(searcher.status(), "DiskSearcher::Build");
+  disk_ = std::move(*searcher);
   std::fprintf(
       stderr,
       "[bench] corpus ready: %zu nodes, %zu terms, %llu postings, "
       "scan=%u pages\n",
       system_->document().node_count(), system_->index().term_count(),
       static_cast<unsigned long long>(system_->index().total_postings()),
-      system_->disk_index()->scan_page_count());
+      disk_->index()->scan_page_count());
 }
 
 const std::vector<std::string>& Corpus::KeywordsFor(uint64_t frequency) const {
@@ -133,26 +136,13 @@ std::vector<std::vector<std::string>> Corpus::Queries(
   return queries;
 }
 
-BatchResult RunBatch(XKSearch& system,
-                     const std::vector<std::vector<std::string>>& queries,
-                     const SearchOptions& options) {
-  BatchResult out;
-  for (const std::vector<std::string>& query : queries) {
-    Result<SearchResult> result = system.Search(query, options);
-    CheckOk(result.status(), "Search");
-    out.stats += result->stats;
-    out.total_results += result->nodes.size();
-  }
-  return out;
-}
-
-BatchResult RunBatchCold(XKSearch& system,
+BatchResult RunBatchCold(const DiskSearcher& disk,
                          const std::vector<std::vector<std::string>>& queries,
                          const SearchOptions& options) {
   BatchResult out;
   for (const std::vector<std::string>& query : queries) {
-    CheckOk(system.disk_index()->DropCaches(), "DropCaches");
-    Result<SearchResult> result = system.Search(query, options);
+    CheckOk(disk.index()->DropCaches(), "DropCaches");
+    Result<SearchResult> result = disk.Search(query, options);
     CheckOk(result.status(), "Search");
     out.stats += result->stats;
     out.total_results += result->nodes.size();
@@ -160,8 +150,8 @@ BatchResult RunBatchCold(XKSearch& system,
   return out;
 }
 
-void WarmUp(XKSearch& system) {
-  CheckOk(system.disk_index()->WarmCaches(), "WarmCaches");
+void WarmUp(const DiskSearcher& disk) {
+  CheckOk(disk.index()->WarmCaches(), "WarmCaches");
 }
 
 }  // namespace bench

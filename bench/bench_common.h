@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/disk_searcher.h"
 #include "engine/xksearch.h"
 
 namespace xksearch {
@@ -31,6 +32,8 @@ class Corpus {
   static Corpus& Get();
 
   XKSearch& system() const { return *system_; }
+  /// The disk engine over the same index.
+  DiskSearcher& disk() const { return *disk_; }
 
   /// All planted keywords with exactly `frequency` occurrences. Classes
   /// above the corpus size are clamped to it (still reported under the
@@ -49,31 +52,42 @@ class Corpus {
 
   size_t papers_;
   std::unique_ptr<XKSearch> system_;
+  std::unique_ptr<DiskSearcher> disk_;
   std::vector<std::pair<uint64_t, std::vector<std::string>>> families_;
 };
 
-/// Runs one query batch and returns accumulated stats; aborts the process
-/// on error (benchmarks have no useful failure mode).
+/// Dies with a message if `status` is not OK.
+void CheckOk(const Status& status, const char* what);
+
+/// Runs one query batch on either engine and returns accumulated stats;
+/// aborts the process on error (benchmarks have no useful failure mode).
 struct BatchResult {
   QueryStats stats;
   size_t total_results = 0;
 };
-BatchResult RunBatch(XKSearch& system,
+template <typename Engine>
+BatchResult RunBatch(const Engine& engine,
                      const std::vector<std::vector<std::string>>& queries,
-                     const SearchOptions& options);
+                     const SearchOptions& options) {
+  BatchResult out;
+  for (const std::vector<std::string>& query : queries) {
+    Result<SearchResult> result = engine.Search(query, options);
+    CheckOk(result.status(), "Search");
+    out.stats += result->stats;
+    out.total_results += result->nodes.size();
+  }
+  return out;
+}
 
-/// Cold-cache variant: drops the disk index's buffer pools before every
+/// Cold-cache variant: drops the disk index's buffer pool before every
 /// query, so stats.page_reads reflects a cold run of each query (the
-/// paper's Figures 11-13 setting). Requires options.use_disk_index.
-BatchResult RunBatchCold(XKSearch& system,
+/// paper's Figures 11-13 setting).
+BatchResult RunBatchCold(const DiskSearcher& disk,
                          const std::vector<std::vector<std::string>>& queries,
                          const SearchOptions& options);
 
-/// Ensures both buffer pools are fully warmed (hot-cache experiments).
-void WarmUp(XKSearch& system);
-
-/// Dies with a message if `status` is not OK.
-void CheckOk(const Status& status, const char* what);
+/// Ensures the buffer pool is fully warmed (hot-cache experiments).
+void WarmUp(const DiskSearcher& disk);
 
 }  // namespace bench
 }  // namespace xksearch

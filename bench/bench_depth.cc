@@ -16,12 +16,12 @@ namespace xksearch {
 namespace bench {
 namespace {
 
-XKSearch& DepthCorpus(uint32_t description_depth) {
+DiskSearcher& DepthCorpus(uint32_t description_depth) {
   // One lazily built engine per depth (a handful of depths only).
-  static std::vector<std::pair<uint32_t, XKSearch*>>* cache =
-      new std::vector<std::pair<uint32_t, XKSearch*>>();
-  for (auto& [depth, system] : *cache) {
-    if (depth == description_depth) return *system;
+  static std::vector<std::pair<uint32_t, DiskSearcher*>>* cache =
+      new std::vector<std::pair<uint32_t, DiskSearcher*>>();
+  for (auto& [depth, disk] : *cache) {
+    if (depth == description_depth) return *disk;
   }
   XmarkOptions options;
   options.items = 20000;
@@ -32,30 +32,31 @@ XKSearch& DepthCorpus(uint32_t description_depth) {
   CheckOk(doc.status(), "GenerateXmark");
   std::fprintf(stderr, "[bench] xmark depth=%u: %zu nodes, max depth %u\n",
                description_depth, doc->node_count(), doc->max_depth());
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
   Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(std::move(*doc), build);
+      XKSearch::BuildFromDocument(std::move(*doc));
   CheckOk(system.status(), "BuildFromDocument");
-  cache->emplace_back(description_depth, system->release());
+  DiskIndexOptions disk;
+  disk.in_memory = true;
+  Result<std::unique_ptr<DiskSearcher>> searcher =
+      DiskSearcher::Build(**system, "", disk);
+  CheckOk(searcher.status(), "DiskSearcher::Build");
+  cache->emplace_back(description_depth, searcher->release());
   return *cache->back().second;
 }
 
 void RunDepth(benchmark::State& state, Semantics semantics) {
-  XKSearch& system = DepthCorpus(static_cast<uint32_t>(state.range(0)));
+  DiskSearcher& disk = DepthCorpus(static_cast<uint32_t>(state.range(0)));
   const std::vector<std::vector<std::string>> queries = {
       {"rare", "big"}, {"rare", "mid"}, {"mid", "big"}};
 
   SearchOptions options;
   options.algorithm = AlgorithmChoice::kIndexedLookupEager;
-  options.use_disk_index = true;
   options.semantics = semantics;
-  WarmUp(system);
+  WarmUp(disk);
 
   BatchResult batch;
   for (auto _ : state) {
-    batch = RunBatch(system, queries, options);
+    batch = RunBatch(disk, queries, options);
     benchmark::DoNotOptimize(batch.total_results);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -24,11 +24,10 @@ void RunFig12(benchmark::State& state, AlgorithmChoice algorithm) {
 
   SearchOptions options;
   options.algorithm = algorithm;
-  options.use_disk_index = true;
 
   BatchResult batch;
   for (auto _ : state) {
-    batch = RunBatchCold(corpus.system(), queries, options);
+    batch = RunBatchCold(corpus.disk(), queries, options);
     benchmark::DoNotOptimize(batch.total_results);
   }
   state.SetItemsProcessed(state.iterations() *

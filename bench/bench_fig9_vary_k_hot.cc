@@ -25,12 +25,11 @@ void RunFig9(benchmark::State& state, AlgorithmChoice algorithm) {
 
   SearchOptions options;
   options.algorithm = algorithm;
-  options.use_disk_index = true;
-  WarmUp(corpus.system());
+  WarmUp(corpus.disk());
 
   BatchResult batch;
   for (auto _ : state) {
-    batch = RunBatch(corpus.system(), queries, options);
+    batch = RunBatch(corpus.disk(), queries, options);
     benchmark::DoNotOptimize(batch.total_results);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -67,12 +67,12 @@ void MemoryBinarySearch(benchmark::State& state) {
 void DiskBtreeProbe(benchmark::State& state) {
   const uint64_t frequency = static_cast<uint64_t>(state.range(0));
   Corpus& corpus = Corpus::Get();
-  WarmUp(corpus.system());
-  const DiskIndex::TermInfo* info = corpus.system().disk_index()->FindTerm(
+  WarmUp(corpus.disk());
+  const DiskIndex::TermInfo* info = corpus.disk().index()->FindTerm(
       corpus.KeywordsFor(frequency).front());
   const std::vector<DeweyId> probes = ProbeTargets(1024);
   QueryStats stats;
-  DiskKeywordList kl(corpus.system().disk_index(), info->id, info->frequency,
+  DiskKeywordList kl(corpus.disk().index(), info->id, info->frequency,
                      &stats);
   size_t i = 0;
   DeweyId out;
@@ -88,12 +88,12 @@ void FullScanLookup(benchmark::State& state) {
   // from the head until reaching the target (expected |S|/2 postings).
   const uint64_t frequency = static_cast<uint64_t>(state.range(0));
   Corpus& corpus = Corpus::Get();
-  WarmUp(corpus.system());
-  const DiskIndex::TermInfo* info = corpus.system().disk_index()->FindTerm(
+  WarmUp(corpus.disk());
+  const DiskIndex::TermInfo* info = corpus.disk().index()->FindTerm(
       corpus.KeywordsFor(frequency).front());
   const std::vector<DeweyId> probes = ProbeTargets(64);
   QueryStats stats;
-  DiskKeywordList kl(corpus.system().disk_index(), info->id, info->frequency,
+  DiskKeywordList kl(corpus.disk().index(), info->id, info->frequency,
                      &stats);
   size_t i = 0;
   for (auto _ : state) {

@@ -139,24 +139,22 @@ std::vector<std::vector<std::string>> BuildQueryPool(const XKSearch& system,
   return usable;
 }
 
-Result<std::unique_ptr<XKSearch>> BuildSystem(const Config& config,
-                                              bool hot) {
+Result<std::unique_ptr<XKSearch>> BuildSystem(const Config& config) {
   DblpOptions gen;
   gen.papers = config.papers;
   gen.seed = 1234;
   gen.zipf_exponent = 1.0;
   XKS_ASSIGN_OR_RETURN(Document doc, GenerateDblp(gen));
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;  // page-identical to files, no FS noise
-  build.disk.pool_shards = config.shards;
-  if (hot) {
-    // Oversized pools + WarmCaches below: everything resident.
-    build.disk.scan_pool_pages = 1 << 20;
-  } else {
-    build.disk.scan_pool_pages = config.cold_pool_pages;
-  }
-  return XKSearch::BuildFromDocument(std::move(doc), build);
+  return XKSearch::BuildFromDocument(std::move(doc));
+}
+
+DiskIndexOptions DiskOptions(const Config& config, bool hot) {
+  DiskIndexOptions disk;
+  disk.in_memory = true;  // page-identical to files, no FS noise
+  disk.pool_shards = config.shards;
+  // Hot: oversized pools + WarmCaches below, so everything is resident.
+  disk.scan_pool_pages = hot ? 1 << 20 : config.cold_pool_pages;
+  return disk;
 }
 
 uint64_t ParseU64(const char* text) {
@@ -214,29 +212,35 @@ int Main(int argc, char** argv) {
 
   std::printf("%6s %8s %10s %8s %12s %12s\n", "regime", "workers", "qps",
               "scaling", "reads/query", "hits/query");
+  std::fprintf(stderr, "building index (%zu papers)...\n", config.papers);
+  Result<std::unique_ptr<XKSearch>> built = BuildSystem(config);
+  if (!built.ok()) {
+    std::fprintf(stderr, "build: %s\n", built.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<std::vector<std::string>> queries =
+      BuildQueryPool(**built, config);
+  if (queries.empty()) {
+    std::fprintf(stderr, "query pool came out empty; enlarge --papers\n");
+    return 1;
+  }
   for (const bool hot : {true, false}) {
-    std::fprintf(stderr, "building %s-cache index (%zu papers)...\n",
-                 hot ? "hot" : "cold", config.papers);
-    Result<std::unique_ptr<XKSearch>> built = BuildSystem(config, hot);
-    if (!built.ok()) {
-      std::fprintf(stderr, "build: %s\n", built.status().ToString().c_str());
+    std::fprintf(stderr, "building %s-cache disk index...\n",
+                 hot ? "hot" : "cold");
+    Result<std::unique_ptr<DiskSearcher>> disk =
+        DiskSearcher::Build(**built, "", DiskOptions(config, hot));
+    if (!disk.ok()) {
+      std::fprintf(stderr, "build: %s\n", disk.status().ToString().c_str());
       return 1;
     }
-    DiskIndex* index = (*built)->disk_index();
     if (hot) {
-      const Status warmed = index->WarmCaches();
+      const Status warmed = (*disk)->index()->WarmCaches();
       if (!warmed.ok()) {
         std::fprintf(stderr, "warm: %s\n", warmed.ToString().c_str());
         return 1;
       }
     }
-    const DiskSearcher searcher(index, index->tokenizer());
-    const std::vector<std::vector<std::string>> queries =
-        BuildQueryPool(**built, config);
-    if (queries.empty()) {
-      std::fprintf(stderr, "query pool came out empty; enlarge --papers\n");
-      return 1;
-    }
+    const DiskSearcher& searcher = **disk;
 
     double base_qps = 0;
     for (const size_t workers : config.workers) {

@@ -14,8 +14,8 @@ namespace {
 
 void RunParallel(benchmark::State& state) {
   Corpus& corpus = Corpus::Get();
-  // One skewed query; in-memory lists (use_disk_index=false) so no
-  // shared buffer pool is involved.
+  // One skewed query on the in-memory engine, so no shared buffer pool
+  // is involved.
   const auto queries = corpus.Queries({10, 100000}, 8);
   SearchOptions options;
   options.algorithm = AlgorithmChoice::kIndexedLookupEager;

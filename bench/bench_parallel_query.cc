@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/disk_searcher.h"
 #include "engine/xksearch.h"
 #include "gen/dblp_generator.h"
 #include "serve/thread_pool.h"
@@ -59,7 +60,8 @@ struct RunResult {
   double qps = 0;
 };
 
-RunResult RunOnce(const XKSearch& system,
+template <typename Engine>
+RunResult RunOnce(const Engine& system,
                   const std::vector<std::string>& query,
                   const SearchOptions& options,
                   const ParallelExecOptions& exec, const Config& config) {
@@ -105,11 +107,7 @@ Result<std::unique_ptr<XKSearch>> BuildSystem(const Config& config,
     query->push_back("xq" + std::to_string(i));
   }
   XKS_ASSIGN_OR_RETURN(Document doc, GenerateDblp(gen));
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;  // page-identical to files, no FS noise
-  build.disk.scan_pool_pages = 1 << 20;
-  return XKSearch::BuildFromDocument(std::move(doc), build);
+  return XKSearch::BuildFromDocument(std::move(doc));
 }
 
 uint64_t ParseU64(const char* text) {
@@ -171,7 +169,16 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "build: %s\n", built.status().ToString().c_str());
     return 1;
   }
-  const Status warmed = (*built)->disk_index()->WarmCaches();
+  DiskIndexOptions disk_options;
+  disk_options.in_memory = true;  // page-identical to files, no FS noise
+  disk_options.scan_pool_pages = 1 << 20;
+  Result<std::unique_ptr<DiskSearcher>> searcher =
+      DiskSearcher::Build(**built, "", disk_options);
+  if (!searcher.ok()) {
+    std::fprintf(stderr, "build: %s\n", searcher.status().ToString().c_str());
+    return 1;
+  }
+  const Status warmed = (*searcher)->index()->WarmCaches();
   if (!warmed.ok()) {
     std::fprintf(stderr, "warm: %s\n", warmed.ToString().c_str());
     return 1;
@@ -190,7 +197,6 @@ int Main(int argc, char** argv) {
       for (const size_t threads : config.threads) {
         SearchOptions options;
         options.algorithm = algorithm;
-        options.use_disk_index = disk;
         std::unique_ptr<serve::ThreadPool> pool;
         std::unique_ptr<ConcurrencyBudget> budget;
         ParallelExecOptions exec;
@@ -204,7 +210,9 @@ int Main(int argc, char** argv) {
           exec.max_chunks = threads;
           exec.min_chunk_elements = config.min_chunk_elements;
         }
-        const RunResult r = RunOnce(**built, query, options, exec, config);
+        const RunResult r =
+            disk ? RunOnce(**searcher, query, options, exec, config)
+                 : RunOnce(**built, query, options, exec, config);
         if (base_ms == 0) base_ms = r.avg_ms;
         const double speedup = r.avg_ms > 0 ? base_ms / r.avg_ms : 0;
         // Chunk tasks that actually ran on the pool. Zero at threads>1

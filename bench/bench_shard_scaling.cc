@@ -65,11 +65,10 @@ Result<std::unique_ptr<shard::ShardedCollection>> BuildCollection(
     const Config& config) {
   shard::ShardedCollectionOptions sco;
   sco.shards = shards;
-  sco.build.build_disk_index = disk;
   if (disk) {
-    sco.build.disk.in_memory = true;  // page-identical to files, no FS noise
-    sco.build.disk.scan_pool_pages =
-        hot ? size_t{1} << 18 : config.cold_pool_pages;
+    sco.disk.emplace();
+    sco.disk->in_memory = true;  // page-identical to files, no FS noise
+    sco.disk->scan_pool_pages = hot ? size_t{1} << 18 : config.cold_pool_pages;
   }
   shard::ShardedCollection::Builder builder(std::move(sco));
   for (size_t d = 0; d < corpus.size(); ++d) {
@@ -216,9 +215,9 @@ int Main(int argc, char** argv) {
       const shard::ShardedCollection& collection = **built;
       if (hot) {
         for (uint32_t s = 0; s < collection.shard_count(); ++s) {
-          const XKSearch* engine = collection.shard_engine(s);
-          if (engine == nullptr || engine->disk_index() == nullptr) continue;
-          const Status warmed = engine->disk_index()->WarmCaches();
+          const DiskSearcher* disk = collection.shard_disk(s);
+          if (disk == nullptr) continue;
+          const Status warmed = disk->index()->WarmCaches();
           if (!warmed.ok()) {
             std::fprintf(stderr, "warm: %s\n", warmed.ToString().c_str());
             return 1;
@@ -228,8 +227,7 @@ int Main(int argc, char** argv) {
       shard::ScatterGatherOptions sgo;
       sgo.workers = config.workers;
       const shard::ScatterGatherExecutor executor(&collection, sgo);
-      SearchOptions so;
-      so.use_disk_index = true;
+      const SearchOptions so;
 
       uint64_t ok = 0;
       uint64_t failed = 0;
@@ -292,11 +290,9 @@ int Main(int argc, char** argv) {
         double routed_seconds = 0;
         for (size_t pass = 0; pass < config.rounds; ++pass) {
           for (uint32_t s = 0; s < collection.shard_count(); ++s) {
-            const XKSearch* engine = collection.shard_engine(s);
-            if (engine == nullptr || engine->disk_index() == nullptr) {
-              continue;
-            }
-            const Status dropped = engine->disk_index()->DropCaches();
+            const DiskSearcher* disk = collection.shard_disk(s);
+            if (disk == nullptr) continue;
+            const Status dropped = disk->index()->DropCaches();
             if (!dropped.ok()) {
               std::fprintf(stderr, "drop: %s\n",
                            dropped.ToString().c_str());

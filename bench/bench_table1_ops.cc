@@ -39,7 +39,7 @@ void PrintHeader() {
       "-------------------------------------------------\n");
 }
 
-void RunConfig(XKSearch& system, const Config& config) {
+void RunConfig(const DiskSearcher& disk, const Config& config) {
   Corpus& corpus = Corpus::Get();
   std::vector<uint64_t> frequencies = {config.small};
   for (int i = 1; i < config.k; ++i) frequencies.push_back(config.large);
@@ -55,8 +55,7 @@ void RunConfig(XKSearch& system, const Config& config) {
         AlgorithmChoice::kStack}) {
     SearchOptions options;
     options.algorithm = choice;
-    options.use_disk_index = true;
-    const BatchResult batch = RunBatchCold(system, queries, options);
+    const BatchResult batch = RunBatchCold(disk, queries, options);
     const double n = static_cast<double>(queries.size());
     std::printf(
         "%-14s %8" PRIu64 " %8" PRIu64 " %2d | %12.0f %12" PRIu64
@@ -93,7 +92,7 @@ int main() {
       {10, 100000, 3},   {10, 100000, 5},  {1000, 1000, 3},
   };
   for (const Config& config : configs) {
-    xksearch::bench::RunConfig(corpus.system(), config);
+    xksearch::bench::RunConfig(corpus.disk(), config);
   }
 
   std::printf(

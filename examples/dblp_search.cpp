@@ -1,7 +1,8 @@
 // A laptop-scale stand-in for the paper's DBLP demo: generates a
 // DBLP-shaped corpus with keywords planted at controlled frequencies,
-// builds the two disk B+tree layouts, and answers keyword queries with
-// the algorithm the frequency table recommends.
+// builds the in-memory index and the disk B+tree over it, and answers
+// keyword queries on both engines with the algorithm the frequency table
+// recommends.
 //
 // Usage: dblp_search [papers] [keyword keyword ...]
 //   papers   corpus size (default 20000)
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/disk_searcher.h"
 #include "engine/xksearch.h"
 #include "gen/dblp_generator.h"
 
@@ -25,16 +27,17 @@ double MillisSince(Clock::time_point start) {
       .count();
 }
 
-void RunQuery(const xksearch::XKSearch& system,
-              const std::vector<std::string>& keywords, bool use_disk) {
-  xksearch::SearchOptions options;
-  options.use_disk_index = use_disk;
+// Runs the query on `engine` (in memory or on disk); snippets render from
+// the in-memory system's document.
+template <typename Engine>
+void RunQuery(const Engine& engine, const xksearch::XKSearch& system,
+              const std::vector<std::string>& keywords, const char* storage) {
   std::string shown;
   for (const std::string& kw : keywords) shown += kw + " ";
 
   const Clock::time_point start = Clock::now();
   xksearch::Result<xksearch::SearchResult> result =
-      system.Search(keywords, options);
+      engine.Search(keywords);
   const double elapsed = MillisSince(start);
   if (!result.ok()) {
     std::fprintf(stderr, "query '%s' failed: %s\n", shown.c_str(),
@@ -43,7 +46,7 @@ void RunQuery(const xksearch::XKSearch& system,
   }
   std::printf("query { %s} via %s (%s): %zu answers in %.2f ms\n",
               shown.c_str(), ToString(result->algorithm).c_str(),
-              use_disk ? "disk" : "memory", result->nodes.size(), elapsed);
+              storage, result->nodes.size(), elapsed);
   std::printf("  %s\n", result->stats.ToString().c_str());
   const size_t show = std::min<size_t>(result->nodes.size(), 3);
   for (size_t i = 0; i < show; ++i) {
@@ -81,14 +84,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;  // page-level behaviour without tmp files
   const Clock::time_point start = Clock::now();
   Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(std::move(*doc), build);
+      XKSearch::BuildFromDocument(std::move(*doc));
   if (!system.ok()) {
     std::fprintf(stderr, "%s\n", system.status().ToString().c_str());
+    return 1;
+  }
+  DiskIndexOptions disk_options;
+  disk_options.in_memory = true;  // page-level behaviour without tmp files
+  Result<std::unique_ptr<DiskSearcher>> disk =
+      DiskSearcher::Build(**system, "", disk_options);
+  if (!disk.ok()) {
+    std::fprintf(stderr, "%s\n", disk.status().ToString().c_str());
     return 1;
   }
   std::printf(
@@ -96,20 +104,21 @@ int main(int argc, char** argv) {
       "(scan=%u pages)\n\n",
       (*system)->document().node_count(), (*system)->index().term_count(),
       static_cast<unsigned long long>((*system)->index().total_postings()),
-      MillisSince(start), (*system)->disk_index()->scan_page_count());
+      MillisSince(start), (*disk)->index()->scan_page_count());
 
+  const XKSearch& memory = **system;
   if (argc > 2) {
     std::vector<std::string> keywords(argv + 2, argv + argc);
-    RunQuery(**system, keywords, /*use_disk=*/false);
-    RunQuery(**system, keywords, /*use_disk=*/true);
+    RunQuery(memory, memory, keywords, "memory");
+    RunQuery(**disk, memory, keywords, "disk");
     return 0;
   }
 
   // Skewed frequencies: the Indexed Lookup Eager algorithm shines.
-  RunQuery(**system, {"xanadu", "zeppelin"}, /*use_disk=*/false);
-  RunQuery(**system, {"xanadu", "zeppelin"}, /*use_disk=*/true);
+  RunQuery(memory, memory, {"xanadu", "zeppelin"}, "memory");
+  RunQuery(**disk, memory, {"xanadu", "zeppelin"}, "disk");
   // Similar frequencies: the engine switches to Scan Eager.
-  RunQuery(**system, {"quorum", "xanadu", "zeppelin"}, /*use_disk=*/false);
-  RunQuery(**system, {"zeppelin", "quorum"}, /*use_disk=*/false);
+  RunQuery(memory, memory, {"quorum", "xanadu", "zeppelin"}, "memory");
+  RunQuery(memory, memory, {"zeppelin", "quorum"}, "memory");
   return 0;
 }

@@ -28,14 +28,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
       return 1;
     }
-    XKSearch::BuildOptions build;
-    build.build_disk_index = true;
-    build.disk_path_prefix = prefix;
-    build.persist_document = true;  // enables snippets in later sessions
     Result<std::unique_ptr<XKSearch>> system =
-        XKSearch::BuildFromDocument(std::move(*doc), build);
+        XKSearch::BuildFromDocument(std::move(*doc));
     if (!system.ok()) {
       std::fprintf(stderr, "%s\n", system.status().ToString().c_str());
+      return 1;
+    }
+    // persist_document enables snippets in later sessions.
+    Result<std::unique_ptr<DiskSearcher>> written = DiskSearcher::Build(
+        **system, prefix, DiskIndexOptions(), /*persist_document=*/true);
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
       return 1;
     }
     std::printf("session 1: indexed %zu nodes into %s.{scan,dict}\n",

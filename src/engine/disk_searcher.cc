@@ -1,6 +1,6 @@
 #include "engine/disk_searcher.h"
 
-#include <algorithm>
+#include <fstream>
 
 #include "engine/query_executor.h"
 #include "engine/snippet.h"
@@ -8,13 +8,38 @@
 
 namespace xksearch {
 
+Result<std::unique_ptr<DiskSearcher>> DiskSearcher::Build(
+    const XKSearch& engine, const std::string& path_prefix,
+    const DiskIndexOptions& options, bool persist_document) {
+  if (!options.in_memory && path_prefix.empty()) {
+    return Status::InvalidArgument(
+        "path_prefix required for a file-backed disk index");
+  }
+  if (persist_document && options.in_memory) {
+    return Status::InvalidArgument(
+        "persist_document requires a file-backed disk index");
+  }
+  XKS_ASSIGN_OR_RETURN(std::unique_ptr<DiskIndex> index,
+                       DiskIndex::Build(engine.index(), path_prefix, options));
+  auto searcher =
+      std::unique_ptr<DiskSearcher>(new DiskSearcher(std::move(index)));
+  if (persist_document) {
+    std::ofstream out(path_prefix + ".xml", std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IoError("cannot write " + path_prefix + ".xml");
+    out << SerializeXml(engine.document());
+    if (!out.good()) {
+      return Status::IoError("error writing persisted document");
+    }
+  }
+  return searcher;
+}
+
 Result<std::unique_ptr<DiskSearcher>> DiskSearcher::Open(
     const std::string& path_prefix, const DiskIndexOptions& options) {
   XKS_ASSIGN_OR_RETURN(std::unique_ptr<DiskIndex> index,
                        DiskIndex::Open(path_prefix, options));
-  auto searcher = std::unique_ptr<DiskSearcher>(
-      new DiskSearcher(index.get(), index->tokenizer()));
-  searcher->owned_index_ = std::move(index);
+  auto searcher =
+      std::unique_ptr<DiskSearcher>(new DiskSearcher(std::move(index)));
   // A persisted document (written with persist_document) enables
   // snippets; its absence is not an error.
   Result<Document> doc = ParseXmlFile(path_prefix + ".xml");
@@ -39,16 +64,13 @@ Result<std::string> DiskSearcher::Snippet(const DeweyId& id,
 Result<SearchResult> DiskSearcher::Search(
     const std::vector<std::string>& keywords,
     const SearchOptions& options, const ParallelExecOptions& exec) const {
-  std::vector<DeweyId> nodes;
+  SearchResult result;
+  // No locking: the sharded buffer pools are thread-safe, and every
+  // page access is charged to this query's own stats object.
   XKS_ASSIGN_OR_RETURN(
-      SearchResult result,
-      SearchStreaming(
-          keywords, options,
-          [&](const DeweyId& id) { nodes.push_back(id); }, exec));
-  if (options.semantics != Semantics::kSlca) {
-    std::sort(nodes.begin(), nodes.end());
-  }
-  result.nodes = std::move(nodes);
+      const PreparedQuery prepared,
+      PrepareQuery(*index_, keywords, tokenizer(), &result.stats));
+  XKS_RETURN_NOT_OK(CollectPreparedQuery(prepared, options, exec, &result));
   return result;
 }
 
@@ -56,40 +78,16 @@ Result<SearchResult> DiskSearcher::SearchStreaming(
     const std::vector<std::string>& keywords, const SearchOptions& options,
     const ResultCallback& emit, const ParallelExecOptions& exec) const {
   SearchResult result;
-  // No locking: the sharded buffer pools are thread-safe, and every
-  // page access below is charged to this query's own stats object.
-  Result<PreparedQuery> prepared =
-      PrepareQuery(*index_, keywords, tokenizer_, &result.stats);
-  if (!prepared.ok()) return prepared.status();
-  result.keywords = prepared->keywords;
-
-  result.algorithm = ResolveAlgorithmChoice(options, prepared->min_frequency,
-                                            prepared->max_frequency);
-
-  Status status;
-  if (!prepared->missing) {
-    SlcaOptions slca_options;
-    slca_options.block_size = options.block_size;
-    const std::vector<KeywordList*>& lists = prepared->list_pointers();
-    switch (options.semantics) {
-      case Semantics::kSlca:
-        status = ComputeSlcaParallel(result.algorithm, lists, slca_options,
-                                     exec, &result.stats, emit);
-        break;
-      case Semantics::kElca:
-        status = ElcaStack(lists, slca_options, &result.stats, emit);
-        break;
-      case Semantics::kAllLca:
-        status = FindAllLca(lists, slca_options, &result.stats, emit);
-        break;
-    }
-  }
-  XKS_RETURN_NOT_OK(status);
+  XKS_ASSIGN_OR_RETURN(
+      const PreparedQuery prepared,
+      PrepareQuery(*index_, keywords, tokenizer(), &result.stats));
+  XKS_RETURN_NOT_OK(
+      ExecutePreparedQuery(prepared, options, exec, emit, &result));
   return result;
 }
 
 uint64_t DiskSearcher::Frequency(std::string_view keyword) const {
-  const std::string normalized = NormalizeKeyword(keyword, tokenizer_);
+  const std::string normalized = NormalizeKeyword(keyword, tokenizer());
   const DiskIndex::TermInfo* info = index_->FindTerm(normalized);
   return info == nullptr ? 0 : info->frequency;
 }

@@ -32,7 +32,7 @@ Result<std::string> XKSearch::Explain(const std::vector<std::string>& keywords,
              ? "SLCA"
              : options.semantics == Semantics::kElca ? "ELCA (XRANK)"
                                                      : "All-LCA (Section 5)")
-     << "\nstorage: " << (options.use_disk_index ? "disk B+trees" : "memory")
+     << "\nstorage: memory (packed lists)"
      << "\nalgorithm: " << ToString(result.algorithm);
   if (options.algorithm == AlgorithmChoice::kAuto) {
     os << " (auto: max/min frequency ratio "

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "slca/all_lca.h"
+#include "slca/elca.h"
 #include "slca/packed_list.h"
 
 namespace xksearch {
@@ -95,6 +97,45 @@ Result<PreparedQuery> PrepareQuery(const DiskIndex& index,
     terms.push_back(std::move(term));
   }
   return Assemble(std::move(terms));
+}
+
+Status ExecutePreparedQuery(const PreparedQuery& prepared,
+                            const SearchOptions& options,
+                            const ParallelExecOptions& exec,
+                            const ResultCallback& emit, SearchResult* result) {
+  result->keywords = prepared.keywords;
+  result->algorithm = ResolveAlgorithmChoice(options, prepared.min_frequency,
+                                             prepared.max_frequency);
+  // A keyword that occurs nowhere makes the result trivially empty.
+  if (prepared.missing) return Status::OK();
+  SlcaOptions slca_options;
+  slca_options.block_size = options.block_size;
+  const std::vector<KeywordList*>& lists = prepared.list_pointers();
+  switch (options.semantics) {
+    case Semantics::kSlca:
+      return ComputeSlcaParallel(result->algorithm, lists, slca_options, exec,
+                                 &result->stats, emit);
+    case Semantics::kElca:
+      return ElcaStack(lists, slca_options, &result->stats, emit);
+    case Semantics::kAllLca:
+      return FindAllLca(lists, slca_options, &result->stats, emit);
+  }
+  return Status::OK();
+}
+
+Status CollectPreparedQuery(const PreparedQuery& prepared,
+                            const SearchOptions& options,
+                            const ParallelExecOptions& exec,
+                            SearchResult* result) {
+  std::vector<DeweyId> nodes;
+  XKS_RETURN_NOT_OK(ExecutePreparedQuery(
+      prepared, options, exec,
+      [&](const DeweyId& id) { nodes.push_back(id); }, result));
+  if (options.semantics != Semantics::kSlca) {
+    std::sort(nodes.begin(), nodes.end());
+  }
+  result->nodes = std::move(nodes);
+  return Status::OK();
 }
 
 }  // namespace xksearch

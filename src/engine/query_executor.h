@@ -11,6 +11,7 @@
 #include "index/inverted_index.h"
 #include "index/tokenizer.h"
 #include "slca/keyword_list.h"
+#include "slca/parallel.h"
 #include "slca/slca.h"
 #include "storage/disk_index.h"
 
@@ -55,6 +56,24 @@ Result<PreparedQuery> PrepareQuery(const DiskIndex& index,
                                    const std::vector<std::string>& keywords,
                                    const TokenizerOptions& tokenizer,
                                    QueryStats* stats);
+
+/// The execution body both engines share, run right after PrepareQuery:
+/// resolves kAuto, then runs the algorithm of `options.semantics` over the
+/// prepared lists and streams the answers to `emit`. A query with a
+/// keyword that occurs nowhere yields nothing. Fills `result->keywords`
+/// and `result->algorithm`; the counters land in the stats the lists were
+/// prepared with. `exec` splits eager SLCA queries into chunks.
+Status ExecutePreparedQuery(const PreparedQuery& prepared,
+                            const SearchOptions& options,
+                            const ParallelExecOptions& exec,
+                            const ResultCallback& emit, SearchResult* result);
+
+/// ExecutePreparedQuery collecting the answers into `result->nodes`, in
+/// document order (ELCA and All-LCA emit out of order and are sorted).
+Status CollectPreparedQuery(const PreparedQuery& prepared,
+                            const SearchOptions& options,
+                            const ParallelExecOptions& exec,
+                            SearchResult* result);
 
 }  // namespace xksearch
 

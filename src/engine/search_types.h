@@ -35,16 +35,14 @@ enum class Semantics {
 };
 
 /// \brief Per-query options (shared by XKSearch and DiskSearcher): what
-/// the query asks, not where it runs. Chunked execution
-/// (ParallelExecOptions) is a separate argument of the Search calls.
+/// the query asks, not where it runs. The engine picks the storage, and
+/// chunked execution (ParallelExecOptions) is a separate argument of the
+/// Search calls.
 struct SearchOptions {
   AlgorithmChoice algorithm = AlgorithmChoice::kAuto;
   /// Answer semantics; kElca and kAllLca ignore `algorithm` (kElca is
   /// stack-based, kAllLca pipelines on Indexed Lookup Eager).
   Semantics semantics = Semantics::kSlca;
-  /// Evaluate against the disk index (if built) instead of the in-memory
-  /// lists; "disk accesses" then appear in the returned stats.
-  bool use_disk_index = false;
   /// Buffer size B for eager delivery (see SlcaOptions::block_size).
   size_t block_size = 1;
   /// kAuto picks Indexed Lookup when max frequency / min frequency is at

@@ -10,43 +10,26 @@
 #include "common/stats.h"
 #include "dewey/dewey_id.h"
 #include "index/inverted_index.h"
-#include "slca/all_lca.h"
-#include "slca/elca.h"
-#include "slca/keyword_list.h"
 #include "engine/search_types.h"
 #include "slca/parallel.h"
-#include "slca/slca.h"
-#include "storage/disk_index.h"
 #include "xml/document.h"
 #include "xml/parser.h"
 
 namespace xksearch {
 
-/// \brief The XKSearch system (paper Figure 6): document + level table +
-/// inverted keyword lists + frequency table + query engine.
+/// \brief The XKSearch system (paper Figure 6) over in-memory lists:
+/// document + level table + inverted keyword lists + frequency table +
+/// query engine. DiskSearcher::Build writes the disk B+tree for the same
+/// index and answers from it; both engines run one execution body.
 ///
 /// Concurrency contract: after Build*, the in-memory structures are
 /// immutable and every const member is safe to call from any number of
 /// threads without external locking (all per-query scratch state lives in
-/// the PreparedQuery built per call). This includes the disk path: the
-/// buffer pools are sharded and thread-safe, and every query charges its
-/// disk accesses to its own QueryStats, so use_disk_index queries run
-/// fully in parallel. DiskIndexUpdater mutation is outside this contract
-/// and must not run concurrently with queries.
+/// the PreparedQuery built per call).
 class XKSearch {
  public:
   struct BuildOptions {
     IndexOptions index;
-    /// Also build the two disk B+tree layouts (required for
-    /// SearchOptions::use_disk_index).
-    bool build_disk_index = false;
-    DiskIndexOptions disk;
-    /// File prefix for the disk index; empty with
-    /// disk.in_memory = false is an error.
-    std::string disk_path_prefix;
-    /// Also write the document itself to `<disk_path_prefix>.xml`, so a
-    /// later DiskSearcher session can render snippets.
-    bool persist_document = false;
   };
 
   /// Parses `xml` and builds the index structures over it.
@@ -107,8 +90,6 @@ class XKSearch {
   /// The options the index was built with (tokenizer normalization etc.);
   /// callers that pre-normalize keywords (e.g. cache keys) must use these.
   const IndexOptions& index_options() const { return index_options_; }
-  /// nullptr unless built with build_disk_index.
-  DiskIndex* disk_index() const { return disk_.get(); }
 
  private:
   XKSearch(Document doc, InvertedIndex index, IndexOptions index_options)
@@ -119,7 +100,6 @@ class XKSearch {
   Document doc_;
   InvertedIndex index_;
   IndexOptions index_options_;
-  std::unique_ptr<DiskIndex> disk_;
 };
 
 }  // namespace xksearch

@@ -121,10 +121,15 @@ DeweyId RebaseToCollection(const DeweyId& id, uint32_t d) {
 
 /// One shard-count configuration under test: the collection, its
 /// parallel executor, and the per-shard fault hooks.
+/// One shard count's collections: the in-memory one, and beside it (with
+/// FuzzOptions::with_disk) one built with a disk index, whose shards
+/// answer from their DiskSearchers.
 struct ShardedSetup {
   size_t shard_count = 0;
   std::unique_ptr<shard::ShardedCollection> collection;
   std::unique_ptr<shard::ScatterGatherExecutor> executor;
+  std::unique_ptr<shard::ShardedCollection> disk_collection;
+  std::unique_ptr<shard::ScatterGatherExecutor> disk_executor;
   std::vector<std::vector<FaultInjectingPageStore*>> wrappers;  // per shard
 };
 
@@ -446,30 +451,30 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
   // Fault wrappers, filled by the decorator when the disk path is built.
   std::vector<FaultInjectingPageStore*> wrappers;
 
-  XKSearch::BuildOptions build;
-  build.build_disk_index = options.with_disk;
+  DiskIndexOptions disk_options;
   if (options.with_disk) {
-    build.disk.in_memory = true;
+    disk_options.in_memory = true;
     // Deliberately tiny pools (and sometimes a single shard) so cursor
     // traffic misses constantly: a fuzz case where everything stays
     // cached would never exercise the read path, let alone its faults.
     // Two draws, summed: the frame budget of the former probe and scan
     // pools, and the same draw sequence per seed as when there were two.
     const auto probe_pages = static_cast<size_t>(rng.UniformInt(2, 16));
-    build.disk.scan_pool_pages =
+    disk_options.scan_pool_pages =
         probe_pages + static_cast<size_t>(rng.UniformInt(2, 16));
-    build.disk.pool_shards = static_cast<size_t>(rng.UniformInt(1, 4));
+    disk_options.pool_shards = static_cast<size_t>(rng.UniformInt(1, 4));
     // Tiny scan blocks so even fuzz-sized keyword lists span several
     // blocks — that is what gives the disk chunk planner something to
     // split (block boundaries are its partition units).
-    build.disk.scan_block_bytes = static_cast<size_t>(rng.UniformInt(48, 512));
+    disk_options.scan_block_bytes =
+        static_cast<size_t>(rng.UniformInt(48, 512));
     // Discarded: this draw once picked the leaf-readahead depth. Taking
     // it keeps every later draw of a seed, and so the index options and
     // queries that seed builds, unchanged.
     (void)rng.UniformInt(0, 4);
-    build.disk.compress_dewey = rng.Bernoulli(0.75);
-    build.disk.delta_compress = rng.Bernoulli(0.75);
-    build.disk.store_decorator =
+    disk_options.compress_dewey = rng.Bernoulli(0.75);
+    disk_options.delta_compress = rng.Bernoulli(0.75);
+    disk_options.store_decorator =
         [&wrappers, seed](std::unique_ptr<PageStore> inner,
                           std::string_view /*name*/) {
           auto wrapped = std::make_unique<FaultInjectingPageStore>(
@@ -479,16 +484,28 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         };
   }
 
-  Result<std::unique_ptr<XKSearch>> built =
-      XKSearch::BuildFromDocument(std::move(doc), build);
-  if (!built.ok()) {
+  auto build_failed = [&](const std::string& what, const Status& status) {
     Divergence d;
     d.seed = seed;
-    d.detail = "build failed: " + built.status().ToString();
+    d.detail = what + " failed: " + status.ToString();
     report.divergences.push_back(std::move(d));
     return report;
-  }
+  };
+  Result<std::unique_ptr<XKSearch>> built =
+      XKSearch::BuildFromDocument(std::move(doc));
+  if (!built.ok()) return build_failed("build", built.status());
   const XKSearch& engine = **built;
+  // The disk engine over the same index: every disk check below runs on
+  // it, beside the in-memory engine.
+  std::unique_ptr<DiskSearcher> disk;
+  if (options.with_disk) {
+    Result<std::unique_ptr<DiskSearcher>> disk_built =
+        DiskSearcher::Build(engine, "", disk_options);
+    if (!disk_built.ok()) {
+      return build_failed("disk build", disk_built.status());
+    }
+    disk = disk_built.MoveValueUnsafe();
+  }
 
   // Shared executor for the intra-query chunked runs. Pool and budget
   // deliberately persist across queries and algorithms so chunk tasks
@@ -528,76 +545,71 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       Document extra = GenerateRandomDocument(&rng, extra_tree);
       corpus.push_back(extra.Clone());
       Result<std::unique_ptr<XKSearch>> extra_engine =
-          XKSearch::BuildFromDocument(std::move(extra),
-                                      XKSearch::BuildOptions());
+          XKSearch::BuildFromDocument(std::move(extra));
       if (!extra_engine.ok()) {
-        Divergence d;
-        d.seed = seed;
-        d.detail = "extra doc build failed: " + extra_engine.status().ToString();
-        report.divergences.push_back(std::move(d));
-        return report;
+        return build_failed("extra doc build", extra_engine.status());
       }
       extra_engines.push_back(extra_engine.MoveValueUnsafe());
       doc_engines.push_back(extra_engines.back().get());
     }
+    auto build_collection = [&](shard::ShardedCollectionOptions sco)
+        -> Result<std::unique_ptr<shard::ShardedCollection>> {
+      shard::ShardedCollection::Builder builder(std::move(sco));
+      for (uint32_t d = 0; d < corpus.size(); ++d) {
+        XKS_RETURN_NOT_OK(
+            builder.Add("doc" + std::to_string(d), corpus[d].Clone()));
+      }
+      return std::move(builder).Build();
+    };
+    shard::ScatterGatherOptions sgo;
+    sgo.workers = 2;
     for (const size_t n : options.shard_counts) {
       setups.emplace_back();
       ShardedSetup& setup = setups.back();
       setup.shard_count = n;
       setup.wrappers.resize(n);
+      const std::string what = "sharded build (n=" + std::to_string(n) + ")";
       shard::ShardedCollectionOptions sco;
       sco.shards = n;
-      sco.build.build_disk_index = options.with_disk;
-      if (options.with_disk) {
-        sco.build.disk.in_memory = true;
-        // Same rationale as the single-index path — tiny pools so the
-        // disk read path actually reads — but with a floor that grows
-        // with the corpus: one shard can hold every document merged into
-        // a single index whose deeper trees and longer posting runs pin
-        // more frames at once than any lone fuzz document, and a 2-frame
-        // pool then fails with "all pages pinned" (a capacity error, not
-        // a divergence).
-        const int64_t floor_pages =
-            4 + 4 * static_cast<int64_t>(corpus.size());
-        // Two draws, summed, as for single-index cases above.
-        const auto probe_pages = static_cast<size_t>(
-            rng.UniformInt(floor_pages, floor_pages + 12));
-        sco.build.disk.scan_pool_pages =
-            probe_pages + static_cast<size_t>(
-                              rng.UniformInt(floor_pages, floor_pages + 12));
-        sco.build.disk.pool_shards =
-            static_cast<size_t>(rng.UniformInt(1, 4));
-        sco.store_decorator =
-            [&setup, seed](std::unique_ptr<PageStore> inner, size_t s,
-                           std::string_view /*name*/) {
-              auto wrapped = std::make_unique<FaultInjectingPageStore>(
-                  std::move(inner), seed);
-              setup.wrappers[s].push_back(wrapped.get());
-              return std::unique_ptr<PageStore>(std::move(wrapped));
-            };
-      }
-      shard::ShardedCollection::Builder builder(std::move(sco));
-      Status add_status;
-      for (uint32_t d = 0; d < corpus.size() && add_status.ok(); ++d) {
-        add_status = builder.Add("doc" + std::to_string(d), corpus[d].Clone());
-      }
       Result<std::unique_ptr<shard::ShardedCollection>> collection =
-          add_status.ok() ? std::move(builder).Build()
-                          : Result<std::unique_ptr<shard::ShardedCollection>>(
-                                add_status);
-      if (!collection.ok()) {
-        Divergence d;
-        d.seed = seed;
-        d.detail = "sharded build (n=" + std::to_string(n) +
-                   ") failed: " + collection.status().ToString();
-        report.divergences.push_back(std::move(d));
-        return report;
-      }
+          build_collection(sco);
+      if (!collection.ok()) return build_failed(what, collection.status());
       setup.collection = collection.MoveValueUnsafe();
-      shard::ScatterGatherOptions sgo;
-      sgo.workers = 2;
       setup.executor = std::make_unique<shard::ScatterGatherExecutor>(
           setup.collection.get(), sgo);
+      if (!options.with_disk) continue;
+      DiskIndexOptions& disk_shards = sco.disk.emplace();
+      disk_shards.in_memory = true;
+      // Same rationale as the single-index path — tiny pools so the
+      // disk read path actually reads — but with a floor that grows
+      // with the corpus: one shard can hold every document merged into
+      // a single index whose deeper trees and longer posting runs pin
+      // more frames at once than any lone fuzz document, and a 2-frame
+      // pool then fails with "all pages pinned" (a capacity error, not
+      // a divergence).
+      const int64_t floor_pages = 4 + 4 * static_cast<int64_t>(corpus.size());
+      // Two draws, summed, as for single-index cases above.
+      const auto probe_pages = static_cast<size_t>(
+          rng.UniformInt(floor_pages, floor_pages + 12));
+      disk_shards.scan_pool_pages =
+          probe_pages + static_cast<size_t>(
+                            rng.UniformInt(floor_pages, floor_pages + 12));
+      disk_shards.pool_shards = static_cast<size_t>(rng.UniformInt(1, 4));
+      sco.store_decorator =
+          [&setup, seed](std::unique_ptr<PageStore> inner, size_t s,
+                         std::string_view /*name*/) {
+            auto wrapped = std::make_unique<FaultInjectingPageStore>(
+                std::move(inner), seed);
+            setup.wrappers[s].push_back(wrapped.get());
+            return std::unique_ptr<PageStore>(std::move(wrapped));
+          };
+      collection = build_collection(std::move(sco));
+      if (!collection.ok()) {
+        return build_failed("disk " + what, collection.status());
+      }
+      setup.disk_collection = collection.MoveValueUnsafe();
+      setup.disk_executor = std::make_unique<shard::ScatterGatherExecutor>(
+          setup.disk_collection.get(), sgo);
     }
   }
 
@@ -633,7 +645,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     // by construction, unlike comparison/posting/page counts, which may
     // differ by bounded seam terms. min_chunk_elements is forced to 1 so
     // fuzz-sized lists still split.
-    auto check_chunked = [&](const std::string& label,
+    auto check_chunked = [&](const auto& searcher, const std::string& label,
                              const Result<SearchResult>& sequential,
                              const SearchOptions& so, size_t chunks) {
       if (!sequential.ok() || chunk_pool == nullptr) return;
@@ -642,7 +654,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       exec.budget = chunk_budget.get();
       exec.max_chunks = chunks;
       exec.min_chunk_elements = 1;
-      Result<SearchResult> got = engine.Search(keywords, so, exec);
+      Result<SearchResult> got = searcher.Search(keywords, so, exec);
       ++report.cases;
       if (!got.ok()) {
         ctx.Diverge(label + " failed: " + got.status().ToString());
@@ -720,8 +732,8 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       ctx.Check(label.c_str(), packed, *oracle_slca);
       if (algorithm != AlgorithmChoice::kStack) {
         for (const size_t chunks : options.chunk_counts) {
-          check_chunked(label + "/chunks=" + std::to_string(chunks), packed,
-                        so, chunks);
+          check_chunked(engine, label + "/chunks=" + std::to_string(chunks),
+                        packed, so, chunks);
         }
       }
     }
@@ -825,12 +837,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         }
       }
       if (options.with_disk) {
-        SearchOptions so;
-        so.use_disk_index = true;
         for (ShardedSetup& setup : setups) {
           check_sharded("sharded[" + std::to_string(setup.shard_count) +
                             "]/disk",
-                        setup.executor->Search(keywords, so), *expected);
+                        setup.disk_executor->Search(keywords), *expected);
         }
       }
       if (options.with_disk && options.with_faults) {
@@ -852,11 +862,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           // serve the whole query without one read — a guaranteed
           // survival — and the schedule must also be observed firing.
           const bool cold = rng.Bernoulli(0.5);
-          const XKSearch* victim_engine =
-              setup.collection->shard_engine(static_cast<uint32_t>(victim));
-          if (cold && victim_engine != nullptr &&
-              victim_engine->disk_index() != nullptr) {
-            const Status dropped = victim_engine->disk_index()->DropCaches();
+          const DiskSearcher* victim_disk =
+              setup.disk_collection->shard_disk(static_cast<uint32_t>(victim));
+          if (cold && victim_disk != nullptr) {
+            const Status dropped = victim_disk->index()->DropCaches();
             if (!dropped.ok()) {
               ctx.Diverge("sharded[" + std::to_string(setup.shard_count) +
                           "]/faults DropCaches failed: " + dropped.ToString());
@@ -868,12 +877,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
                                         options.faults_per_round);
             w->Arm();
           }
-          SearchOptions so;
-          so.use_disk_index = true;
           const std::string tag =
               "sharded[" + std::to_string(setup.shard_count) + "]/faults";
           Result<shard::ShardedResult> got =
-              setup.executor->Search(keywords, so);
+              setup.disk_executor->Search(keywords);
           ++report.cases;
           if (got.ok()) {
             ++report.fault_survivals;
@@ -893,21 +900,19 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
             w->Disarm();
             w->ClearFaults();
           }
-          for (uint32_t s = 0; s < setup.collection->shard_count(); ++s) {
-            const XKSearch* shard_engine = setup.collection->shard_engine(s);
-            if (shard_engine == nullptr ||
-                shard_engine->disk_index() == nullptr) {
-              continue;
-            }
+          for (uint32_t s = 0; s < setup.disk_collection->shard_count(); ++s) {
+            const DiskSearcher* shard_disk =
+                setup.disk_collection->shard_disk(s);
+            if (shard_disk == nullptr) continue;
             const uint64_t pins =
-                shard_engine->disk_index()->scan_pool()->DebugTotalPins();
+                shard_disk->index()->scan_pool()->DebugTotalPins();
             if (pins != 0) {
               ctx.Diverge(tag + " leaked pins on shard " + std::to_string(s) +
                           ": " + std::to_string(pins));
             }
           }
-          check_sharded(tag + "/recovery", setup.executor->Search(keywords, so),
-                        *expected);
+          check_sharded(tag + "/recovery",
+                        setup.disk_executor->Search(keywords), *expected);
         }
       }
     }
@@ -915,8 +920,8 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     if (!options.with_disk) continue;
 
     // Disk paths (fault-free): same checks through pools + B+trees.
-    // Beyond matching the oracle, a disk run and a packed in-memory run
-    // with the same options must agree on the answer and on the
+    // Beyond matching the oracle, the disk engine and the in-memory
+    // engine with the same options must agree on the answer and on the
     // algorithm-level counters — `match_ops` (the lm/rm calls of the
     // paper's Table 1) and `results`: the layout may only change how a
     // match is answered, never how many are asked. Comparison and
@@ -924,13 +929,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     for (AlgorithmChoice algorithm : kAlgorithms) {
       SearchOptions so;
       so.algorithm = algorithm;
-      so.use_disk_index = true;
       so.block_size = static_cast<size_t>(rng.UniformInt(1, 4));
-      Result<SearchResult> seq = engine.Search(keywords, so);
+      Result<SearchResult> seq = disk->Search(keywords, so);
       ctx.Check(AlgorithmLabel(algorithm, true), seq, *oracle_slca);
-      SearchOptions mem = so;
-      mem.use_disk_index = false;
-      const Result<SearchResult> packed = engine.Search(keywords, mem);
+      const Result<SearchResult> packed = engine.Search(keywords, so);
       if (seq.ok() && packed.ok()) {
         ++report.cases;
         const uint64_t disk_ops = seq->stats.match_ops.load();
@@ -950,7 +952,8 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       }
       if (algorithm != AlgorithmChoice::kStack) {
         for (const size_t chunks : options.chunk_counts) {
-          check_chunked(std::string(AlgorithmLabel(algorithm, true)) +
+          check_chunked(*disk,
+                        std::string(AlgorithmLabel(algorithm, true)) +
                             "/chunks=" + std::to_string(chunks),
                         seq, so, chunks);
         }
@@ -958,11 +961,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     }
     {
       SearchOptions so;
-      so.use_disk_index = true;
       so.semantics = Semantics::kElca;
-      ctx.Check("disk/elca", engine.Search(keywords, so), *oracle_elca);
+      ctx.Check("disk/elca", disk->Search(keywords, so), *oracle_elca);
       so.semantics = Semantics::kAllLca;
-      ctx.Check("disk/all-lca", engine.Search(keywords, so), *oracle_lca);
+      ctx.Check("disk/all-lca", disk->Search(keywords, so), *oracle_lca);
     }
 
     if (!options.with_faults) continue;
@@ -982,8 +984,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       }
       SearchOptions so;
       so.algorithm = algorithm;
-      so.use_disk_index = true;
-      Result<SearchResult> got = engine.Search(keywords, so);
+      Result<SearchResult> got = disk->Search(keywords, so);
       ++report.cases;
       if (got.ok()) {
         ++report.fault_survivals;
@@ -1005,13 +1006,13 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         w->Disarm();
         w->ClearFaults();
       }
-      const uint64_t pins = engine.disk_index()->scan_pool()->DebugTotalPins();
+      const uint64_t pins = disk->index()->scan_pool()->DebugTotalPins();
       if (pins != 0) {
         ctx.Diverge(std::string(AlgorithmLabel(algorithm, true)) +
                     " under faults leaked pins: " + std::to_string(pins));
       }
       // Recovery: the identical query, faults disarmed, must succeed.
-      ctx.Check("disk/recovery", engine.Search(keywords, so), *oracle_slca);
+      ctx.Check("disk/recovery", disk->Search(keywords, so), *oracle_slca);
 
       // Chunked fault round: same contract with chunk workers hitting
       // the armed stores concurrently — the error must surface as the
@@ -1036,7 +1037,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       const std::string fault_label =
           std::string(AlgorithmLabel(algorithm, true)) + "/chunks=" +
           std::to_string(fault_chunks) + " under faults";
-      Result<SearchResult> chunked = engine.Search(keywords, so, exec);
+      Result<SearchResult> chunked = disk->Search(keywords, so, exec);
       ++report.cases;
       if (chunked.ok()) {
         ++report.fault_survivals;
@@ -1057,18 +1058,18 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         w->ClearFaults();
       }
       const uint64_t chunk_pins =
-          engine.disk_index()->scan_pool()->DebugTotalPins();
+          disk->index()->scan_pool()->DebugTotalPins();
       if (chunk_pins != 0) {
         ctx.Diverge(fault_label + " leaked pins: " +
                     std::to_string(chunk_pins));
       }
-      ctx.Check("disk/chunked-recovery", engine.Search(keywords, so, exec),
+      ctx.Check("disk/chunked-recovery", disk->Search(keywords, so, exec),
                 *oracle_slca);
     }
   }
 
   // --- Concurrent-client stage: concurrent_clients threads each submit
-  // every sampled query at once through one QueryService, so identical
+  // every sampled query at once through a QueryService, so identical
   // submissions are in flight together and coalesce under single-flight.
   // Serving never changes an answer, so every response must reproduce
   // the sequential engine run exactly: same nodes, same match_ops, same
@@ -1105,10 +1106,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       canonical[i] =
           service.MakeCacheKey(sampled_queries[i], SearchOptions()).keywords();
     }
-    auto make_refs = [&](const SearchOptions& so) {
+    auto make_refs = [&](const auto& searcher, const SearchOptions& so) {
       std::vector<ClientRef> refs(sampled_queries.size());
       for (size_t i = 0; i < sampled_queries.size(); ++i) {
-        Result<SearchResult> r = engine.Search(canonical[i], so);
+        Result<SearchResult> r = searcher.Search(canonical[i], so);
         if (!r.ok()) {
           CaseContext bctx{seed, &report, &sampled_queries[i]};
           bctx.Diverge("client reference run failed: " +
@@ -1127,14 +1128,15 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     // once all clients have joined.
     using PendingResponse =
         std::pair<size_t, std::future<Result<serve::QueryResponse>>>;
-    auto submit_all = [&](const SearchOptions& so) {
+    auto submit_all = [&](serve::QueryService& target,
+                          const SearchOptions& so) {
       std::vector<std::vector<PendingResponse>> per_client(
           options.concurrent_clients);
       std::vector<std::thread> clients;
       for (size_t c = 0; c < per_client.size(); ++c) {
         clients.emplace_back([&, c] {
           for (size_t i = 0; i < canonical.size(); ++i) {
-            per_client[c].emplace_back(i, service.Submit(canonical[i], so));
+            per_client[c].emplace_back(i, target.Submit(canonical[i], so));
           }
         });
       }
@@ -1148,9 +1150,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
 
     // Submits every query from every client and checks each response
     // against its sequential reference.
-    auto run_clients = [&](const char* label, const SearchOptions& so,
+    auto run_clients = [&](serve::QueryService& target, const char* label,
+                           const SearchOptions& so,
                            const std::vector<ClientRef>& refs) {
-      std::vector<PendingResponse> submitted = submit_all(so);
+      std::vector<PendingResponse> submitted = submit_all(target, so);
       for (auto& [i, fut] : submitted) {
         Result<serve::QueryResponse> resp = fut.get();
         if (!refs[i].ok) continue;
@@ -1179,15 +1182,12 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       }
     };
 
-    {
-      SearchOptions so;
-      run_clients("clients/mem", so, make_refs(so));
-    }
+    const SearchOptions so;
+    run_clients(service, "clients/mem", so, make_refs(engine, so));
     if (options.with_disk) {
-      SearchOptions so;
-      so.use_disk_index = true;
-      const std::vector<ClientRef> disk_refs = make_refs(so);
-      run_clients("clients/disk", so, disk_refs);
+      serve::QueryService disk_service(disk.get(), qso);
+      const std::vector<ClientRef> disk_refs = make_refs(*disk, so);
+      run_clients(disk_service, "clients/disk", so, disk_refs);
 
       if (options.with_faults) {
         // Fault round: armed stores under every client at once. Each
@@ -1199,7 +1199,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
                                       options.faults_per_round);
           w->Arm();
         }
-        std::vector<PendingResponse> submitted = submit_all(so);
+        std::vector<PendingResponse> submitted = submit_all(disk_service, so);
         for (auto& [i, fut] : submitted) {
           Result<serve::QueryResponse> resp = fut.get();
           if (!disk_refs[i].ok) continue;
@@ -1224,16 +1224,16 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           w->Disarm();
           w->ClearFaults();
         }
-        const uint64_t pins =
-            engine.disk_index()->scan_pool()->DebugTotalPins();
+        const uint64_t pins = disk->index()->scan_pool()->DebugTotalPins();
         if (pins != 0) {
           CaseContext bctx{seed, &report, &sampled_queries[0]};
           bctx.Diverge("clients/faults leaked pins: " + std::to_string(pins));
         }
         // Recovery: the same clients, faults disarmed, must reproduce
         // the sequential answers again.
-        run_clients("clients/recovery", so, disk_refs);
+        run_clients(disk_service, "clients/recovery", so, disk_refs);
       }
+      disk_service.Shutdown();
     }
     service.Shutdown();
   }

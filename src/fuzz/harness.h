@@ -26,8 +26,10 @@ struct FuzzOptions {
   size_t max_keywords = 4;
   /// Queries evaluated against each generated collection.
   size_t queries_per_collection = 4;
-  /// Also run every query through the disk path (in-memory page store,
-  /// deliberately tiny buffer pools so reads actually happen).
+  /// Also run every query on the disk engine, a DiskSearcher built from
+  /// the case's XKSearch (in-memory page store, deliberately tiny buffer
+  /// pools so reads actually happen), and build a disk-backed sharded
+  /// collection beside each in-memory one.
   bool with_disk = true;
   /// Inject transient read faults into the disk path: each query round
   /// arms a fresh probabilistic fault schedule, asserts that a failing
@@ -75,7 +77,8 @@ struct FuzzOptions {
   /// Workers of the shared intra-query chunk pool.
   size_t chunk_workers = 3;
   /// Client threads of the concurrent-client stage: each submits every
-  /// sampled query of the collection at once through one QueryService,
+  /// sampled query of the collection at once through a QueryService (one
+  /// per engine),
   /// so identical submissions are in flight together and coalesce under
   /// single-flight. Each response must reproduce the sequential engine
   /// run exactly (nodes, match_ops, results); with with_disk &&
@@ -117,9 +120,9 @@ struct FuzzReport {
 std::string FormatDivergence(const Divergence& d);
 
 /// Runs the full differential check over one seeded collection: random
-/// document -> in-memory engine + (optionally) disk index; each sampled
+/// document -> in-memory engine + (optionally) disk engine; each sampled
 /// query is evaluated with Indexed Lookup Eager, Scan Eager and Stack on
-/// both paths plus the brute-force enumeration, all compared against the
+/// both engines plus the brute-force enumeration, all compared against the
 /// linear-time TreeOracle; ELCA and All-LCA semantics are cross-checked
 /// the same way. Never throws or aborts on divergence — every mismatch
 /// becomes a Divergence in the report.

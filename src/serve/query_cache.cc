@@ -75,7 +75,6 @@ void EncodeKey(const std::vector<std::string>& keywords,
                const SearchOptions& options, Sink* sink) {
   sink->Varint(static_cast<uint64_t>(options.algorithm));
   sink->Varint(static_cast<uint64_t>(options.semantics));
-  sink->Varint(options.use_disk_index ? 1 : 0);
   sink->Varint(options.block_size);
   sink->Varint(std::bit_cast<uint64_t>(options.auto_ratio_threshold));
   for (const std::string& word : keywords) {
@@ -85,7 +84,7 @@ void EncodeKey(const std::vector<std::string>& keywords,
 }
 
 /// Number of SearchOptions varints EncodeKey writes before the keywords.
-constexpr int kKeyOptionFields = 5;
+constexpr int kKeyOptionFields = 4;
 
 /// The result part of an entry. Nodes come last: their count, the
 /// positions of empty ids (DecodeBlock rejects an entry that is

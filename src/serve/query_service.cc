@@ -39,6 +39,9 @@ QueryService::QueryService(const XKSearch* engine, const DiskSearcher* searcher,
     : engine_(engine),
       searcher_(searcher),
       collection_(collection),
+      tokenizer_(engine != nullptr       ? engine->index_options().tokenizer
+                 : collection != nullptr ? collection->index_options().tokenizer
+                                         : searcher->tokenizer()),
       options_(options),
       cache_(options.cache),
       pool_(options.pool) {
@@ -110,14 +113,10 @@ Result<SearchResult> QueryService::RunQuery(
 QueryCacheKey QueryService::MakeCacheKey(
     const std::vector<std::string>& keywords,
     const SearchOptions& options) const {
-  const TokenizerOptions& tokenizer =
-      engine_ != nullptr       ? engine_->index_options().tokenizer
-      : collection_ != nullptr ? collection_->index_options().tokenizer
-                               : searcher_->tokenizer();
   std::vector<std::string> words;
   words.reserve(keywords.size());
   for (const std::string& word : keywords) {
-    words.push_back(NormalizeKeyword(word, tokenizer));
+    words.push_back(NormalizeKeyword(word, tokenizer_));
   }
   // Keyword order never affects the answer (the engine reorders lists by
   // frequency) and duplicate keywords contribute identical lists, so a
@@ -358,17 +357,11 @@ std::string QueryService::MetricsReport() const {
       g.pruned = counters[s].pruned;
       g.io_errors = counters[s].io_errors;
       g.results = counters[s].results;
-      const XKSearch* engine = collection_->shard_engine(s);
-      if (engine != nullptr && engine->disk_index() != nullptr) {
-        g.scan_pool = sample(*engine->disk_index()->scan_pool());
-      }
+      const DiskSearcher* disk = collection_->shard_disk(s);
+      if (disk != nullptr) g.scan_pool = sample(*disk->index()->scan_pool());
     }
-  } else {
-    const DiskIndex* disk =
-        engine_ != nullptr ? engine_->disk_index() : searcher_->index();
-    if (disk != nullptr) {
-      gauges.scan_pool = sample(*disk->scan_pool());
-    }
+  } else if (searcher_ != nullptr) {
+    gauges.scan_pool = sample(*searcher_->index()->scan_pool());
   }
   return metrics_.ReportText(gauges);
 }

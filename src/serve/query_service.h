@@ -101,8 +101,8 @@ struct QueryResponse {
 /// for concurrent const callers.
 class QueryService {
  public:
-  /// Serves from an in-memory (or hybrid) engine. `engine` is not owned
-  /// and must outlive the service.
+  /// Serves from an in-memory engine. `engine` is not owned and must
+  /// outlive the service.
   QueryService(const XKSearch* engine, const QueryServiceOptions& options);
   /// Serves from a persisted index without the source document.
   QueryService(const DiskSearcher* searcher,
@@ -211,6 +211,8 @@ class QueryService {
   const XKSearch* engine_;
   const DiskSearcher* searcher_;
   const shard::ShardedCollection* collection_;
+  /// The backend's tokenizer, which cache keys normalize with.
+  TokenizerOptions tokenizer_;
   std::unique_ptr<shard::ScatterGatherExecutor> shard_exec_;
   QueryServiceOptions options_;
   MetricsRegistry metrics_;

@@ -146,21 +146,24 @@ ShardedCollection::Builder::Build() && {
     for (const uint32_t d : shard.docs) {
       AppendDocumentCopy(&merged, root, docs_[d]);
     }
-    XKSearch::BuildOptions build = options_.build;
-    if (build.build_disk_index && !build.disk_path_prefix.empty()) {
-      build.disk_path_prefix += ".s" + std::to_string(s);
-    }
+    XKS_ASSIGN_OR_RETURN(
+        shard.engine,
+        XKSearch::BuildFromDocument(std::move(merged), options_.build));
+    shard_terms[s] = shard.engine->index().Terms();
+    if (!options_.disk.has_value()) continue;
+    DiskIndexOptions disk = *options_.disk;
     if (options_.store_decorator) {
-      build.disk.store_decorator =
+      disk.store_decorator =
           [decorator = options_.store_decorator, s](
               std::unique_ptr<PageStore> store,
               std::string_view name) { return decorator(std::move(store), s, name); };
     }
-    Result<std::unique_ptr<XKSearch>> engine =
-        XKSearch::BuildFromDocument(std::move(merged), build);
-    if (!engine.ok()) return engine.status();
-    shard.engine = engine.MoveValueUnsafe();
-    shard_terms[s] = shard.engine->index().Terms();
+    const std::string prefix =
+        options_.disk_path_prefix.empty()
+            ? std::string()
+            : options_.disk_path_prefix + ".s" + std::to_string(s);
+    XKS_ASSIGN_OR_RETURN(shard.disk,
+                         DiskSearcher::Build(*shard.engine, prefix, disk));
   }
 
   for (const Shard& shard : collection->shards_) {
@@ -219,19 +222,21 @@ Result<ShardedCollection::Plan> ShardedCollection::PlanQuery(
 Result<SearchResult> ShardedCollection::SearchShard(
     uint32_t shard, const std::vector<std::string>& keywords,
     const SearchOptions& options, const ParallelExecOptions& exec) const {
-  const XKSearch* engine = shards_[shard].engine.get();
-  if (engine == nullptr) {
+  const Shard& target = shards_[shard];
+  if (target.engine == nullptr) {
     return Status::Internal("shard " + std::to_string(shard) +
                             " has no engine (empty shard queried)");
   }
-  Result<SearchResult> result = engine->Search(keywords, options, exec);
+  Result<SearchResult> result =
+      target.disk != nullptr ? target.disk->Search(keywords, options, exec)
+                             : target.engine->Search(keywords, options, exec);
   if (!result.ok()) return result.status();
   SearchResult rebased = result.MoveValueUnsafe();
   // Re-base shard-local answers [0, pos, rest...] to collection
   // coordinates [0, doc, rest...]; the synthetic shard root [0] itself
   // (an "answer" spanning several documents) is discarded. pos -> doc is
   // strictly increasing, so the stream stays sorted.
-  const std::vector<uint32_t>& docs = shards_[shard].docs;
+  const std::vector<uint32_t>& docs = target.docs;
   size_t kept = 0;
   for (DeweyId& node : rebased.nodes) {
     if (node.depth() < 2) continue;  // the synthetic shard root

@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/stats.h"
+#include "engine/disk_searcher.h"
 #include "engine/xksearch.h"
 #include "shard/router.h"
 #include "storage/pager.h"
@@ -29,13 +31,16 @@ struct ShardedCollectionOptions {
   /// Number of shards (>= 1). Shards left without documents stay empty
   /// and are pruned from every query.
   size_t shards = 1;
-  /// Per-shard build template. With build_disk_index, each shard builds
-  /// its own DiskIndex; a file-backed disk_path_prefix `p` becomes
-  /// `p.s<k>` for shard k.
+  /// Per-shard index build options.
   XKSearch::BuildOptions build;
+  /// When set, each shard also writes its own disk index with these
+  /// options (DiskSearcher::Build) and answers every query from it. A
+  /// file-backed `disk_path_prefix` `p` becomes `p.s<k>` for shard k.
+  std::optional<DiskIndexOptions> disk;
+  std::string disk_path_prefix;
   /// Test hook mirroring DiskIndexOptions::store_decorator with the
   /// shard index added, so fault-injection tests can target one shard's
-  /// stores. Overrides any decorator in `build.disk`.
+  /// stores. Overrides any decorator in `disk`.
   std::function<std::unique_ptr<PageStore>(std::unique_ptr<PageStore>,
                                            size_t shard,
                                            std::string_view name)>
@@ -82,7 +87,8 @@ struct ShardCountersSnapshot {
 };
 
 /// \brief A multi-document collection partitioned into independent
-/// shards, each owning its own XKSearch engine (and optional DiskIndex).
+/// shards, each owning its own XKSearch engine and, when built with a
+/// disk index, the DiskSearcher that answers its queries.
 ///
 /// Correctness hook (the reason sharding is safe): SLCA/ELCA/All-LCA
 /// answers never cross a document root — any answer's subtree lies
@@ -181,10 +187,15 @@ class ShardedCollection {
 
   size_t shard_count() const { return shards_.size(); }
   size_t document_count() const { return doc_names_.size(); }
-  /// The engine behind shard `s`; nullptr when the shard holds no
-  /// documents.
+  /// The in-memory engine of shard `s` (its index also routes queries);
+  /// nullptr when the shard holds no documents.
   const XKSearch* shard_engine(uint32_t s) const {
     return shards_[s].engine.get();
+  }
+  /// The disk engine that answers shard `s`'s queries; nullptr when the
+  /// collection was built without a disk index or the shard is empty.
+  const DiskSearcher* shard_disk(uint32_t s) const {
+    return shards_[s].disk.get();
   }
   /// Global ids of the documents in shard `s`, ascending.
   const std::vector<uint32_t>& shard_documents(uint32_t s) const {
@@ -203,6 +214,7 @@ class ShardedCollection {
   struct Shard {
     std::vector<uint32_t> docs;  // global ids, ascending
     std::unique_ptr<XKSearch> engine;
+    std::unique_ptr<DiskSearcher> disk;
   };
   struct Counters {
     RelaxedCounter executed;

@@ -132,16 +132,17 @@ TEST(ConcurrencyTest, ParallelDiskQueriesAgree) {
   gen.plants = {{"alpha", 15}, {"carol", 1200}};
   Result<Document> doc = GenerateDblp(gen);
   ASSERT_TRUE(doc.ok());
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
   Result<std::unique_ptr<XKSearch>> built =
-      XKSearch::BuildFromDocument(std::move(*doc), build);
+      XKSearch::BuildFromDocument(std::move(*doc));
   ASSERT_TRUE(built.ok());
-  const std::unique_ptr<XKSearch>& system = *built;
+  DiskIndexOptions disk;
+  disk.in_memory = true;
+  Result<std::unique_ptr<DiskSearcher>> searcher =
+      DiskSearcher::Build(**built, "", disk);
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  const std::unique_ptr<DiskSearcher>& system = *searcher;
 
-  SearchOptions options;
-  options.use_disk_index = true;
+  const SearchOptions options;
   Result<SearchResult> expected = system->Search({"alpha", "carol"}, options);
   ASSERT_TRUE(expected.ok());
 
@@ -181,17 +182,18 @@ TEST(ConcurrencyTest, DiskSearcherParallelStress) {
   gen.plants = {{"alpha", 12}, {"bravo", 150}, {"carol", 900}};
   Result<Document> doc = GenerateDblp(gen);
   ASSERT_TRUE(doc.ok());
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
-  // A tiny pool forces eviction on nearly every query.
-  build.disk.scan_pool_pages = 128;
   Result<std::unique_ptr<XKSearch>> built =
-      XKSearch::BuildFromDocument(std::move(*doc), build);
+      XKSearch::BuildFromDocument(std::move(*doc));
   ASSERT_TRUE(built.ok());
-  DiskIndex* index = (*built)->disk_index();
-  ASSERT_NE(index, nullptr);
-  const DiskSearcher searcher(index, index->tokenizer());
+  DiskIndexOptions disk;
+  disk.in_memory = true;
+  // A tiny pool forces eviction on nearly every query.
+  disk.scan_pool_pages = 128;
+  Result<std::unique_ptr<DiskSearcher>> built_disk =
+      DiskSearcher::Build(**built, "", disk);
+  ASSERT_TRUE(built_disk.ok()) << built_disk.status().ToString();
+  const DiskSearcher& searcher = **built_disk;
+  DiskIndex* index = searcher.index();
 
   const std::vector<std::vector<std::string>> queries = {
       {"alpha", "carol"}, {"bravo", "carol"}, {"alpha", "bravo", "carol"},

@@ -1,6 +1,7 @@
 #include "engine/disk_searcher.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "common/rng.h"
@@ -15,17 +16,29 @@ namespace {
 
 using testing_util::Strings;
 
+// Builds the engine over `doc` and writes its disk index to `prefix`
+// (optionally with the document beside it). Returns the engine.
+std::unique_ptr<XKSearch> BuildWithDiskIndex(
+    Document doc, const std::string& prefix,
+    const XKSearch::BuildOptions& build = {}, bool persist_document = false) {
+  Result<std::unique_ptr<XKSearch>> system =
+      XKSearch::BuildFromDocument(std::move(doc), build);
+  EXPECT_TRUE(system.ok()) << system.status().ToString();
+  if (!system.ok()) return nullptr;
+  const Status written = DiskSearcher::Build(**system, prefix,
+                                             DiskIndexOptions(),
+                                             persist_document)
+                             .status();
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  return written.ok() ? system.MoveValueUnsafe() : nullptr;
+}
+
 class DiskSearcherTest : public ::testing::Test {
  protected:
   void SetUp() override {
     prefix_ = testing_util::UniqueTempPrefix("disk_searcher_idx");
-    XKSearch::BuildOptions build;
-    build.build_disk_index = true;
-    build.disk_path_prefix = prefix_;
-    Result<std::unique_ptr<XKSearch>> system =
-        XKSearch::BuildFromDocument(BuildSchoolDocument(), build);
-    ASSERT_TRUE(system.ok()) << system.status().ToString();
-    system_ = std::move(*system);
+    system_ = BuildWithDiskIndex(BuildSchoolDocument(), prefix_);
+    ASSERT_NE(system_, nullptr);
   }
 
   void TearDown() override {
@@ -98,12 +111,9 @@ TEST(DiskSearcherRandomTest, ParityWithEngineOnRandomDocuments) {
   options.node_count = 600;
   options.vocab_size = 5;
   for (int round = 0; round < 5; ++round) {
-    XKSearch::BuildOptions build;
-    build.build_disk_index = true;
-    build.disk_path_prefix = prefix;
-    Result<std::unique_ptr<XKSearch>> system = XKSearch::BuildFromDocument(
-        GenerateRandomDocument(&rng, options), build);
-    ASSERT_TRUE(system.ok());
+    const std::unique_ptr<XKSearch> system =
+        BuildWithDiskIndex(GenerateRandomDocument(&rng, options), prefix);
+    ASSERT_NE(system, nullptr);
     Result<std::unique_ptr<DiskSearcher>> searcher =
         DiskSearcher::Open(prefix);
     ASSERT_TRUE(searcher.ok());
@@ -111,7 +121,7 @@ TEST(DiskSearcherRandomTest, ParityWithEngineOnRandomDocuments) {
     for (int q = 0; q < 5; ++q) {
       const std::vector<std::string> query = {
           vocab[rng.Uniform(vocab.size())], vocab[rng.Uniform(vocab.size())]};
-      Result<SearchResult> expected = (*system)->Search(query);
+      Result<SearchResult> expected = system->Search(query);
       Result<SearchResult> got = (*searcher)->Search(query);
       ASSERT_TRUE(expected.ok());
       ASSERT_TRUE(got.ok());
@@ -129,12 +139,7 @@ TEST(DiskSearcherTokenizerTest, CaseSensitiveIndexNormalizesConsistently) {
   const std::string prefix = ::testing::TempDir() + "/disk_searcher_case";
   XKSearch::BuildOptions build;
   build.index.tokenizer.lowercase = false;
-  build.build_disk_index = true;
-  build.disk_path_prefix = prefix;
-  Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(BuildSchoolDocument(), build);
-  ASSERT_TRUE(system.ok());
-  system->reset();
+  ASSERT_NE(BuildWithDiskIndex(BuildSchoolDocument(), prefix, build), nullptr);
 
   Result<std::unique_ptr<DiskSearcher>> searcher = DiskSearcher::Open(prefix);
   ASSERT_TRUE(searcher.ok());
@@ -154,14 +159,9 @@ TEST(DiskSearcherTokenizerTest, CaseSensitiveIndexNormalizesConsistently) {
 
 TEST(DiskSearcherSnippetTest, PersistedDocumentEnablesSnippets) {
   const std::string prefix = ::testing::TempDir() + "/disk_searcher_snip";
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk_path_prefix = prefix;
-  build.persist_document = true;
-  Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(BuildSchoolDocument(), build);
-  ASSERT_TRUE(system.ok()) << system.status().ToString();
-  system->reset();
+  ASSERT_NE(BuildWithDiskIndex(BuildSchoolDocument(), prefix, {},
+                               /*persist_document=*/true),
+            nullptr);
 
   Result<std::unique_ptr<DiskSearcher>> searcher = DiskSearcher::Open(prefix);
   ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
@@ -184,13 +184,7 @@ TEST(DiskSearcherSnippetTest, PersistedDocumentEnablesSnippets) {
 
 TEST(DiskSearcherSnippetTest, WithoutPersistedDocumentNotSupported) {
   const std::string prefix = ::testing::TempDir() + "/disk_searcher_nosnip";
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk_path_prefix = prefix;
-  Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(BuildSchoolDocument(), build);
-  ASSERT_TRUE(system.ok());
-  system->reset();
+  ASSERT_NE(BuildWithDiskIndex(BuildSchoolDocument(), prefix), nullptr);
 
   Result<std::unique_ptr<DiskSearcher>> searcher = DiskSearcher::Open(prefix);
   ASSERT_TRUE(searcher.ok());
@@ -204,14 +198,30 @@ TEST(DiskSearcherSnippetTest, WithoutPersistedDocumentNotSupported) {
   }
 }
 
+// persist_document on an in-memory store is rejected before any work: no
+// page store is created and no file is written.
 TEST(DiskSearcherSnippetTest, PersistRequiresFileBackedIndex) {
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
-  build.persist_document = true;
-  EXPECT_TRUE(XKSearch::BuildFromDocument(BuildSchoolDocument(), build)
+  const std::string prefix =
+      testing_util::UniqueTempPrefix("disk_searcher_persist_mem");
+  Result<std::unique_ptr<XKSearch>> system =
+      XKSearch::BuildFromDocument(BuildSchoolDocument());
+  ASSERT_TRUE(system.ok());
+  DiskIndexOptions options;
+  options.in_memory = true;
+  int stores = 0;
+  options.store_decorator = [&stores](std::unique_ptr<PageStore> store,
+                                      std::string_view /*name*/) {
+    ++stores;
+    return store;
+  };
+  EXPECT_TRUE(DiskSearcher::Build(**system, prefix, options,
+                                  /*persist_document=*/true)
                   .status()
                   .IsInvalidArgument());
+  EXPECT_EQ(stores, 0);
+  for (const char* suffix : {".xml", ".scan", ".dict", ".il", ".wal"}) {
+    EXPECT_FALSE(std::filesystem::exists(prefix + suffix)) << suffix;
+  }
 }
 
 // Table 1 counters of disk Indexed Lookup Eager and kAuto queries on a
@@ -242,14 +252,16 @@ TEST(DiskProbeCountersTest, IndexedLookupAndAutoCountersArePinned) {
                 {"pbig", 10000},    {"pbigger", 11000}};
   Result<Document> doc = GenerateDblp(gen);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
-  build.disk.pool_shards = 1;
   Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(std::move(doc).ValueOrDie(), build);
+      XKSearch::BuildFromDocument(std::move(doc).ValueOrDie());
   ASSERT_TRUE(system.ok()) << system.status().ToString();
-  DiskIndex* disk = (*system)->disk_index();
+  DiskIndexOptions disk_options;
+  disk_options.in_memory = true;
+  disk_options.pool_shards = 1;
+  Result<std::unique_ptr<DiskSearcher>> searcher =
+      DiskSearcher::Build(**system, "", disk_options);
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  DiskIndex* disk = (*searcher)->index();
   ASSERT_GT(disk->scan_page_count(), 40u);
 
   using A = AlgorithmChoice;
@@ -273,14 +285,12 @@ TEST(DiskProbeCountersTest, IndexedLookupAndAutoCountersArePinned) {
   for (const GoldenCounters& want : golden) {
     SearchOptions options;
     options.algorithm = want.algorithm;
-    options.use_disk_index = true;
     XKS_ASSERT_OK(disk->DropCaches());
-    Result<SearchResult> cold = (*system)->Search(want.keywords, options);
+    Result<SearchResult> cold = (*searcher)->Search(want.keywords, options);
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    Result<SearchResult> warm = (*system)->Search(want.keywords, options);
+    Result<SearchResult> warm = (*searcher)->Search(want.keywords, options);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
     SCOPED_TRACE(Describe(want.keywords, cold->stats, warm->stats));
-    options.use_disk_index = false;
     Result<SearchResult> memory = (*system)->Search(want.keywords, options);
     ASSERT_TRUE(memory.ok());
     EXPECT_EQ(Strings(cold->nodes), Strings(memory->nodes));

@@ -160,23 +160,5 @@ TEST(ElcaTest, EngineSemanticsMode) {
   EXPECT_EQ(result->nodes.size(), 3u);
 }
 
-TEST(ElcaTest, DiskAndMemoryAgree) {
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
-  Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(BuildSchoolDocument(), build);
-  ASSERT_TRUE(system.ok());
-  SearchOptions mem;
-  mem.semantics = Semantics::kElca;
-  SearchOptions disk = mem;
-  disk.use_disk_index = true;
-  Result<SearchResult> m = (*system)->Search({"john", "ben"}, mem);
-  Result<SearchResult> d = (*system)->Search({"john", "ben"}, disk);
-  ASSERT_TRUE(m.ok());
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(Strings(m->nodes), Strings(d->nodes));
-}
-
 }  // namespace
 }  // namespace xksearch

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "engine/disk_searcher.h"
 #include "gen/school.h"
 #include "gtest/gtest.h"
 #include "slca/brute_force.h"
@@ -16,11 +17,14 @@ namespace {
 using testing_util::Id;
 using testing_util::Strings;
 
-XKSearch::BuildOptions WithMemDisk() {
-  XKSearch::BuildOptions options;
-  options.build_disk_index = true;
-  options.disk.in_memory = true;
-  return options;
+// The disk engine over `system`'s index, on an in-memory page store.
+std::unique_ptr<DiskSearcher> MemDisk(const XKSearch& system) {
+  DiskIndexOptions options;
+  options.in_memory = true;
+  Result<std::unique_ptr<DiskSearcher>> disk =
+      DiskSearcher::Build(system, "", options);
+  EXPECT_TRUE(disk.ok()) << disk.status().ToString();
+  return disk.ok() ? disk.MoveValueUnsafe() : nullptr;
 }
 
 TEST(XKSearchTest, BuildFromXmlAndSearch) {
@@ -129,47 +133,59 @@ TEST(XKSearchTest, KeywordsReorderedByFrequency) {
   EXPECT_EQ(result->keywords[1], "john");
 }
 
+// The two engines share one execution body and differ only in their
+// lists: for every algorithm choice and semantics, the disk engine built
+// from an XKSearch must give the same answers, run the same algorithm and
+// count the same Table 1 operations.
 TEST(XKSearchTest, DiskAndMemoryAgree) {
   Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(BuildSchoolDocument(), WithMemDisk());
+      XKSearch::BuildFromDocument(BuildSchoolDocument());
   ASSERT_TRUE(system.ok()) << system.status().ToString();
-  for (auto choice : {AlgorithmChoice::kIndexedLookupEager,
+  const std::unique_ptr<DiskSearcher> disk = MemDisk(**system);
+  ASSERT_NE(disk, nullptr);
+  const std::vector<std::vector<std::string>> queries = {
+      {"john", "ben"}, {"john", "mary"}, {"class", "john", "ben"},
+      {"john", "nothere"}};
+  for (auto choice : {AlgorithmChoice::kAuto,
+                      AlgorithmChoice::kIndexedLookupEager,
                       AlgorithmChoice::kScanEager, AlgorithmChoice::kStack}) {
-    SearchOptions mem;
-    mem.algorithm = choice;
-    SearchOptions disk = mem;
-    disk.use_disk_index = true;
-    Result<SearchResult> m = (*system)->Search({"john", "ben"}, mem);
-    Result<SearchResult> d = (*system)->Search({"john", "ben"}, disk);
-    ASSERT_TRUE(m.ok());
-    ASSERT_TRUE(d.ok());
-    EXPECT_EQ(Strings(m->nodes), Strings(d->nodes));
+    for (auto semantics :
+         {Semantics::kSlca, Semantics::kElca, Semantics::kAllLca}) {
+      for (const std::vector<std::string>& query : queries) {
+        SearchOptions options;
+        options.algorithm = choice;
+        options.semantics = semantics;
+        Result<SearchResult> m = (*system)->Search(query, options);
+        Result<SearchResult> d = disk->Search(query, options);
+        ASSERT_TRUE(m.ok()) << m.status().ToString();
+        ASSERT_TRUE(d.ok()) << d.status().ToString();
+        SCOPED_TRACE(::testing::Message()
+                     << query[0] << "," << query[1] << " choice "
+                     << static_cast<int>(choice) << " semantics "
+                     << static_cast<int>(semantics));
+        EXPECT_EQ(Strings(m->nodes), Strings(d->nodes));
+        EXPECT_EQ(m->algorithm, d->algorithm);
+        EXPECT_EQ(m->keywords, d->keywords);
+        EXPECT_EQ(m->stats.match_ops, d->stats.match_ops);
+        EXPECT_EQ(m->stats.results, d->stats.results);
+      }
+    }
   }
 }
 
 TEST(XKSearchTest, DiskQueriesCountPageReads) {
   Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(BuildSchoolDocument(), WithMemDisk());
-  ASSERT_TRUE(system.ok());
-  XKS_ASSERT_OK((*system)->disk_index()->DropCaches());
-  SearchOptions disk;
-  disk.use_disk_index = true;
-  Result<SearchResult> cold = (*system)->Search({"john", "ben"}, disk);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_GT(cold.ValueOrDie().stats.page_reads, 0u);
-  Result<SearchResult> hot = (*system)->Search({"john", "ben"}, disk);
-  ASSERT_TRUE(hot.ok());
-  EXPECT_EQ(hot.ValueOrDie().stats.page_reads, 0u);
-}
-
-TEST(XKSearchTest, UseDiskWithoutBuildingFails) {
-  Result<std::unique_ptr<XKSearch>> system =
       XKSearch::BuildFromDocument(BuildSchoolDocument());
   ASSERT_TRUE(system.ok());
-  SearchOptions disk;
-  disk.use_disk_index = true;
-  EXPECT_TRUE(
-      (*system)->Search({"john"}, disk).status().IsInvalidArgument());
+  const std::unique_ptr<DiskSearcher> disk = MemDisk(**system);
+  ASSERT_NE(disk, nullptr);
+  XKS_ASSERT_OK(disk->index()->DropCaches());
+  Result<SearchResult> cold = disk->Search({"john", "ben"});
+  ASSERT_TRUE(cold.ok());
+  EXPECT_GT(cold.ValueOrDie().stats.page_reads, 0u);
+  Result<SearchResult> hot = disk->Search({"john", "ben"});
+  ASSERT_TRUE(hot.ok());
+  EXPECT_EQ(hot.ValueOrDie().stats.page_reads, 0u);
 }
 
 TEST(XKSearchTest, AllLcaMode) {
@@ -240,9 +256,11 @@ TEST(XKSearchTest, BuildRejectsBadXml) {
 }
 
 TEST(XKSearchTest, FileDiskIndexRequiresPrefix) {
-  XKSearch::BuildOptions options;
-  options.build_disk_index = true;  // file mode but no prefix
-  EXPECT_TRUE(XKSearch::BuildFromDocument(BuildSchoolDocument(), options)
+  Result<std::unique_ptr<XKSearch>> system =
+      XKSearch::BuildFromDocument(BuildSchoolDocument());
+  ASSERT_TRUE(system.ok());
+  // File mode (the default) but no prefix.
+  EXPECT_TRUE(DiskSearcher::Build(**system, "", DiskIndexOptions())
                   .status()
                   .IsInvalidArgument());
 }

@@ -383,7 +383,7 @@ constexpr char kXml[] =
     "</dblp>";
 
 struct FaultyEngine {
-  std::unique_ptr<XKSearch> engine;
+  std::unique_ptr<DiskSearcher> engine;
   std::vector<FaultInjectingPageStore*> wrappers;
 
   void Arm() {
@@ -396,28 +396,29 @@ struct FaultyEngine {
     }
   }
   uint64_t TotalPins() {
-    return engine->disk_index()->scan_pool()->DebugTotalPins();
+    return engine->index()->scan_pool()->DebugTotalPins();
   }
 };
 
 // Out-param (not a return value) because ASSERT_* requires a void
 // function.
 void BuildFaultyEngine(FaultyEngine* fe) {
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
+  Result<std::unique_ptr<XKSearch>> system = XKSearch::BuildFromXml(kXml);
+  XKS_ASSERT_OK(system.status());
+  DiskIndexOptions disk;
+  disk.in_memory = true;
   // A tiny single-shard pool: every query touches the store.
-  build.disk.scan_pool_pages = 4;
-  build.disk.pool_shards = 1;
-  build.disk.store_decorator = [fe](std::unique_ptr<PageStore> inner,
-                                    std::string_view /*name*/) {
+  disk.scan_pool_pages = 4;
+  disk.pool_shards = 1;
+  disk.store_decorator = [fe](std::unique_ptr<PageStore> inner,
+                              std::string_view /*name*/) {
     auto wrapped =
         std::make_unique<FaultInjectingPageStore>(std::move(inner));
     fe->wrappers.push_back(wrapped.get());
     return std::unique_ptr<PageStore>(std::move(wrapped));
   };
-  Result<std::unique_ptr<XKSearch>> built =
-      XKSearch::BuildFromXml(kXml, build);
+  Result<std::unique_ptr<DiskSearcher>> built =
+      DiskSearcher::Build(**system, "", disk);
   XKS_ASSERT_OK(built.status());
   fe->engine = built.MoveValueUnsafe();
 }
@@ -426,8 +427,7 @@ TEST(FaultDiskIndexTest, QueriesFailCleanlyAndRecover) {
   FaultyEngine fe;
   BuildFaultyEngine(&fe);
   const std::vector<std::string> query = {"xml", "search"};
-  SearchOptions disk;
-  disk.use_disk_index = true;
+  const SearchOptions disk;
 
   // Baseline answer, fault-free.
   Result<SearchResult> expected = fe.engine->Search(query, disk);
@@ -436,7 +436,7 @@ TEST(FaultDiskIndexTest, QueriesFailCleanlyAndRecover) {
 
   // Cold caches, or the tiny index would be served from the pool and
   // the armed schedule would never see a read.
-  XKS_ASSERT_OK(fe.engine->disk_index()->DropCaches());
+  XKS_ASSERT_OK(fe.engine->index()->DropCaches());
   fe.Arm();
   // Every algorithm must fail with the injected error, pin-clean.
   for (AlgorithmChoice algorithm :
@@ -467,8 +467,7 @@ TEST(FaultServeTest, InjectedIoErrorCountsAndServiceRecovers) {
   options.pool.workers = 2;
   serve::QueryService service(fe.engine.get(), options);
 
-  SearchOptions disk;
-  disk.use_disk_index = true;
+  const SearchOptions disk;
   const std::vector<std::string> query = {"xml", "search"};
 
   for (auto* w : fe.wrappers) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/disk_searcher.h"
 #include "engine/search_types.h"
 #include "engine/xksearch.h"
 #include "gen/random_tree.h"
@@ -428,20 +429,27 @@ INSTANTIATE_TEST_SUITE_P(
         ParityCase{23, SlcaAlgorithm::kScanEager, Layout::kDisk}),
     ParityName);
 
-// End to end through the engine: the ParallelExecOptions argument must
+// End to end through both engines: the ParallelExecOptions argument must
 // change nothing observable about the answer.
 TEST(ParallelSlcaEngineTest, SearchMatchesSequentialOnBothPaths) {
   Rng rng(77);
   RandomTreeOptions tree;
   tree.node_count = 1200;
   tree.vocab_size = 3;
-  XKSearch::BuildOptions build;
-  build.build_disk_index = true;
-  build.disk.in_memory = true;
-  build.disk.scan_block_bytes = 64;
   Result<std::unique_ptr<XKSearch>> system =
-      XKSearch::BuildFromDocument(GenerateRandomDocument(&rng, tree), build);
+      XKSearch::BuildFromDocument(GenerateRandomDocument(&rng, tree));
   ASSERT_TRUE(system.ok()) << system.status().ToString();
+  DiskIndexOptions disk_options;
+  disk_options.in_memory = true;
+  disk_options.scan_block_bytes = 64;
+  Result<std::unique_ptr<DiskSearcher>> disk_engine =
+      DiskSearcher::Build(**system, "", disk_options);
+  ASSERT_TRUE(disk_engine.ok()) << disk_engine.status().ToString();
+  auto search = [&](bool disk, const SearchOptions& options,
+                    const ParallelExecOptions& exec) {
+    return disk ? (*disk_engine)->Search({"w0", "w1"}, options, exec)
+                : (*system)->Search({"w0", "w1"}, options, exec);
+  };
 
   serve::ThreadPool::Options pool_options;
   pool_options.workers = 3;
@@ -454,10 +462,8 @@ TEST(ParallelSlcaEngineTest, SearchMatchesSequentialOnBothPaths) {
       for (size_t block : {1u, 3u, 64u}) {
         SearchOptions options;
         options.algorithm = algorithm;
-        options.use_disk_index = disk;
         options.block_size = block;
-        Result<SearchResult> sequential =
-            (*system)->Search({"w0", "w1"}, options);
+        Result<SearchResult> sequential = search(disk, options, {});
         ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
         for (size_t chunks : {2u, 3u, 8u}) {
           ParallelExecOptions exec;
@@ -466,8 +472,7 @@ TEST(ParallelSlcaEngineTest, SearchMatchesSequentialOnBothPaths) {
           exec.max_chunks = chunks;
           exec.min_chunk_elements = 1;
           const uint64_t tasks_before = pool.tasks_run();
-          Result<SearchResult> got =
-              (*system)->Search({"w0", "w1"}, options, exec);
+          Result<SearchResult> got = search(disk, options, exec);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           // The engine must have reached the chunked executor: at least
           // one chunk ran on the pool (equality here would mean the

@@ -336,9 +336,9 @@ class ShardedDiskTest : public ::testing::Test {
   void Build(size_t shards) {
     ShardedCollectionOptions options;
     options.shards = shards;
-    options.build.build_disk_index = true;
-    options.build.disk.in_memory = true;
-    options.build.disk.scan_pool_pages = 8;
+    DiskIndexOptions& disk = options.disk.emplace();
+    disk.in_memory = true;
+    disk.scan_pool_pages = 8;
     options.store_decorator = [this](std::unique_ptr<PageStore> inner,
                                      size_t shard, std::string_view /*name*/) {
       auto wrapped =
@@ -359,9 +359,9 @@ class ShardedDiskTest : public ::testing::Test {
 
   void ExpectZeroPins() {
     for (uint32_t s = 0; s < collection_->shard_count(); ++s) {
-      const XKSearch* engine = collection_->shard_engine(s);
-      if (engine == nullptr || engine->disk_index() == nullptr) continue;
-      EXPECT_EQ(engine->disk_index()->scan_pool()->DebugTotalPins(), 0u)
+      const DiskSearcher* disk = collection_->shard_disk(s);
+      if (disk == nullptr) continue;
+      EXPECT_EQ(disk->index()->scan_pool()->DebugTotalPins(), 0u)
           << "shard " << s;
     }
   }
@@ -372,8 +372,7 @@ class ShardedDiskTest : public ::testing::Test {
 
 TEST_F(ShardedDiskTest, DiskPathMatchesPerDocUnion) {
   Build(3);
-  SearchOptions so;
-  so.use_disk_index = true;
+  const SearchOptions so;
   Result<ShardedResult> got = collection_->Search({"keyword", "search"}, so);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Strings(Sorted(got->result.nodes)),
@@ -385,8 +384,7 @@ TEST_F(ShardedDiskTest, DiskPathMatchesPerDocUnion) {
 
 TEST_F(ShardedDiskTest, OneFaultedShardFailsTheQueryCleanlyAndRecovers) {
   Build(std::size(kDocs));
-  SearchOptions so;
-  so.use_disk_index = true;
+  const SearchOptions so;
   // Find the shard holding doc0 ("xu" queries route only there and to
   // doc1's shard... "keyword" spans doc0/1/2's shards) — simplest: fault
   // the shard of doc 0 and query a keyword that must touch it.
@@ -401,7 +399,7 @@ TEST_F(ShardedDiskTest, OneFaultedShardFailsTheQueryCleanlyAndRecovers) {
   ASSERT_FALSE(wrappers_[victim].empty());
   // Cold pools on the victim, so the shard query must actually read
   // through the (failing) store instead of riding cached pages.
-  XKS_ASSERT_OK(collection_->shard_engine(victim)->disk_index()->DropCaches());
+  XKS_ASSERT_OK(collection_->shard_disk(victim)->index()->DropCaches());
   for (FaultInjectingPageStore* w : wrappers_[victim]) {
     w->FailReadsWithProbability(1.0, FaultRule::kForever);
     w->Arm();

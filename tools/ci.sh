@@ -8,7 +8,9 @@
 #
 # The fast presets exclude tests labeled `slow`; those (the long-run
 # differential fuzz stages) run as a separate `ctest -L slow` stage on
-# the release build afterwards.
+# the release build afterwards. A last stage compiles the perfbench
+# program (perfbench/CMakeLists.txt), which no preset builds, so a
+# library API change that breaks the benchmark fails here.
 #
 # Usage: tools/ci.sh [preset ...]     (default: release asan tsan + slow)
 set -euo pipefail
@@ -78,5 +80,10 @@ if [ "$run_slow" -eq 1 ]; then
   ctest --test-dir build/release -L slow --output-on-failure
   echo "==> [bench-smoke] benchmark smoke stage (ctest -L bench-smoke)"
   ctest --test-dir build/release -L bench-smoke --output-on-failure
+  # Compile only: the benchmark links the libraries from src/ through
+  # its own CMakeLists and calls their public API.
+  echo "==> [perfbench] benchmark program compile stage"
+  cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build/perfbench --target xk_perfbench -j "$jobs"
 fi
 echo "ci: all presets passed (${presets[*]})"
