@@ -243,7 +243,7 @@ int Main(int argc, char** argv) {
             continue;
           }
           ++ok;
-          page_reads += r->result.stats.page_reads.load();
+          page_reads += r->result.stats.page_reads;
           executed += r->executed_shards();
           pruned += r->pruned_shards();
         }
@@ -311,7 +311,7 @@ int Main(int argc, char** argv) {
             ++routed_ok;
             routed_executed += r->executed_shards();
             routed_pruned += r->pruned_shards();
-            routed_reads += r->result.stats.page_reads.load();
+            routed_reads += r->result.stats.page_reads;
             if (r->executed_shards() != 1) routed_exact = false;
           }
           routed_seconds += std::chrono::duration<double>(Clock::now() -

@@ -1,6 +1,7 @@
 #ifndef XKSEARCH_COMMON_STATS_H_
 #define XKSEARCH_COMMON_STATS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -17,10 +18,11 @@ namespace xksearch {
 /// give race-free concurrent increments at roughly the cost of a plain
 /// add, without the fences seq_cst would insert on every hot-path bump.
 ///
-/// Copy/assignment take a relaxed snapshot, which keeps QueryStats a
-/// regular value type (results are returned by value per query); copying
-/// a counter that is concurrently incremented yields some valid recent
-/// value, never a torn one.
+/// Copy/assignment take a relaxed snapshot, so a struct of these counters
+/// stays copyable; copying a counter that is concurrently incremented
+/// yields some valid recent value, never a torn one. Only counters that
+/// several threads bump need one (serving metrics, shard and cache
+/// totals); per-query counters are plain integers (see QueryStats).
 class RelaxedCounter {
  public:
   RelaxedCounter(uint64_t value = 0) : value_(value) {}  // NOLINT
@@ -58,31 +60,46 @@ class RelaxedCounter {
 ///
 /// These back the Table 1 reproduction: the paper characterizes each
 /// algorithm by its number of lm/rm ("match") operations, Dewey-number
-/// comparisons, and disk accesses. Per-query instances reset per query;
-/// the serving layer additionally aggregates finished queries' stats into
-/// one shared instance, which is why the fields are atomic counters
-/// (concurrent workers sharing an engine must not race on them).
+/// comparisons, and disk accesses.
+///
+/// Single-writer contract: every instance has exactly one writing thread
+/// — a query, one chunk of a chunked query (`ChunkOutput::stats`) or one
+/// shard of a scatter-gather (`SearchResult::stats` of that shard) — and
+/// is summed with `+=` into its parent at a join point that already
+/// orders the memory (the wait for a chunk, the gather after a shard
+/// scatter). So the fields are plain integers: the innermost loops bump
+/// them, and hand `&dewey_comparisons` to DeweyId::Compare, at the price
+/// of a plain add.
+/// An aggregate that several threads feed concurrently must not be a
+/// QueryStats; the serving layer keeps its own atomic total
+/// (serve::EngineStatsCounter).
 struct QueryStats {
   /// Left/right match operations (lm/rm calls), the paper's "# operations".
-  RelaxedCounter match_ops = 0;
+  uint64_t match_ops = 0;
   /// Dewey number comparisons performed by match ops and merges.
-  RelaxedCounter dewey_comparisons = 0;
+  uint64_t dewey_comparisons = 0;
   /// LCA (longest-common-prefix) computations.
-  RelaxedCounter lca_ops = 0;
+  uint64_t lca_ops = 0;
   /// Nodes read from keyword lists (postings touched).
-  RelaxedCounter postings_read = 0;
+  uint64_t postings_read = 0;
   /// Buffer-pool misses, i.e. the paper's "number of disk accesses".
-  RelaxedCounter page_reads = 0;
+  uint64_t page_reads = 0;
   /// Buffer-pool hits (satisfied from cache).
-  RelaxedCounter page_hits = 0;
+  uint64_t page_hits = 0;
   /// Storage read failures observed on this query's behalf: fetches that
   /// surfaced an error status. Per-shard totals sum into sharded response
   /// totals like every other counter.
-  RelaxedCounter io_errors = 0;
+  uint64_t io_errors = 0;
   /// SLCA/LCA results produced.
-  RelaxedCounter results = 0;
+  uint64_t results = 0;
 
   void Reset() { *this = QueryStats(); }
+
+  /// The slot DeweyId::Compare charges: `&stats->dewey_comparisons`, or
+  /// null (no counting) when `stats` is null.
+  static uint64_t* ComparisonSlot(QueryStats* stats) {
+    return stats != nullptr ? &stats->dewey_comparisons : nullptr;
+  }
 
   QueryStats& operator+=(const QueryStats& o) {
     match_ops += o.match_ops;
@@ -99,30 +116,13 @@ struct QueryStats {
   std::string ToString() const;
 };
 
-/// \brief Scoped accumulator for Dewey comparison counts.
-///
-/// The tight comparison loops (binary searches, k-way merges) charge each
-/// component comparison through a `uint64_t*` passed to DeweyId::Compare.
-/// Pointing that at the atomic QueryStats field directly is impossible
-/// (and would put an atomic RMW in the innermost loop), so call sites
-/// accumulate into this local and the total is charged to
-/// `stats->dewey_comparisons` once, on scope exit.
-class DeweyCmpCharge {
- public:
-  explicit DeweyCmpCharge(QueryStats* stats) : stats_(stats) {}
-  ~DeweyCmpCharge() {
-    if (stats_ != nullptr && count_ != 0) stats_->dewey_comparisons += count_;
-  }
-  DeweyCmpCharge(const DeweyCmpCharge&) = delete;
-  DeweyCmpCharge& operator=(const DeweyCmpCharge&) = delete;
-
-  /// The slot to hand to DeweyId::Compare; null when stats are disabled.
-  uint64_t* slot() { return stats_ != nullptr ? &count_ : nullptr; }
-
- private:
-  QueryStats* stats_;
-  uint64_t count_ = 0;
-};
+/// Every QueryStats counter, in declaration order (also the order the
+/// result cache encodes them in).
+inline constexpr std::array<uint64_t QueryStats::*, 8> kQueryStatsFields = {
+    &QueryStats::match_ops,     &QueryStats::dewey_comparisons,
+    &QueryStats::lca_ops,       &QueryStats::postings_read,
+    &QueryStats::page_reads,    &QueryStats::page_hits,
+    &QueryStats::io_errors,     &QueryStats::results};
 
 }  // namespace xksearch
 

@@ -16,13 +16,24 @@ const char* DecodeKernelName(DecodeKernel kernel) {
 Status DecodeBlock(const uint8_t* data, size_t size, size_t* pos,
                    size_t max_entries, const uint32_t* carry, size_t carry_len,
                    DecodedBlock* out) {
-  std::vector<uint32_t>& comps = out->components;
+  DecodedBlock::Arena& comps = out->components;
   std::vector<uint32_t>& offsets = out->offsets;
   if (offsets.empty()) offsets.push_back(0);
 
+  // The arena is grown ahead of the decode — into its retained capacity
+  // first, then geometrically — and written through `base`; `end` is the
+  // logical end, and every return trims the vector back to it.
+  size_t end = comps.size();
+  uint32_t* base = comps.data();
+  auto corrupt = [&](size_t entry_pos, const char* what) {
+    comps.resize(end);
+    *pos = entry_pos;
+    return Status::Corruption(what);
+  };
+
   // Previous entry for prefix expansion: `carry` for the first decoded
-  // entry, then the entry just appended to `comps` (tracked by index so
-  // reallocation is harmless).
+  // entry, then the entry just decoded into the arena (tracked by offset
+  // so reallocation is harmless).
   bool prev_in_out = false;
   size_t prev_off = 0;
   size_t prev_len = carry_len;
@@ -30,30 +41,29 @@ Status DecodeBlock(const uint8_t* data, size_t size, size_t* pos,
   for (size_t produced = 0; produced < max_entries && *pos < size;
        ++produced) {
     const size_t entry_pos = *pos;
-    const size_t entry_base = comps.size();
     uint32_t shared = 0;
     uint32_t added = 0;
     if (!GetVarint32(data, size, pos, &shared) ||
         !GetVarint32(data, size, pos, &added)) {
-      *pos = entry_pos;
-      return Status::Corruption("truncated delta block header");
+      return corrupt(entry_pos, "truncated delta block header");
     }
     if (shared > prev_len) {
-      *pos = entry_pos;
-      return Status::Corruption("delta block shared prefix exceeds previous");
+      return corrupt(entry_pos, "delta block shared prefix exceeds previous");
     }
     if (shared + added == 0) {
-      *pos = entry_pos;
-      return Status::Corruption("empty Dewey id in delta block");
+      return corrupt(entry_pos, "empty Dewey id in delta block");
     }
     if (added > kMaxComponentsPerEntry) {
-      *pos = entry_pos;
-      return Status::Corruption("delta block component count exceeds bound");
+      return corrupt(entry_pos, "delta block component count exceeds bound");
     }
 
-    comps.resize(entry_base + shared + added);
-    const uint32_t* prev = prev_in_out ? comps.data() + prev_off : carry;
-    uint32_t* dst = comps.data() + entry_base;
+    const size_t entry_end = end + shared + added;
+    if (entry_end > comps.size()) {
+      comps.resize(std::max({entry_end, comps.capacity(), 2 * comps.size()}));
+      base = comps.data();
+    }
+    const uint32_t* prev = prev_in_out ? base + prev_off : carry;
+    uint32_t* dst = base + end;
     for (size_t i = 0; i < shared; ++i) dst[i] = prev[i];
     dst += shared;
 
@@ -74,18 +84,18 @@ Status DecodeBlock(const uint8_t* data, size_t size, size_t* pos,
       got += i;
       if (got == added) break;
       if (!GetVarint32(data, size, pos, &dst[got])) {
-        comps.resize(entry_base);
-        *pos = entry_pos;
-        return Status::Corruption("truncated delta block component");
+        return corrupt(entry_pos, "truncated delta block component");
       }
       ++got;
     }
 
-    offsets.push_back(static_cast<uint32_t>(comps.size()));
+    offsets.push_back(static_cast<uint32_t>(entry_end));
     prev_in_out = true;
-    prev_off = entry_base;
+    prev_off = end;
     prev_len = shared + added;
+    end = entry_end;
   }
+  comps.resize(end);
   return Status::OK();
 }
 

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "common/status.h"
@@ -10,15 +12,34 @@
 
 namespace xksearch {
 
+/// std::allocator, except that growing a vector without a value (resize
+/// to a larger size) leaves the new elements uninitialized. DecodeBlock
+/// grows its arena ahead of the decode and writes every element it keeps,
+/// so zero-filling the growth would be wasted stores.
+/// (Construction with a value goes through std::construct_at, as for
+/// std::allocator.)
+template <typename T>
+struct NoInitAllocator : std::allocator<T> {
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 /// \brief A batch of decoded Dewey ids in one flat arena.
 ///
 /// `components` holds every entry's components back to back;
 /// `offsets` brackets entry i as [offsets[i], offsets[i + 1]) (so it has
-/// count() + 1 elements once non-empty). Both vectors keep their capacity
-/// across Clear(), so a block cursor that reuses one DecodedBlock performs
-/// zero per-entry heap allocation in steady state.
+/// count() + 1 elements once non-empty). Between calls the arena holds
+/// exactly the decoded entries: `components.size() == offsets.back()`
+/// after every DecodeBlock return, error returns included, so Append and
+/// a further DecodeBlock continue without a gap. Both vectors keep their
+/// capacity across Clear(), so a block cursor that reuses one
+/// DecodedBlock performs zero per-entry heap allocation in steady state.
 struct DecodedBlock {
-  std::vector<uint32_t> components;
+  using Arena = std::vector<uint32_t, NoInitAllocator<uint32_t>>;
+
+  Arena components;
   std::vector<uint32_t> offsets;
 
   size_t count() const { return offsets.empty() ? 0 : offsets.size() - 1; }

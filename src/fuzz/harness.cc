@@ -665,10 +665,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
                     ", sequential emitted " + IdsToString(sequential->nodes));
         return;
       }
-      const uint64_t seq_match = sequential->stats.match_ops.load();
-      const uint64_t got_match = got->stats.match_ops.load();
-      const uint64_t seq_results = sequential->stats.results.load();
-      const uint64_t got_results = got->stats.results.load();
+      const uint64_t seq_match = sequential->stats.match_ops;
+      const uint64_t got_match = got->stats.match_ops;
+      const uint64_t seq_results = sequential->stats.results;
+      const uint64_t got_results = got->stats.results;
       if (seq_match != got_match || seq_results != got_results) {
         ctx.Diverge(label + " stats parity broke: match_ops " +
                     std::to_string(got_match) + " vs " +
@@ -804,13 +804,13 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           }
           ++report.cases;
           const QueryStats& total = par->result.stats;
-          if (sum.match_ops.load() != total.match_ops.load() ||
-              sum.dewey_comparisons.load() != total.dewey_comparisons.load() ||
-              sum.lca_ops.load() != total.lca_ops.load() ||
-              sum.postings_read.load() != total.postings_read.load() ||
-              sum.page_reads.load() != total.page_reads.load() ||
-              sum.page_hits.load() != total.page_hits.load() ||
-              sum.io_errors.load() != total.io_errors.load() ||
+          if (sum.match_ops != total.match_ops ||
+              sum.dewey_comparisons != total.dewey_comparisons ||
+              sum.lca_ops != total.lca_ops ||
+              sum.postings_read != total.postings_read ||
+              sum.page_reads != total.page_reads ||
+              sum.page_hits != total.page_hits ||
+              sum.io_errors != total.io_errors ||
               contributed != par->result.nodes.size()) {
             ctx.Diverge(tag + " stats aggregation broke: shard sum " +
                         sum.ToString() + " vs total " + total.ToString());
@@ -935,10 +935,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       const Result<SearchResult> packed = engine.Search(keywords, so);
       if (seq.ok() && packed.ok()) {
         ++report.cases;
-        const uint64_t disk_ops = seq->stats.match_ops.load();
-        const uint64_t packed_ops = packed->stats.match_ops.load();
-        const uint64_t disk_results = seq->stats.results.load();
-        const uint64_t packed_results = packed->stats.results.load();
+        const uint64_t disk_ops = seq->stats.match_ops;
+        const uint64_t packed_ops = packed->stats.match_ops;
+        const uint64_t disk_results = seq->stats.results;
+        const uint64_t packed_results = packed->stats.results;
         if (seq->nodes != packed->nodes || disk_ops != packed_ops ||
             disk_results != packed_results) {
           ctx.Diverge(std::string(AlgorithmLabel(algorithm, true)) +
@@ -1117,8 +1117,8 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           continue;
         }
         refs[i].nodes = r->nodes;
-        refs[i].match_ops = r->stats.match_ops.load();
-        refs[i].results = r->stats.results.load();
+        refs[i].match_ops = r->stats.match_ops;
+        refs[i].results = r->stats.results;
         refs[i].ok = true;
       }
       return refs;
@@ -1170,8 +1170,8 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
                        IdsToString(refs[i].nodes));
           continue;
         }
-        const uint64_t got_match = resp->result.stats.match_ops.load();
-        const uint64_t got_results = resp->result.stats.results.load();
+        const uint64_t got_match = resp->result.stats.match_ops;
+        const uint64_t got_results = resp->result.stats.results;
         if (got_match != refs[i].match_ops || got_results != refs[i].results) {
           bctx.Diverge(std::string(label) + " stats parity broke: match_ops " +
                        std::to_string(got_match) + " vs " +

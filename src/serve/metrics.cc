@@ -104,7 +104,7 @@ std::string MetricsRegistry::ReportText(const Gauges& gauges) const {
     }
     os << "\n";
   }
-  os << "engine:            " << engine_stats.ToString() << "\n";
+  os << "engine:            " << engine_stats.Snapshot().ToString() << "\n";
   return os.str();
 }
 

@@ -53,6 +53,33 @@ class LatencyHistogram {
   std::atomic<uint64_t> sum_nanos_{0};
 };
 
+/// \brief The engine counters of every finished query, summed.
+///
+/// The one QueryStats aggregate that several threads feed at once (each
+/// worker adds its finished query's single-writer QueryStats), so its
+/// fields are relaxed atomic counters; Snapshot() reads them back as a
+/// plain QueryStats for reporting.
+class EngineStatsCounter {
+ public:
+  EngineStatsCounter& operator+=(const QueryStats& s) {
+    for (size_t i = 0; i < totals_.size(); ++i) {
+      totals_[i] += s.*kQueryStatsFields[i];
+    }
+    return *this;
+  }
+
+  QueryStats Snapshot() const {
+    QueryStats s;
+    for (size_t i = 0; i < totals_.size(); ++i) {
+      s.*kQueryStatsFields[i] = totals_[i];
+    }
+    return s;
+  }
+
+ private:
+  std::array<RelaxedCounter, kQueryStatsFields.size()> totals_;
+};
+
 /// \brief All counters the serving layer exports, incremented concurrently
 /// by submitters and workers (hence RelaxedCounter throughout).
 class MetricsRegistry {
@@ -83,7 +110,7 @@ class MetricsRegistry {
   LatencyHistogram queue_latency;
 
   /// Engine operation counters aggregated over finished queries.
-  QueryStats engine_stats;
+  EngineStatsCounter engine_stats;
 
   /// Point-in-time totals of one disk-index buffer pool (the counters
   /// are the pool's relaxed atomics, sampled at report time).

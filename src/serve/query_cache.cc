@@ -62,14 +62,6 @@ struct Reader {
   }
 };
 
-/// The QueryStats counters in encoding order (const or mutable).
-template <typename Stats>
-auto StatFields(Stats& s) {
-  return std::array{&s.match_ops,     &s.dewey_comparisons, &s.lca_ops,
-                    &s.postings_read, &s.page_reads,        &s.page_hits,
-                    &s.io_errors,     &s.results};
-}
-
 template <typename Sink>
 void EncodeKey(const std::vector<std::string>& keywords,
                const SearchOptions& options, Sink* sink) {
@@ -94,9 +86,7 @@ constexpr int kKeyOptionFields = 4;
 template <typename Sink>
 void EncodeResult(const SearchResult& result, Sink* sink) {
   sink->Varint(static_cast<uint64_t>(result.algorithm));
-  for (const RelaxedCounter* field : StatFields(result.stats)) {
-    sink->Varint(field->load());
-  }
+  for (const auto field : kQueryStatsFields) sink->Varint(result.stats.*field);
   sink->Varint(result.keywords.size());
   for (const std::string& word : result.keywords) {
     sink->Varint(word.size());
@@ -286,9 +276,8 @@ Status QueryCache::Decode(std::string_view encoded, SearchResult* out) {
   uint64_t v = 0;
   if (!reader.Varint(&v)) return Malformed();
   out->algorithm = static_cast<SlcaAlgorithm>(v);
-  for (RelaxedCounter* field : StatFields(out->stats)) {
-    if (!reader.Varint(&v)) return Malformed();
-    *field = v;
+  for (const auto field : kQueryStatsFields) {
+    if (!reader.Varint(&(out->stats.*field))) return Malformed();
   }
   uint64_t count = 0;
   if (!reader.Varint(&count) || count > encoded.size()) return Malformed();

@@ -68,13 +68,13 @@ Status ElcaStack(const std::vector<KeywordList*>& lists,
     }
   };
 
-  DeweyCmpCharge charge(stats);
+  uint64_t* const cmp = QueryStats::ComparisonSlot(stats);
   for (;;) {
     size_t min_idx = k;
     for (size_t i = 0; i < k; ++i) {
       if (!head_valid[i]) continue;
       if (min_idx == k ||
-          heads[i].Compare(heads[min_idx], charge.slot()) < 0) {
+          heads[i].Compare(heads[min_idx], cmp) < 0) {
         min_idx = i;
       }
     }

@@ -94,10 +94,10 @@ std::vector<std::pair<uint64_t, uint64_t>> PartitionUnits(
 
 size_t VectorKeywordList::LowerBound(const DeweyId& v) const {
   size_t lo = 0, hi = ids_->size();
-  DeweyCmpCharge charge(stats_);
+  uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
-    if ((*ids_)[mid].Compare(v, charge.slot()) < 0) {
+    if ((*ids_)[mid].Compare(v, cmp) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -112,8 +112,8 @@ Result<bool> VectorKeywordList::LeftMatch(const DeweyId& v, DeweyId* out) {
   // through Compare so cmp accounting is uniform across the vector and
   // packed implementations (it used to go through operator==, silently
   // uncounted).
-  DeweyCmpCharge charge(stats_);
-  if (pos < ids_->size() && (*ids_)[pos].Compare(v, charge.slot()) == 0) {
+  uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
+  if (pos < ids_->size() && (*ids_)[pos].Compare(v, cmp) == 0) {
     *out = (*ids_)[pos];
     return true;
   }

@@ -69,9 +69,9 @@ class PackedIterator : public KeywordListIterator {
 }  // namespace
 
 Result<bool> PackedKeywordList::LeftMatch(const DeweyId& v, DeweyId* out) {
-  DeweyCmpCharge charge(stats_);
+  uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
   const PackedDeweyList::SeekResult r =
-      list_->Seek(v.view(), hinted_, &probe_, charge.slot());
+      list_->Seek(v.view(), hinted_, &probe_, cmp);
   if (r.exact) {
     out->AssignFrom(list_->lower_bound(probe_));
     return true;
@@ -84,9 +84,9 @@ Result<bool> PackedKeywordList::LeftMatch(const DeweyId& v, DeweyId* out) {
 }
 
 Result<bool> PackedKeywordList::RightMatch(const DeweyId& v, DeweyId* out) {
-  DeweyCmpCharge charge(stats_);
+  uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
   const PackedDeweyList::SeekResult r =
-      list_->Seek(v.view(), hinted_, &probe_, charge.slot());
+      list_->Seek(v.view(), hinted_, &probe_, cmp);
   if (!r.has_lower_bound) return false;
   out->AssignFrom(list_->lower_bound(probe_));
   return true;
@@ -130,13 +130,13 @@ Result<std::unique_ptr<KeywordListIterator>> PackedKeywordList::NewIteratorAt(
     const DeweyId& start, DeweyId* prev, bool* prev_valid) {
   *prev_valid = false;
   const size_t blocks = list_->block_count();
-  DeweyCmpCharge charge(stats_);
+  uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
   // Last block whose first entry is <= start (binary search on the skip
   // table, no decoding).
   size_t lo = 0, hi = blocks;
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
-    if (list_->block_first(mid).Compare(start.view(), charge.slot()) <= 0) {
+    if (list_->block_first(mid).Compare(start.view(), cmp) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -160,7 +160,7 @@ Result<std::unique_ptr<KeywordListIterator>> PackedKeywordList::NewIteratorAt(
   DeweyId id;
   for (size_t i = 0; i < entries; ++i) {
     if (!decoder.Next(&id)) break;
-    if (id.Compare(start, charge.slot()) >= 0) {
+    if (id.Compare(start, cmp) >= 0) {
       auto iter = std::make_unique<PackedIterator>(std::move(decoder), stats_);
       iter->PushBack(std::move(id));
       return std::unique_ptr<KeywordListIterator>(std::move(iter));

@@ -12,12 +12,12 @@ namespace internal {
 void Stitcher::Add(const ChunkOutput& chunk) {
   for (const DeweyId& c : chunk.confirmed) {
     if (has_pending_) {
-      DeweyCmpCharge charge(stats_);
+      uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
       // Lemma 1 across the seam: the cross-chunk running candidate is the
       // true running maximum at this point of the S1 order; a locally
       // confirmed candidate that does not exceed it was confirmed against
       // an underestimate and is really an out-of-order ancestor — drop it.
-      if (c.Compare(pending_, charge.slot()) <= 0) continue;
+      if (c.Compare(pending_, cmp) <= 0) continue;
       // Lemma 2: c is the pending candidate's first larger successor.
       if (!pending_.IsAncestorOf(c)) Deliver(pending_);
       has_pending_ = false;
@@ -28,8 +28,8 @@ void Stitcher::Add(const ChunkOutput& chunk) {
   }
   if (!chunk.has_pending) return;
   if (has_pending_) {
-    DeweyCmpCharge charge(stats_);
-    if (chunk.pending.Compare(pending_, charge.slot()) <= 0) return;
+    uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
+    if (chunk.pending.Compare(pending_, cmp) <= 0) return;
     if (!pending_.IsAncestorOf(chunk.pending)) Deliver(pending_);
   }
   pending_ = chunk.pending;
@@ -77,8 +77,8 @@ class ChunkCollector {
       have_candidate_ = true;
       return;
     }
-    DeweyCmpCharge charge(stats_);
-    const int order = x.Compare(candidate_, charge.slot());
+    uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
+    const int order = x.Compare(candidate_, cmp);
     if (order > 0) {
       if (!candidate_.IsAncestorOf(x)) out_->confirmed.push_back(candidate_);
       candidate_ = x;

@@ -24,8 +24,8 @@ class EagerEmitter {
       candidate_ = x;
       have_candidate_ = true;
     } else {
-      DeweyCmpCharge charge(stats_);
-      const int order = x.Compare(candidate_, charge.slot());
+      uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
+      const int order = x.Compare(candidate_, cmp);
       if (order > 0) {
         // Lemma 2: the candidate is confirmed unless x is its descendant.
         if (!candidate_.IsAncestorOf(x)) Confirm(candidate_);
@@ -133,9 +133,9 @@ Status ScanMatcher::Start() {
 
 Status ScanMatcher::Step(DeweyId* x) {
   if (stats_ != nullptr) stats_->match_ops += 2;  // one lm + one rm
-  DeweyCmpCharge charge(stats_);
+  uint64_t* const cmp = QueryStats::ComparisonSlot(stats_);
   const DeweyView target = x->view();
-  while (cur_valid_ && cur_.Compare(target, charge.slot()) < 0) {
+  while (cur_valid_ && cur_.Compare(target, cmp) < 0) {
     // The passed element stays a view into the cursor's block; it is
     // copied out only when the next read is about to overwrite that block.
     if (cursor_->WillRefill()) {
@@ -259,14 +259,14 @@ Status StackSlca(const std::vector<KeywordList*>& lists,
     }
   };
 
-  DeweyCmpCharge charge(stats);
+  uint64_t* const cmp = QueryStats::ComparisonSlot(stats);
   for (;;) {
     // Select the smallest head (k is tiny, linear selection beats a heap).
     size_t min_idx = k;
     for (size_t i = 0; i < k; ++i) {
       if (!head_valid[i]) continue;
       if (min_idx == k ||
-          heads[i].Compare(heads[min_idx], charge.slot()) < 0) {
+          heads[i].Compare(heads[min_idx], cmp) < 0) {
         min_idx = i;
       }
     }

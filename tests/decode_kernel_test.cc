@@ -241,6 +241,120 @@ TEST(DecodeKernelTest, CarrySeedsTheSharedPrefixChain) {
   EXPECT_EQ(DeweyId::FromView(tail.entry(1)), ids[2]);
 }
 
+void ExpectArenaTrimmed(const DecodedBlock& block, const std::string& context) {
+  ASSERT_FALSE(block.offsets.empty()) << context;
+  EXPECT_EQ(block.components.size(), block.offsets.back()) << context;
+}
+
+// The arena contract: after every DecodeBlock return — a full decode, an
+// early stop at max_entries, and each corruption return mid-run — the
+// arena holds exactly the decoded entries, so a later Append or a second
+// DecodeBlock into the same block continues without a gap.
+TEST(DecodeKernelTest, ArenaHoldsExactlyTheDecodedEntries) {
+  const std::vector<DeweyId> ids = MixedIds();
+  const std::vector<uint8_t> bytes = Encode(ids);
+
+  DecodedBlock full;
+  size_t pos = 0;
+  ASSERT_TRUE(DecodeBlock(bytes.data(), bytes.size(), &pos, ids.size(),
+                          nullptr, 0, &full)
+                  .ok());
+  ExpectArenaTrimmed(full, "full decode");
+  ExpectBlockEquals(full, ids, "full decode");
+
+  // Stop early, then continue the same stream into the same block.
+  DecodedBlock block;
+  pos = 0;
+  ASSERT_TRUE(
+      DecodeBlock(bytes.data(), bytes.size(), &pos, 5, nullptr, 0, &block)
+          .ok());
+  ExpectArenaTrimmed(block, "early stop");
+  ASSERT_EQ(block.count(), 5u);
+  const std::vector<uint32_t> carry(block.last_data(),
+                                    block.last_data() + block.last_len());
+  ASSERT_TRUE(DecodeBlock(bytes.data(), bytes.size(), &pos, ids.size(),
+                          carry.data(), carry.size(), &block)
+                  .ok());
+  ExpectArenaTrimmed(block, "second decode");
+  ExpectBlockEquals(block, ids, "second decode");
+
+  block.Append(Id("0.9.9").view());
+  ExpectArenaTrimmed(block, "append after decode");
+  ASSERT_EQ(block.count(), ids.size() + 1);
+  EXPECT_EQ(DeweyId::FromView(block.entry(ids.size())), Id("0.9.9"));
+}
+
+TEST(DecodeKernelTest, ArenaIsTrimmedOnEveryCorruptionReturn) {
+  const std::vector<DeweyId> ids = MixedIds();
+  const std::vector<uint8_t> valid = Encode(ids);
+  const uint8_t last_depth = static_cast<uint8_t>(ids.back().depth());
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> tail;  // appended after the valid entries
+  };
+  const std::vector<Case> cases = {
+      {"truncated header", {2}},  // shared with no added count
+      {"shared above previous", {static_cast<uint8_t>(last_depth + 1), 1, 5}},
+      {"empty id", {0, 0}},
+      {"truncated component", {1, 3, 7, 8}},  // three added, two present
+  };
+  for (const Case& c : cases) {
+    std::vector<uint8_t> bytes = valid;
+    bytes.insert(bytes.end(), c.tail.begin(), c.tail.end());
+    // Decode the first entries in one call and the rest (up to the
+    // corrupt tail) in a second, so the failure lands mid-run in a block
+    // that already holds entries.
+    DecodedBlock block;
+    size_t pos = 0;
+    ASSERT_TRUE(
+        DecodeBlock(bytes.data(), bytes.size(), &pos, 3, nullptr, 0, &block)
+            .ok());
+    const std::vector<uint32_t> carry(block.last_data(),
+                                      block.last_data() + block.last_len());
+    const Status status =
+        DecodeBlock(bytes.data(), bytes.size(), &pos, bytes.size(),
+                    carry.data(), carry.size(), &block);
+    EXPECT_TRUE(status.IsCorruption()) << c.name << ": " << status.ToString();
+    EXPECT_EQ(pos, valid.size()) << c.name;
+    ExpectArenaTrimmed(block, c.name);
+    ExpectBlockEquals(block, ids, c.name);
+
+    block.Append(Id("0.9.9").view());
+    ExpectArenaTrimmed(block, c.name);
+    ASSERT_EQ(block.count(), ids.size() + 1) << c.name;
+    EXPECT_EQ(DeweyId::FromView(block.entry(ids.size())), Id("0.9.9"))
+        << c.name;
+  }
+}
+
+// The arena may run ahead of the decode while it grows, but what it
+// keeps must stay within a small factor of what was decoded: the result
+// cache drops its scratch block by memory_bytes().
+TEST(DecodeKernelTest, ArenaMemoryStaysNearTheDecodedSize) {
+  const std::vector<DeweyId> ids =
+      RandomSortedIds(5, 4000, /*max_component=*/300, /*max_depth=*/10);
+  const std::vector<uint8_t> bytes = Encode(ids);
+  size_t components = 0;
+  for (const DeweyId& id : ids) components += id.depth();
+  const size_t decoded_bytes = (components + ids.size() + 1) * sizeof(uint32_t);
+  for (const size_t max_entries : {size_t{1}, size_t{64}, ids.size()}) {
+    DecodedBlock block;
+    std::vector<uint32_t> carry;
+    size_t pos = 0;
+    while (pos < bytes.size()) {
+      ASSERT_TRUE(DecodeBlock(bytes.data(), bytes.size(), &pos, max_entries,
+                              carry.empty() ? nullptr : carry.data(),
+                              carry.size(), &block)
+                      .ok());
+      ExpectArenaTrimmed(block, "chunk=" + std::to_string(max_entries));
+      carry.assign(block.last_data(), block.last_data() + block.last_len());
+    }
+    ExpectBlockEquals(block, ids, "chunk=" + std::to_string(max_entries));
+    EXPECT_LE(block.memory_bytes(), 2 * decoded_bytes)
+        << "chunk=" << max_entries;
+  }
+}
+
 TEST(DecodeKernelTest, DecodedBlockReusesCapacityAcrossClear) {
   DecodedBlock block;
   block.Append(Id("0.1.2").view());

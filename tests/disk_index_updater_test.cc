@@ -314,7 +314,7 @@ TEST_F(DiskIndexUpdaterTest, ReadersKeepPreBatchSnapshotDuringUpdate) {
   Result<SearchResult> quiesced = (*searcher)->Search({"apple", "banana"});
   XKS_ASSERT_OK(quiesced.status());
   ASSERT_EQ(Strings(quiesced->nodes), expected_pre);
-  const uint64_t quiesced_match_ops = quiesced->stats.match_ops.load();
+  const uint64_t quiesced_match_ops = quiesced->stats.match_ops;
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> queries{0};
@@ -323,7 +323,7 @@ TEST_F(DiskIndexUpdaterTest, ReadersKeepPreBatchSnapshotDuringUpdate) {
     while (!stop.load(std::memory_order_acquire)) {
       Result<SearchResult> result = (*searcher)->Search({"apple", "banana"});
       if (!result.ok() || Strings(result->nodes) != expected_pre ||
-          result->stats.match_ops.load() != quiesced_match_ops) {
+          result->stats.match_ops != quiesced_match_ops) {
         diverged.store(true, std::memory_order_release);
       }
       queries.fetch_add(1, std::memory_order_relaxed);

@@ -224,8 +224,8 @@ TEST(PackedKeywordListTest, MatchesVectorListOn200Collections) {
           ASSERT_EQ(got, want) << "lm(" << probe.ToString() << ")";
         }
       }
-      EXPECT_GT(packed_stats.dewey_comparisons.load(), 0u);
-      EXPECT_GT(vector_stats.dewey_comparisons.load(), 0u);
+      EXPECT_GT(packed_stats.dewey_comparisons, 0u);
+      EXPECT_GT(vector_stats.dewey_comparisons, 0u);
     }
   }
 }

@@ -110,7 +110,7 @@ TEST(ParallelSlcaStitcherTest, FinalPendingAlwaysEmitted) {
   const std::vector<DeweyId> got =
       Stitch(1, {MakeChunk({"0.0"}, "0.1")}, &stats);
   EXPECT_EQ(Strings(got), Strings(Ids({"0.0", "0.1"})));
-  EXPECT_EQ(stats.results.load(), 2u);
+  EXPECT_EQ(stats.results, 2u);
 }
 
 TEST(ParallelSlcaStitcherTest, SeamAncestorPendingIsDiscarded) {
@@ -120,7 +120,7 @@ TEST(ParallelSlcaStitcherTest, SeamAncestorPendingIsDiscarded) {
   const std::vector<DeweyId> got =
       Stitch(1, {MakeChunk({}, "0.0"), MakeChunk({"0.0.1"}, "0.2")}, &stats);
   EXPECT_EQ(Strings(got), Strings(Ids({"0.0.1", "0.2"})));
-  EXPECT_EQ(stats.results.load(), 2u);
+  EXPECT_EQ(stats.results, 2u);
 }
 
 TEST(ParallelSlcaStitcherTest, SeamNonAncestorPendingIsConfirmed) {
@@ -146,7 +146,7 @@ TEST(ParallelSlcaStitcherTest, SeamKeepsLargerPendingOverSmallerPending) {
   const std::vector<DeweyId> got =
       Stitch(1, {MakeChunk({}, "0.5"), MakeChunk({}, "0.5")}, &stats);
   EXPECT_EQ(Strings(got), Strings(Ids({"0.5"})));
-  EXPECT_EQ(stats.results.load(), 1u);
+  EXPECT_EQ(stats.results, 1u);
 }
 
 TEST(ParallelSlcaStitcherTest, BlockSizeBatchesButNeverChangesTheSet) {
@@ -157,7 +157,7 @@ TEST(ParallelSlcaStitcherTest, BlockSizeBatchesButNeverChangesTheSet) {
         {MakeChunk({"0.0", "0.1"}, "0.2"), MakeChunk({"0.3"}, "0.4")}, &stats);
     EXPECT_EQ(Strings(got), Strings(Ids({"0.0", "0.1", "0.2", "0.3", "0.4"})))
         << "block=" << block;
-    EXPECT_EQ(stats.results.load(), 5u);
+    EXPECT_EQ(stats.results, 5u);
   }
 }
 
@@ -407,9 +407,9 @@ TEST_P(ParallelSlcaParityTest, ChunkedMatchesSequential) {
         }
         EXPECT_EQ(Strings(got), Strings(expected))
             << "block=" << block << " chunks=" << chunks;
-        EXPECT_EQ(stats.match_ops.load(), seq_stats.match_ops.load())
+        EXPECT_EQ(stats.match_ops, seq_stats.match_ops)
             << "block=" << block << " chunks=" << chunks;
-        EXPECT_EQ(stats.results.load(), seq_stats.results.load())
+        EXPECT_EQ(stats.results, seq_stats.results)
             << "block=" << block << " chunks=" << chunks;
       }
     }
@@ -484,10 +484,10 @@ TEST(ParallelSlcaEngineTest, SearchMatchesSequentialOnBothPaths) {
           EXPECT_EQ(Strings(got->nodes), Strings(sequential->nodes))
               << "disk=" << disk << " block=" << block
               << " chunks=" << chunks;
-          EXPECT_EQ(got->stats.match_ops.load(),
-                    sequential->stats.match_ops.load());
-          EXPECT_EQ(got->stats.results.load(),
-                    sequential->stats.results.load());
+          EXPECT_EQ(got->stats.match_ops,
+                    sequential->stats.match_ops);
+          EXPECT_EQ(got->stats.results,
+                    sequential->stats.results);
         }
       }
     }

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -839,6 +840,71 @@ TEST(QueryServiceTest, DeterministicUnderConcurrentSubmitters) {
             uint64_t{kThreads * kRounds - kThreads * 5});
 }
 
+// Each query writes only its own QueryStats (chunk workers their own
+// chunk's); the service sums finished queries into one shared aggregate.
+// Under concurrent clients, request workers and chunk workers, that
+// aggregate must equal the field-by-field sum of the responses' stats.
+TEST(QueryServiceTest, EngineStatsEqualTheSumOfConcurrentResponses) {
+  std::unique_ptr<XKSearch> system = BuildCorpus();
+  const std::vector<std::vector<std::string>> keyword_sets = {
+      {"alpha", "carol"}, {"bravo", "carol"}, {"alpha", "bravo"},
+      {"alpha", "bravo", "carol"}, {"carol"},
+  };
+  // Every (keywords, algorithm, block size) pair is a distinct cache key,
+  // so no request coalesces with another.
+  std::vector<std::pair<std::vector<std::string>, SearchOptions>> queries;
+  for (const auto& keywords : keyword_sets) {
+    for (const AlgorithmChoice algorithm :
+         {AlgorithmChoice::kIndexedLookupEager, AlgorithmChoice::kScanEager,
+          AlgorithmChoice::kStack}) {
+      for (const size_t block_size : {size_t{1}, size_t{4}}) {
+        SearchOptions options;
+        options.algorithm = algorithm;
+        options.block_size = block_size;
+        queries.emplace_back(keywords, options);
+      }
+    }
+  }
+
+  QueryServiceOptions options;
+  options.pool.workers = 4;
+  options.enable_cache = false;
+  options.slca_chunk.workers = 2;
+  options.slca_chunk.min_chunk_elements = 8;
+  QueryService service(system.get(), options);
+
+  constexpr size_t kClients = 4;
+  std::vector<std::vector<QueryStats>> seen(kClients);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t q = t; q < queries.size(); q += kClients) {
+        Result<QueryResponse> response =
+            service.Search(queries[q].first, queries[q].second);
+        if (!response.ok() || response->coalesced) {
+          ++bad;
+          continue;
+        }
+        seen[t].push_back(response->result.stats);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(bad.load(), 0);
+
+  QueryStats sum;
+  for (const std::vector<QueryStats>& stats : seen) {
+    for (const QueryStats& s : stats) sum += s;
+  }
+  const QueryStats total = service.metrics().engine_stats.Snapshot();
+  for (const auto field : kQueryStatsFields) {
+    EXPECT_EQ(total.*field, sum.*field) << total.ToString();
+  }
+  EXPECT_GT(total.match_ops, 0u);
+  EXPECT_GT(total.postings_read, 0u);
+}
+
 TEST(QueryServiceTest, MetricsReportRendersEverySection) {
   std::unique_ptr<XKSearch> system = BuildCorpus();
   QueryService service(system.get(), QueryServiceOptions{});
@@ -1021,10 +1087,10 @@ TEST(QueryServiceTest, ShardedResponseCarriesAggregatedStats) {
     sum += s.stats;
     contributed += s.results;
   }
-  EXPECT_EQ(sum.match_ops.load(), direct->result.stats.match_ops.load());
-  EXPECT_EQ(sum.postings_read.load(),
-            direct->result.stats.postings_read.load());
-  EXPECT_EQ(sum.io_errors.load(), direct->result.stats.io_errors.load());
+  EXPECT_EQ(sum.match_ops, direct->result.stats.match_ops);
+  EXPECT_EQ(sum.postings_read,
+            direct->result.stats.postings_read);
+  EXPECT_EQ(sum.io_errors, direct->result.stats.io_errors);
   EXPECT_EQ(contributed, direct->result.nodes.size());
 
   QueryServiceOptions options;
@@ -1032,10 +1098,10 @@ TEST(QueryServiceTest, ShardedResponseCarriesAggregatedStats) {
   QueryService service(collection.get(), options);
   Result<QueryResponse> response = service.Search({"keyword"});
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->result.stats.match_ops.load(), sum.match_ops.load());
+  EXPECT_EQ(response->result.stats.match_ops, sum.match_ops);
   // The service-level aggregate accumulated the same merged totals.
-  EXPECT_EQ(service.metrics().engine_stats.match_ops.load(),
-            sum.match_ops.load());
+  EXPECT_EQ(service.metrics().engine_stats.Snapshot().match_ops,
+            sum.match_ops);
 }
 
 TEST(QueryServiceTest, ShardedMetricsReportHasPerShardGauges) {
@@ -1086,10 +1152,10 @@ TEST(QueryServiceTest, HotListServingMatchesColdResultsAndReports) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_FALSE(response->cache_hit);
     EXPECT_EQ(response->result.nodes, cold->nodes);
-    EXPECT_EQ(response->result.stats.match_ops.load(),
-              cold->stats.match_ops.load());
-    EXPECT_EQ(response->result.stats.postings_read.load(),
-              cold->stats.postings_read.load());
+    EXPECT_EQ(response->result.stats.match_ops,
+              cold->stats.match_ops);
+    EXPECT_EQ(response->result.stats.postings_read,
+              cold->stats.postings_read);
   }
   const QueryService::HotListStats stats = service.hot_list_stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -1134,8 +1200,8 @@ TEST(SingleFlightTest, CoalescedQueriesShareOneExecutionAndDecodeNothing) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_FALSE(response->cache_hit);
     EXPECT_EQ(response->result.nodes, reference->nodes);
-    EXPECT_EQ(response->result.stats.match_ops.load(),
-              reference->stats.match_ops.load());
+    EXPECT_EQ(response->result.stats.match_ops,
+              reference->stats.match_ops);
     if (response->coalesced) ++coalesced;
   }
   EXPECT_EQ(coalesced, 5);
@@ -1146,10 +1212,10 @@ TEST(SingleFlightTest, CoalescedQueriesShareOneExecutionAndDecodeNothing) {
   // the five coalesced requests decoded and matched nothing of their
   // own. (postings_read covers the decode side, match_ops the SLCA
   // side; both would be ~6x on a service that ran every duplicate.)
-  EXPECT_EQ(service.metrics().engine_stats.match_ops.load(),
-            reference->stats.match_ops.load());
-  EXPECT_EQ(service.metrics().engine_stats.postings_read.load(),
-            reference->stats.postings_read.load());
+  EXPECT_EQ(service.metrics().engine_stats.Snapshot().match_ops,
+            reference->stats.match_ops);
+  EXPECT_EQ(service.metrics().engine_stats.Snapshot().postings_read,
+            reference->stats.postings_read);
   const std::string report = service.MetricsReport();
   EXPECT_NE(report.find("coalesced:"), std::string::npos) << report;
 }
@@ -1191,8 +1257,8 @@ TEST(SingleFlightTest, ClosesCacheLookupInsertRaceUnderStampede) {
   EXPECT_EQ(service.metrics().completed, uint64_t{kThreads * kRounds});
   // The stampede collapses to exactly one engine execution: everyone
   // else was a cache hit or a coalesced follower.
-  EXPECT_EQ(service.metrics().engine_stats.match_ops.load(),
-            reference->stats.match_ops.load());
+  EXPECT_EQ(service.metrics().engine_stats.Snapshot().match_ops,
+            reference->stats.match_ops);
   EXPECT_EQ(static_cast<uint64_t>(service.metrics().cache_hits) +
                 static_cast<uint64_t>(service.metrics().coalesced_queries),
             uint64_t{kThreads * kRounds - 1});
@@ -1312,14 +1378,14 @@ TEST(BatchedServiceTest, BatchedExecutionMatchesUnbatchedAndSharesDecodes) {
   uint64_t match_ops = 0;
   uint64_t postings_read = 0;
   for (size_t i : {0, 1, 2, 4}) {
-    match_ops += reference[i].stats.match_ops.load();
-    postings_read += reference[i].stats.postings_read.load();
+    match_ops += reference[i].stats.match_ops;
+    postings_read += reference[i].stats.postings_read;
   }
   const MetricsRegistry& metrics = service.metrics();
   EXPECT_EQ(static_cast<uint64_t>(metrics.requests), queries.size());
   EXPECT_EQ(static_cast<uint64_t>(metrics.coalesced_queries), 1u);
-  EXPECT_EQ(metrics.engine_stats.match_ops.load(), match_ops);
-  EXPECT_EQ(metrics.engine_stats.postings_read.load(), postings_read);
+  EXPECT_EQ(metrics.engine_stats.Snapshot().match_ops, match_ops);
+  EXPECT_EQ(metrics.engine_stats.Snapshot().postings_read, postings_read);
 }
 
 }  // namespace

@@ -200,7 +200,7 @@ TEST(ShardedCollectionTest, RouterPrunesKeywordAbsentShards) {
   for (const ShardQueryStats& s : got->shards) {
     if (s.pruned) {
       EXPECT_EQ(s.results, 0u);
-      EXPECT_EQ(s.stats.match_ops.load(), 0u);
+      EXPECT_EQ(s.stats.match_ops, 0u);
     }
   }
   // A query whose keywords never co-occur in one document prunes every
@@ -299,10 +299,10 @@ TEST(ShardedCollectionTest, StatsAggregationIdentity) {
     sum += s.stats;
     contributed += s.results;
   }
-  EXPECT_EQ(sum.match_ops.load(), got->result.stats.match_ops.load());
-  EXPECT_EQ(sum.postings_read.load(), got->result.stats.postings_read.load());
-  EXPECT_EQ(sum.dewey_comparisons.load(),
-            got->result.stats.dewey_comparisons.load());
+  EXPECT_EQ(sum.match_ops, got->result.stats.match_ops);
+  EXPECT_EQ(sum.postings_read, got->result.stats.postings_read);
+  EXPECT_EQ(sum.dewey_comparisons,
+            got->result.stats.dewey_comparisons);
   EXPECT_EQ(contributed, got->result.nodes.size());
 }
 
@@ -322,8 +322,8 @@ TEST(ScatterGatherTest, ParallelMatchesSequential) {
       ASSERT_TRUE(seq.ok());
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_EQ(Strings(seq->result.nodes), Strings(par->result.nodes));
-      EXPECT_EQ(seq->result.stats.match_ops.load(),
-                par->result.stats.match_ops.load());
+      EXPECT_EQ(seq->result.stats.match_ops,
+                par->result.stats.match_ops);
       EXPECT_EQ(seq->executed_shards(), par->executed_shards());
     }
     // Error contract parity too.
@@ -377,8 +377,8 @@ TEST_F(ShardedDiskTest, DiskPathMatchesPerDocUnion) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Strings(Sorted(got->result.nodes)),
             Strings(PerDocUnion({"keyword", "search"})));
-  EXPECT_GT(got->result.stats.page_reads.load() +
-                got->result.stats.page_hits.load(),
+  EXPECT_GT(got->result.stats.page_reads +
+                got->result.stats.page_hits,
             0u);
 }
 

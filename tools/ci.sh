@@ -53,10 +53,11 @@ if [ "$run_slow" -eq 1 ]; then
   # Table 1 and page counters, and its
   # restart-indexed block format, the level-table codec and its bit I/O
   # (including the on-disk key bytes), the match-loop and result-cache-hit
-  # allocation tests, and the inline/heap storage of DeweyId itself.
+  # allocation tests, the inline/heap storage of DeweyId itself, and
+  # the block decoder's arena contract.
   echo "==> [match-path] SLCA match step and key codec stage (release build)"
   ctest --test-dir build/release \
-    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DiskIndexTest|DiskIndexProbeTest|DiskProbeCountersTest|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest|DeweyIdTest|ResultCacheAllocationTest)' \
+    -R '(IndexedLookupTest|ScanEagerTest|AllAlgorithmsTest|ScanMatcherTest|PackedKeywordListTest|ParallelSlca|SlcaProperty|DiskIndexTest|DiskIndexProbeTest|DiskProbeCountersTest|DeweyCodecTest|BitIoTest|BitReaderTest|BitWriterTest|MatchAllocationTest|DeweyIdTest|ResultCacheAllocationTest|DecodeKernelTest\.Arena)' \
     --output-on-failure
   # Concurrent serving: single-flight coalescing and the result cache
   # (round trips, budget and sketch charge, TinyLFU admission and
