@@ -131,6 +131,7 @@ Result<Document> GenerateDblp(const DblpOptions& options) {
       }
     }
   }
+  doc.ShrinkToFit();
   return doc;
 }
 

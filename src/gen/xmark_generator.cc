@@ -157,6 +157,7 @@ Result<Document> GenerateXmark(const XmarkOptions& options) {
                    std::to_string(1 + rng.Uniform(1000)));
   }
 
+  doc.ShrinkToFit();
   return doc;
 }
 

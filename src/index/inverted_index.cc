@@ -11,14 +11,14 @@ InvertedIndex InvertedIndex::Build(const Document& doc,
   index.options_ = options;
   if (doc.empty()) return index;
 
-  // Iterative preorder walk so document depth cannot overflow the stack.
-  // Children are pushed in reverse so they pop in document order, which
-  // keeps every keyword list sorted without a final sort pass.
-  std::vector<NodeId> stack = {doc.root()};
+  // Iterative preorder walk so document depth cannot overflow the stack:
+  // each open element keeps the cursor of its next child to visit, so
+  // nodes come out in document order, which keeps every keyword list
+  // sorted without a final sort pass.
+  std::vector<Document::ChildRange::iterator> stack;
   std::vector<std::string> node_terms;  // scratch, deduplicated per node
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
+  NodeId n = doc.root();
+  while (true) {
     const DeweyId id = doc.DeweyOf(n);
     index.level_table_.Observe(id);
 
@@ -42,8 +42,7 @@ InvertedIndex InvertedIndex::Build(const Document& doc,
           }
         }
       }
-      const auto& kids = doc.children(n);
-      for (size_t i = kids.size(); i-- > 0;) stack.push_back(kids[i]);
+      stack.push_back(doc.children(n).begin());
     }
 
     // A node that mentions a keyword twice still appears once in its list.
@@ -53,6 +52,14 @@ InvertedIndex InvertedIndex::Build(const Document& doc,
     for (const std::string& term : node_terms) {
       index.AddPosting(term, id);
     }
+
+    // Next in document order: the first unvisited child of the deepest
+    // open element.
+    while (!stack.empty() && stack.back() == Document::ChildRange::end()) {
+      stack.pop_back();
+    }
+    if (stack.empty()) break;
+    n = *stack.back()++;
   }
   return index;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_hash.h"
 #include "dewey/codec.h"
 #include "dewey/dewey_id.h"
 #include "dewey/packed_list.h"
@@ -89,20 +90,7 @@ class InvertedIndex {
   const IndexOptions& options() const { return options_; }
 
  private:
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct TransparentEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
-  };
-
-  std::unordered_map<std::string, uint32_t, TransparentHash, TransparentEq>
+  std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>
       term_ids_;
   std::vector<PackedDeweyList> lists_;
   LevelTable level_table_;

@@ -10,42 +10,6 @@
 namespace xksearch {
 namespace shard {
 
-namespace {
-
-/// Appends a deep copy of `src`'s whole tree as the next child of
-/// `parent` in `dst`. Explicit work stack (documents can be deep and
-/// parser depth limits do not apply to generated trees).
-void AppendDocumentCopy(Document* dst, NodeId parent, const Document& src) {
-  struct Item {
-    NodeId src_node;
-    NodeId dst_parent;
-  };
-  std::vector<Item> stack;
-  stack.push_back({src.root(), parent});
-  while (!stack.empty()) {
-    const Item item = stack.back();
-    stack.pop_back();
-    NodeId copy;
-    if (src.IsElement(item.src_node)) {
-      copy = dst->AppendElement(item.dst_parent, src.tag(item.src_node));
-      for (const auto& [name, value] : src.attributes(item.src_node)) {
-        dst->AddAttribute(copy, name, value);
-      }
-    } else {
-      copy = dst->AppendText(item.dst_parent, src.text(item.src_node));
-      continue;
-    }
-    // Push children in reverse so they are copied (and numbered) in
-    // original sibling order.
-    const std::vector<NodeId>& kids = src.children(item.src_node);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back({*it, copy});
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<uint32_t> BalancedPartition(const std::vector<uint64_t>& weights,
                                         size_t shards) {
   std::vector<uint32_t> assignment(weights.size(), 0);
@@ -140,11 +104,22 @@ ShardedCollection::Builder::Build() && {
     if (shard.docs.empty()) continue;
     // Splice the shard's documents under a synthetic root. The tag "_"
     // has no alphanumeric characters, so it tokenizes to nothing and is
-    // never indexed regardless of IndexOptions::index_tags.
+    // never indexed regardless of IndexOptions::index_tags. The merged
+    // arrays are sized for all of them first, and each document is freed
+    // once spliced, so the build holds every document once and never
+    // regrows the merged tree.
     Document merged;
     const NodeId root = merged.CreateRoot("_");
+    size_t nodes = 0, texts = 0, text_bytes = 0;
     for (const uint32_t d : shard.docs) {
-      AppendDocumentCopy(&merged, root, docs_[d]);
+      nodes += docs_[d].node_count();
+      texts += docs_[d].text_count();
+      text_bytes += docs_[d].text_bytes();
+    }
+    merged.Reserve(nodes, texts, text_bytes);
+    for (const uint32_t d : shard.docs) {
+      merged.AppendDocument(root, docs_[d]);
+      docs_[d] = Document();
     }
     XKS_ASSIGN_OR_RETURN(
         shard.engine,

@@ -13,6 +13,7 @@
 
 #include "common/result.h"
 #include "common/stats.h"
+#include "common/string_hash.h"
 #include "dewey/codec.h"
 #include "dewey/decode_kernels.h"
 #include "dewey/dewey_id.h"
@@ -96,17 +97,10 @@ class DiskIndex {
     bool operator==(const TermInfo&) const = default;
   };
 
-  /// Hashes keywords as string views, so the dictionary answers a
-  /// string_view lookup without building a std::string.
-  struct KeywordHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view keyword) const {
-      return std::hash<std::string_view>{}(keyword);
-    }
-  };
   /// The in-memory keyword dictionary: keyword -> (term id, frequency).
-  using TermDict =
-      std::unordered_map<std::string, TermInfo, KeywordHash, std::equal_to<>>;
+  /// It answers a string_view lookup without building a std::string.
+  using TermDict = std::unordered_map<std::string, TermInfo, StringViewHash,
+                                      std::equal_to<>>;
 
   /// Builds the scan tree and the dictionary from an in-memory index. In
   /// file mode this writes `<prefix>.scan` and `<prefix>.dict`, plus an
@@ -426,7 +420,7 @@ class DiskIndexUpdater {
   std::map<uint32_t, TermEdits> pending_;
   /// Dictionary entries as Open loaded them, for every touched keyword.
   std::unordered_map<std::string, std::optional<DiskIndex::TermInfo>,
-                     DiskIndex::KeywordHash, std::equal_to<>>
+                     StringViewHash, std::equal_to<>>
       loaded_;
   uint32_t next_term_id_ = 0;
   uint64_t total_postings_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -47,6 +48,7 @@ class Parser {
     if (!AtEnd()) {
       return Error("content after root element");
     }
+    doc.ShrinkToFit();
     return doc;
   }
 
@@ -351,7 +353,7 @@ void SerializeNode(const Document& doc, NodeId n, bool indent, int depth,
     *out += EscapeXml(value);
     *out += '"';
   }
-  const auto& kids = doc.children(n);
+  const Document::ChildRange kids = doc.children(n);
   if (kids.empty()) {
     *out += "/>";
     if (indent) *out += '\n';
@@ -387,12 +389,16 @@ Result<Document> ParseXmlFile(const std::string& path,
   if (!in) {
     return Status::IoError("cannot open " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
+  // One buffer, sized from the file: the text is held once while parsed.
+  std::error_code error;
+  const uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) {
+    return Status::IoError("cannot size " + path + ": " + error.message());
+  }
+  std::string content(static_cast<size_t>(size), '\0');
+  if (!in.read(content.data(), static_cast<std::streamsize>(size))) {
     return Status::IoError("error reading " + path);
   }
-  const std::string content = buf.str();
   return ParseXml(content, options);
 }
 

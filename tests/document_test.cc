@@ -1,7 +1,14 @@
 #include "xml/document.h"
 
+#include <string>
+#include <vector>
+
+#include "gen/dblp_generator.h"
+#include "gen/random_tree.h"
+#include "gen/xmark_generator.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "xml/parser.h"
 
 namespace xksearch {
 namespace {
@@ -115,6 +122,123 @@ TEST(DocumentTest, CloneIsADeepIndependentCopy) {
   EXPECT_EQ(clone.node_count(), before);
   EXPECT_EQ(clone.attributes(clone.root()).size(), 1u);
   EXPECT_TRUE(clone.FindByDewey(Id("0.2")).status().IsNotFound());
+}
+
+// Reference for the splice: a node-by-node copy of `src` under `parent`
+// through the public append calls.
+void CopySubtree(const Document& src, NodeId node, Document* dst,
+                 NodeId parent) {
+  if (src.IsText(node)) {
+    dst->AppendText(parent, src.text(node));
+    return;
+  }
+  const NodeId copy = dst->AppendElement(parent, src.tag(node));
+  for (const auto& [name, value] : src.attributes(node)) {
+    dst->AddAttribute(copy, name, value);
+  }
+  for (const NodeId child : src.children(node)) {
+    CopySubtree(src, child, dst, copy);
+  }
+}
+
+std::vector<Document> SpliceSources() {
+  std::vector<Document> sources;
+  Rng rng(5);
+  RandomTreeOptions tree;
+  tree.node_count = 300;
+  sources.push_back(GenerateRandomDocument(&rng, tree));
+  DblpOptions dblp;
+  dblp.papers = 200;
+  dblp.venues = 3;
+  dblp.years_per_venue = 2;
+  Result<Document> bib = GenerateDblp(dblp);
+  EXPECT_TRUE(bib.ok());
+  sources.push_back(bib.MoveValueUnsafe());
+  XmarkOptions xmark;
+  xmark.items = 40;
+  xmark.people = 15;
+  Result<Document> site = GenerateXmark(xmark);
+  EXPECT_TRUE(site.ok());
+  sources.push_back(site.MoveValueUnsafe());
+  sources.push_back(MakeSample());
+  return sources;
+}
+
+TEST(DocumentTest, AppendDocumentMatchesDeepCopy) {
+  const std::vector<Document> sources = SpliceSources();
+  Document spliced;
+  Document copied;
+  const NodeId root = spliced.CreateRoot("_");
+  copied.CreateRoot("_");
+  // One level down as well, so levels shift by more than one.
+  const NodeId nest = spliced.AppendElement(root, "nest");
+  const NodeId copied_nest = copied.AppendElement(copied.root(), "nest");
+  for (const Document& src : sources) {
+    const NodeId at = spliced.AppendDocument(root, src);
+    EXPECT_EQ(spliced.parent(at), root);
+    CopySubtree(src, src.root(), &copied, copied.root());
+  }
+  spliced.AppendDocument(nest, sources[1]);
+  CopySubtree(sources[1], sources[1].root(), &copied, copied_nest);
+  // Appends after a splice continue the sibling chain.
+  spliced.AppendText(root, "tail");
+  copied.AppendText(copied.root(), "tail");
+
+  EXPECT_EQ(SerializeXml(spliced), SerializeXml(copied));
+  EXPECT_EQ(SerializeXml(spliced, /*indent=*/true),
+            SerializeXml(copied, /*indent=*/true));
+  ASSERT_EQ(spliced.node_count(), copied.node_count());
+  EXPECT_EQ(spliced.max_depth(), copied.max_depth());
+  EXPECT_EQ(spliced.text_count(), copied.text_count());
+  EXPECT_EQ(spliced.text_bytes(), copied.text_bytes());
+
+  // Every source node, found by its Dewey number under the root.
+  for (size_t s = 0; s < sources.size(); ++s) {
+    const Document& src = sources[s];
+    for (NodeId n = 0; n < src.node_count(); ++n) {
+      const DeweyId local = src.DeweyOf(n);
+      std::vector<uint32_t> components = {0, static_cast<uint32_t>(s + 1)};
+      for (size_t i = 1; i < local.depth(); ++i) {
+        components.push_back(local.component(i));
+      }
+      const DeweyId id(std::move(components));
+      Result<NodeId> found = spliced.FindByDewey(id);
+      ASSERT_TRUE(found.ok()) << id.ToString();
+      const NodeId m = *found;
+      ASSERT_EQ(spliced.DeweyOf(m), id);
+      ASSERT_EQ(spliced.kind(m), src.kind(n));
+      ASSERT_EQ(spliced.level(m), src.level(n) + 1);
+      ASSERT_EQ(spliced.child_count(m), src.child_count(n));
+      ASSERT_EQ(spliced.attributes(m), src.attributes(n));
+      if (src.IsText(n)) {
+        ASSERT_EQ(spliced.text(m), src.text(n));
+      } else {
+        ASSERT_EQ(spliced.tag(m), src.tag(n));
+        ASSERT_EQ(spliced.DirectText(m), src.DirectText(n));
+      }
+    }
+  }
+  // And every node of the spliced tree agrees with the copy.
+  for (NodeId n = 0; n < copied.node_count(); ++n) {
+    Result<NodeId> found = spliced.FindByDewey(copied.DeweyOf(n));
+    ASSERT_TRUE(found.ok());
+    ASSERT_EQ(spliced.child_count(*found), copied.child_count(n));
+    ASSERT_EQ(spliced.attributes(*found), copied.attributes(n));
+  }
+}
+
+// Compact storage: a node record, its text offset and the text itself,
+// with no per-node heap block.
+TEST(DocumentTest, GeneratedDblpStaysCompact) {
+  DblpOptions options;
+  options.papers = 3000;
+  Result<Document> doc = GenerateDblp(options);
+  ASSERT_TRUE(doc.ok());
+  const size_t budget = 40 * doc->node_count() + doc->text_bytes();
+  EXPECT_LT(doc->memory_bytes(), budget)
+      << doc->node_count() << " nodes, " << doc->text_bytes()
+      << " text bytes";
+  EXPECT_GT(doc->memory_bytes(), doc->text_bytes());
 }
 
 TEST(DocumentTest, MoveTransfersOwnership) {

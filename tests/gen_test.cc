@@ -83,7 +83,7 @@ TEST(DblpGeneratorTest, ShapeIsGroupedByVenueAndYear) {
   // Depth: dblp/venue/year/paper/field/text = 6 levels (0-based max 5).
   EXPECT_EQ(doc->max_depth(), 5u);
   // Papers land under years.
-  const NodeId venue = doc->children(doc->root())[0];
+  const NodeId venue = *doc->children(doc->root()).begin();
   bool found_year = false;
   for (NodeId c : doc->children(venue)) {
     if (doc->tag(c) == "year") {

@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "gen/dblp_generator.h"
+#include "gen/random_tree.h"
+#include "gen/xmark_generator.h"
 #include "gtest/gtest.h"
 #include "shard/router.h"
 #include "shard/scatter_gather.h"
@@ -304,6 +307,144 @@ TEST(ShardedCollectionTest, StatsAggregationIdentity) {
   EXPECT_EQ(sum.dewey_comparisons,
             got->result.stats.dewey_comparisons);
   EXPECT_EQ(contributed, got->result.nodes.size());
+}
+
+// FNV-1a over a stream of words: a compact golden for a shard's index
+// and answers.
+struct Digest {
+  uint64_t h = 1469598103934665603ull;
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void Add(std::string_view s) {
+    Add(s.size());
+    for (const char c : s) Add(static_cast<uint8_t>(c));
+  }
+  void Add(const DeweyId& id) {
+    Add(id.depth());
+    for (size_t i = 0; i < id.depth(); ++i) Add(id.component(i));
+  }
+};
+
+// Generated DBLP, XMark and random documents plus the parsed kDocs, so
+// the spliced shard trees carry attributes, mixed content, deep and
+// wide nodes.
+std::unique_ptr<ShardedCollection> MakeGeneratedCollection(size_t shards) {
+  ShardedCollectionOptions options;
+  options.shards = shards;
+  ShardedCollection::Builder builder(std::move(options));
+  for (const uint64_t seed : {11u, 12u}) {
+    DblpOptions dblp;
+    dblp.papers = 300;
+    dblp.venues = 4;
+    dblp.years_per_venue = 3;
+    dblp.vocab_size = 60;
+    dblp.seed = seed;
+    Result<Document> doc = GenerateDblp(dblp);
+    EXPECT_TRUE(doc.ok());
+    XKS_EXPECT_OK(
+        builder.Add("dblp" + std::to_string(seed), doc.MoveValueUnsafe()));
+  }
+  XmarkOptions xmark;
+  xmark.items = 60;
+  xmark.people = 20;
+  xmark.vocab_size = 60;
+  Result<Document> site = GenerateXmark(xmark);
+  EXPECT_TRUE(site.ok());
+  XKS_EXPECT_OK(builder.Add("xmark", site.MoveValueUnsafe()));
+  Rng rng(3);
+  RandomTreeOptions tree;
+  tree.node_count = 400;
+  XKS_EXPECT_OK(builder.Add("random", GenerateRandomDocument(&rng, tree)));
+  for (size_t d = 0; d < std::size(kDocs); ++d) {
+    XKS_EXPECT_OK(builder.AddXml("doc" + std::to_string(d), kDocs[d]));
+  }
+  Result<std::unique_ptr<ShardedCollection>> built =
+      std::move(builder).Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return built.ok() ? built.MoveValueUnsafe() : nullptr;
+}
+
+// Per shard: the digest of every list's ids and arena size, and of the
+// SearchShard answers and match counts over a fixed query set.
+struct ShardGolden {
+  uint64_t index;
+  uint64_t answers;
+};
+
+std::vector<ShardGolden> ShardDigests(const ShardedCollection& collection,
+                                      const std::vector<std::string>& terms) {
+  std::vector<ShardGolden> out;
+  for (uint32_t s = 0; s < collection.shard_count(); ++s) {
+    Digest index;
+    Digest answers;
+    const XKSearch* engine = collection.shard_engine(s);
+    if (engine != nullptr) {
+      for (const std::string& term : engine->index().Terms()) {
+        const PackedDeweyList* list = engine->index().Find(term);
+        index.Add(term);
+        index.Add(list->arena_bytes());
+        index.Add(list->block_count());
+        for (const DeweyId& id : list->Materialize()) index.Add(id);
+      }
+    }
+    for (size_t q = 0; q < 40; ++q) {
+      const size_t n = terms.size();
+      std::vector<std::string> keywords = {terms[(q * 7919) % n]};
+      if (q % 4 != 0) keywords.push_back(terms[(q * 104729 + 13) % n]);
+      if (q % 5 == 0) keywords.push_back(terms[(q * 31 + 5) % n]);
+      Result<ShardedCollection::Plan> plan = collection.PlanQuery(keywords);
+      EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+      if (!plan.ok() || !std::binary_search(plan->candidates.begin(),
+                              plan->candidates.end(), s)) {
+        continue;
+      }
+      Result<SearchResult> r = collection.SearchShard(s, keywords, {});
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (!r.ok()) continue;
+      answers.Add(q);
+      answers.Add(r->stats.match_ops);
+      answers.Add(r->nodes.size());
+      for (const DeweyId& id : r->nodes) answers.Add(id);
+    }
+    out.push_back({index.h, answers.h});
+  }
+  return out;
+}
+
+// Shard build splices every document into its shard's tree. The index
+// bytes and answers it gives must not depend on how the tree is laid
+// out in memory: these goldens were taken from the deep-copy build.
+TEST(ShardedCollectionTest, SplicedShardsMatchGoldenIndexAndAnswers) {
+  const std::unique_ptr<ShardedCollection> one = MakeGeneratedCollection(1);
+  const std::unique_ptr<ShardedCollection> four = MakeGeneratedCollection(4);
+  ASSERT_NE(one, nullptr);
+  ASSERT_NE(four, nullptr);
+  const std::vector<std::string> terms = one->shard_engine(0)->index().Terms();
+  ASSERT_FALSE(terms.empty());
+  const std::vector<std::pair<size_t, std::vector<ShardGolden>>> goldens = {
+      {1, {{0x1209ebf0402e3678ull, 0x2c6bcf91c7aa0df2ull}}},
+      {4, {{0x1134f93df4820905ull, 0x6dc7ede937c25430ull},
+           {0x7e58a229f3fb45a2ull, 0x621e2cb904fac427ull},
+           {0xb9409ff327007443ull, 0xa210bf3d67c3a4adull},
+           {0xa186e24c2506d8d3ull, 0xf55a44308478ce59ull}}},
+  };
+  for (const auto& [shards, golden] : goldens) {
+    const ShardedCollection& collection = shards == 1 ? *one : *four;
+    const std::vector<ShardGolden> got = ShardDigests(collection, terms);
+    ASSERT_EQ(got.size(), golden.size());
+    for (size_t s = 0; s < got.size(); ++s) {
+      EXPECT_EQ(got[s].index, golden[s].index)
+          << shards << " shards, shard " << s << std::hex << ": index 0x"
+          << got[s].index;
+      EXPECT_EQ(got[s].answers, golden[s].answers)
+          << shards << " shards, shard " << s << std::hex << ": answers 0x"
+          << got[s].answers;
+    }
+  }
 }
 
 TEST(ScatterGatherTest, ParallelMatchesSequential) {

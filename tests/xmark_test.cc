@@ -21,7 +21,8 @@ TEST(XmarkTest, ShapeMatchesSchema) {
   Result<Document> doc = GenerateXmark(options);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_EQ(doc->tag(doc->root()), "site");
-  const auto& kids = doc->children(doc->root());
+  const auto range = doc->children(doc->root());
+  const std::vector<NodeId> kids(range.begin(), range.end());
   ASSERT_EQ(kids.size(), 4u);
   EXPECT_EQ(doc->tag(kids[0]), "people");
   EXPECT_EQ(doc->tag(kids[1]), "regions");

@@ -94,7 +94,8 @@ TEST(XmlParserTest, WhitespaceOnlyTextDroppedByDefault) {
 TEST(XmlParserTest, MixedContentOrderPreserved) {
   Result<Document> doc = ParseXml("<r>one<b>two</b>three</r>");
   ASSERT_TRUE(doc.ok());
-  const auto& kids = doc->children(doc->root());
+  const auto range = doc->children(doc->root());
+  const std::vector<NodeId> kids(range.begin(), range.end());
   ASSERT_EQ(kids.size(), 3u);
   EXPECT_TRUE(doc->IsText(kids[0]));
   EXPECT_TRUE(doc->IsElement(kids[1]));

@@ -38,10 +38,12 @@ if [ "$run_slow" -eq 1 ]; then
   # They already ran inside the fast tier (and the concurrency-sensitive
   # ones again under tsan via the preset filter); this stage exists so a
   # sharding regression is reported as its own line, not buried in the
-  # full-suite output.
+  # full-suite output. Shard build splices each document's flat arrays
+  # into the shard's tree, so the document, parser and snippet suites
+  # that check the tree ride along.
   echo "==> [sharded] sharded scatter-gather stage (release build)"
   ctest --test-dir build/release \
-    -R '(Shard|ScatterGather|BalancedPartition|TermFilter)' \
+    -R '(Shard|ScatterGather|BalancedPartition|TermFilter|DocumentTest|XmlParserTest|Snippet)' \
     --output-on-failure
   # Same idea for the intra-query chunked execution suites: parity,
   # stitcher, chunk planning and the engine wiring as one visible line.
